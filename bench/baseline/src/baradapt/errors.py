@@ -1,0 +1,46 @@
+"""Exception types shared across the package.
+
+Contract violations (bad shapes, non-positive gains, malformed configs) raise
+plain ValueError / ConfigError.  The classes below are signals with meaning to
+the integrator or the CLI.
+"""
+
+
+class InfeasibleEvaluation(Exception):
+    """A barrier was evaluated at a point outside, or exactly on, the boundary
+    of its feasible set.  Recoverable: the integrator reacts by shrinking the
+    step, it is an error only if step shrinking is exhausted."""
+
+    def __init__(self, message: str, margin: float | None = None):
+        super().__init__(message)
+        self.margin = margin
+
+
+class SingularGradient(Exception):
+    """Norm-constraint gradient requested at ||theta_hat|| = 0 where the
+    radial direction is undefined."""
+
+
+class InsufficientWindow(ValueError):
+    """Derivative estimation asked for with fewer than three samples."""
+
+
+class BarrierBreach(Exception):
+    """Step-size halving was exhausted while a barrier stayed infeasible."""
+
+    def __init__(self, message: str, time: float, dt: float | None = None):
+        super().__init__(message)
+        self.time = time
+        self.dt = dt
+
+
+class NumericalDivergence(Exception):
+    """NaN or Inf appeared in the integrated state."""
+
+    def __init__(self, message: str, time: float):
+        super().__init__(message)
+        self.time = time
+
+
+class ConfigError(ValueError):
+    """Scenario configuration rejected; the message names the offending key."""

@@ -1,0 +1,704 @@
+"""Closed-loop integration of plant, controller, estimate and multipliers.
+
+The composite state (x, theta_hat, lambda_1, ..., lambda_G) advances with a
+classic fixed-step 4-stage Runge-Kutta update.  Barrier blow-up is treated
+as a step-size problem: if any stage or the step result leaves the feasible
+set, the step is replaced by two half steps, recursively, up to
+MAX_HALVINGS; only then is the run declared breached.  Multiplier entries
+are clamped at zero after every accepted step, the discrete shadow of the
+projection in the continuous flow.
+
+run_scenario is deterministic: identical configs produce bitwise identical
+logs.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
+
+import numpy as np
+
+from . import analysis
+from .adaptation import (
+    LAWS_WITH_BARRIER,
+    LAWS_WITH_MEMORY,
+    MultiplierState,
+    UpdateLaw,
+    UpdateLawConfig,
+    projection,
+)
+from .barrier import BarrierKind, ConstraintGroup, ConstraintKind
+from .errors import (
+    BarrierBreach,
+    ConfigError,
+    InfeasibleEvaluation,
+    NumericalDivergence,
+    SingularGradient,
+)
+from .history import HistoryStack, estimate_state_derivative, fill_with_exact_model_data
+from .model import DesiredTrajectory, PlantModel, get_plant, get_trajectory
+
+Array = np.ndarray
+
+MAX_HALVINGS = 20
+
+LAW_CODES = {
+    UpdateLaw.GRADIENT: 0,
+    UpdateLaw.CONCURRENT_LEARNING: 1,
+    UpdateLaw.BARRIER_CONSTRAINED: 2,
+    UpdateLaw.BARRIER_SIGMA_MOD: 3,
+}
+
+
+# ---------------------------------------------------------------------------
+# configuration
+
+
+@dataclass(frozen=True)
+class StackConfig:
+    """History-stack policy.  mode is one of:
+    online  - record a candidate every record_every steps during the run
+    offline - prefill with exact model data before t0, record nothing after
+    none    - keep the stack empty for the whole run
+    """
+
+    mode: str = "online"
+    size: int = 20
+    record_every: int = 50
+    min_excitation: float = 1e-3
+
+    def __post_init__(self):
+        if self.mode not in ("online", "offline", "none"):
+            raise ConfigError(f"stack.mode must be online/offline/none, got '{self.mode}'")
+        if self.size < 0:
+            raise ConfigError("stack.size must be non-negative")
+        if self.record_every < 1:
+            raise ConfigError("stack.record_every must be at least 1")
+        if self.min_excitation < 0:
+            raise ConfigError("stack.min_excitation must be non-negative")
+
+
+@dataclass(frozen=True)
+class GroupConfig:
+    """Declarative form of one constraint group plus its multiplier gains."""
+
+    kind: str
+    barrier: str
+    lower: tuple[float, ...] | float
+    upper: tuple[float, ...] | float
+    gamma_inv: tuple[float, ...] | float
+    alpha: float
+    lambda0: tuple[float, ...] | float
+    norm_log_ok: bool = False
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    """Everything a run needs.  Vector-valued gains may be given as scalars;
+    canonical_config promotes them to full tuples."""
+
+    name: str
+    law: str
+    control_gain: tuple[float, ...] | float
+    learning_rate: tuple[float, ...] | float
+    x0: tuple[float, ...]
+    theta_hat0: tuple[float, ...]
+    plant: str = "benchmark"
+    trajectory: str = "benchmark"
+    k_cl: tuple[float, ...] | float = 1.0
+    sigma2: float = 0.0
+    dt: float = 1e-3
+    t_final: float = 30.0
+    log_every: int = 10
+    theta_true: tuple[float, ...] | None = None
+    groups: tuple[GroupConfig, ...] = ()
+    stack: StackConfig = field(default_factory=StackConfig)
+
+
+def _as_tuple(value, length: int, key: str) -> tuple[float, ...]:
+    arr = np.atleast_1d(np.asarray(value, dtype=float))
+    if arr.size == 1 and length != 1:
+        arr = np.full(length, float(arr[0]))
+    if arr.shape != (length,):
+        raise ConfigError(f"{key} must be a scalar or a vector of length {length}")
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"{key} must be finite")
+    return tuple(float(v) for v in arr)
+
+
+def canonical_config(cfg: ScenarioConfig) -> ScenarioConfig:
+    """Validate and normalize: scalars promoted to full tuples, enum strings
+    lowered, so that equal effective configs compare equal."""
+    try:
+        plant = get_plant(cfg.plant, cfg.theta_true)
+        traj = get_trajectory(cfg.trajectory)
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
+    n, p = plant.dim_state, plant.dim_param
+    if traj.dim != n:
+        raise ConfigError(
+            f"trajectory '{cfg.trajectory}' has dimension {traj.dim}, plant needs {n}"
+        )
+    law = str(cfg.law).lower()
+    if law not in [v.value for v in UpdateLaw]:
+        raise ConfigError(f"law must be one of {[v.value for v in UpdateLaw]}, got '{cfg.law}'")
+    control_gain = _as_tuple(cfg.control_gain, n, "control_gain")
+    learning_rate = _as_tuple(cfg.learning_rate, p, "learning_rate")
+    k_cl = _as_tuple(cfg.k_cl, p, "k_cl")
+    if any(v <= 0 for v in control_gain):
+        raise ConfigError("control_gain entries must be positive")
+    if any(v <= 0 for v in learning_rate):
+        raise ConfigError("learning_rate entries must be positive")
+    if any(v <= 0 for v in k_cl):
+        raise ConfigError("k_cl entries must be positive")
+    if cfg.sigma2 < 0:
+        raise ConfigError("sigma2 must be non-negative")
+    x0 = _as_tuple(cfg.x0, n, "x0")
+    theta_hat0 = _as_tuple(cfg.theta_hat0, p, "theta_hat0")
+    theta_true = None if cfg.theta_true is None else _as_tuple(cfg.theta_true, p, "theta_true")
+    if cfg.dt <= 0:
+        raise ConfigError("dt must be positive")
+    if cfg.t_final < cfg.dt:
+        raise ConfigError("t_final must be at least dt")
+    n_steps = round(cfg.t_final / cfg.dt)
+    if abs(n_steps * cfg.dt - cfg.t_final) > 1e-6 * cfg.dt:
+        raise ConfigError("t_final must be an integer multiple of dt")
+    if cfg.log_every < 1:
+        raise ConfigError("log_every must be at least 1")
+
+    groups = []
+    for g_idx, grp in enumerate(cfg.groups, start=1):
+        kind = str(grp.kind).lower()
+        barrier = str(grp.barrier).lower()
+        if kind == ConstraintKind.COMPONENT.value:
+            lower = _as_tuple(grp.lower, p, f"groups[{g_idx}].lower")
+            upper = _as_tuple(grp.upper, p, f"groups[{g_idx}].upper")
+            n_con = 2 * p
+            # a length-p gamma_inv applies to the lower and upper family alike
+            gi_raw = np.atleast_1d(np.asarray(grp.gamma_inv, dtype=float))
+            if gi_raw.size == p:
+                gamma_inv = tuple(float(v) for v in np.tile(gi_raw, 2))
+            else:
+                gamma_inv = _as_tuple(grp.gamma_inv, n_con, f"groups[{g_idx}].gamma_inv")
+        elif kind == ConstraintKind.NORM.value:
+            lower = float(np.squeeze(np.asarray(grp.lower, dtype=float)))
+            upper = float(np.squeeze(np.asarray(grp.upper, dtype=float)))
+            n_con = 2
+            gamma_inv = _as_tuple(grp.gamma_inv, n_con, f"groups[{g_idx}].gamma_inv")
+        else:
+            raise ConfigError(f"groups[{g_idx}].kind must be component or norm, got '{grp.kind}'")
+        lambda0 = _as_tuple(grp.lambda0, n_con, f"groups[{g_idx}].lambda0")
+        if any(v <= 0 for v in lambda0):
+            raise ConfigError(f"groups[{g_idx}].lambda0 entries must be positive")
+        if any(v <= 0 for v in gamma_inv):
+            raise ConfigError(f"groups[{g_idx}].gamma_inv entries must be positive")
+        if grp.alpha <= 0:
+            raise ConfigError(f"groups[{g_idx}].alpha must be positive")
+        groups.append(
+            GroupConfig(
+                kind=kind,
+                barrier=barrier,
+                lower=lower,
+                upper=upper,
+                gamma_inv=gamma_inv,
+                alpha=float(grp.alpha),
+                lambda0=lambda0,
+                norm_log_ok=bool(grp.norm_log_ok),
+            )
+        )
+
+    out = replace(
+        cfg,
+        law=law,
+        control_gain=control_gain,
+        learning_rate=learning_rate,
+        k_cl=k_cl,
+        sigma2=float(cfg.sigma2),
+        dt=float(cfg.dt),
+        t_final=float(cfg.t_final),
+        log_every=int(cfg.log_every),
+        x0=x0,
+        theta_hat0=theta_hat0,
+        theta_true=theta_true,
+        groups=tuple(groups),
+        stack=StackConfig(
+            mode=cfg.stack.mode,
+            size=int(cfg.stack.size),
+            record_every=int(cfg.stack.record_every),
+            min_excitation=float(cfg.stack.min_excitation),
+        ),
+    )
+    _check_initial_feasibility(out)
+    return out
+
+
+def _build_group(grp: GroupConfig, p: int) -> ConstraintGroup:
+    try:
+        return ConstraintGroup(
+            kind=ConstraintKind(grp.kind),
+            barrier=BarrierKind(grp.barrier),
+            lower=grp.lower,
+            upper=grp.upper,
+            dim_param=p,
+            norm_log_ok=grp.norm_log_ok,
+        )
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
+
+
+def _check_initial_feasibility(cfg: ScenarioConfig):
+    p = len(cfg.theta_hat0)
+    th = np.asarray(cfg.theta_hat0)
+    for g_idx, grp in enumerate(cfg.groups, start=1):
+        group = _build_group(grp, p)
+        ok, margin = group.feasibility(th)
+        if ok:
+            continue
+        if group.kind is ConstraintKind.COMPONENT:
+            slacks = group.slacks(th)
+            worst = int(np.argmin(slacks))
+            if worst < p:
+                bound, side, comp = grp.lower[worst], "lower", worst + 1
+            else:
+                bound, side, comp = grp.upper[worst - p], "upper", worst - p + 1
+            raise ConfigError(
+                f"theta_hat0 violates {side} bound {bound:g} on component {comp} "
+                f"of groups[{g_idx}] (margin {margin:g})"
+            )
+        r = float(np.linalg.norm(th))
+        side, bound = ("lower", grp.lower) if r <= grp.lower else ("upper", grp.upper)
+        raise ConfigError(
+            f"theta_hat0 violates {side} norm bound {bound:g} of groups[{g_idx}] "
+            f"(norm {r:g}, margin {margin:g})"
+        )
+
+
+# ---------------------------------------------------------------------------
+# runtime state
+
+
+@dataclass
+class CompositeState:
+    t: float
+    x: Array
+    theta_hat: Array
+    lambdas: tuple[Array, ...] = ()
+
+
+class CompositeDerivative(NamedTuple):
+    xdot: Array
+    theta_hat_dot: Array
+    lambda_dots: tuple[Array, ...]
+
+
+def control_input(x, x_d, xdot_d, theta_hat, Y, control_gain) -> Array:
+    """Certainty-equivalence input xdot_d - Y theta_hat - k (x - x_d)."""
+    x = np.asarray(x, dtype=float)
+    x_d = np.asarray(x_d, dtype=float)
+    k = np.asarray(control_gain, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    return np.asarray(xdot_d, dtype=float) - Y @ np.asarray(theta_hat, dtype=float) \
+        - k * (x - x_d)
+
+
+class _NonFinite(Exception):
+    pass
+
+
+class RunContext:
+    """Compiled form of a ScenarioConfig: resolved plant and trajectory,
+    built constraint groups, flat-state layout, and the history stack."""
+
+    def __init__(self, cfg: ScenarioConfig):
+        cfg = canonical_config(cfg)
+        self.cfg = cfg
+        self.plant: PlantModel = get_plant(cfg.plant, cfg.theta_true)
+        self.traj: DesiredTrajectory = get_trajectory(cfg.trajectory)
+        self.n = self.plant.dim_state
+        self.p = self.plant.dim_param
+        self.theta = self.plant.theta
+        self.k = np.asarray(cfg.control_gain)
+        self.law = UpdateLaw(cfg.law)
+        self.law_cfg = UpdateLawConfig(
+            law=self.law,
+            dim_param=self.p,
+            learning_rate=cfg.learning_rate,
+            k_cl=cfg.k_cl,
+            sigma2=cfg.sigma2,
+        )
+        self.P = self.law_cfg.learning_rate_array
+        self.kcl = self.law_cfg.k_cl_array
+        self.groups = tuple(_build_group(g, self.p) for g in cfg.groups)
+        self.multipliers = tuple(
+            MultiplierState(lam=g.lambda0, gamma_inv=g.gamma_inv, alpha=g.alpha)
+            for g in cfg.groups
+        )
+        # multipliers are integrated only for barrier laws; other laws still
+        # log the constraint margins of any configured groups
+        self.has_multipliers = self.law in LAWS_WITH_BARRIER and bool(self.groups)
+        off = self.n + self.p
+        self.lam_slices: tuple[slice, ...] = ()
+        if self.has_multipliers:
+            slices = []
+            for grp in self.groups:
+                slices.append(slice(off, off + grp.n_constraints))
+                off += grp.n_constraints
+            self.lam_slices = tuple(slices)
+        self.state_size = off
+        self._group_runtime = tuple(
+            (grp, sl, ms.alpha, ms.gamma_inv_array)
+            for grp, sl, ms in zip(self.groups, self.lam_slices, self.multipliers)
+        )
+        self.stack = HistoryStack(
+            self.n, self.p, capacity=cfg.stack.size,
+            min_eig_threshold=cfg.stack.min_excitation,
+        )
+        self.online = cfg.stack.mode == "online"
+        if cfg.stack.mode == "offline" and cfg.stack.size > 0:
+            ts = np.linspace(cfg.t_final / cfg.stack.size, cfg.t_final, cfg.stack.size)
+            states = [self.traj.eval(float(t))[0] for t in ts]
+            fill_with_exact_model_data(self.stack, self.plant, states)
+        self.active_law = self.law
+        self.refresh_active_law()
+
+    # -- law scheduling ----------------------------------------------------
+
+    def refresh_active_law(self) -> UpdateLaw:
+        """While an online stack is below its excitation threshold, laws with
+        a recorded-data term run their sigma-mod variant instead; once the
+        stack passes they switch back.  Explicit sigma-mod never switches."""
+        law = self.law
+        if law in LAWS_WITH_MEMORY and self.online and not self.stack.assumption_met:
+            law = UpdateLaw.BARRIER_SIGMA_MOD
+        self.active_law = law
+        return law
+
+    # -- packing -----------------------------------------------------------
+
+    def pack(self, state: CompositeState) -> Array:
+        y = np.empty(self.state_size)
+        y[: self.n] = state.x
+        y[self.n: self.n + self.p] = state.theta_hat
+        for sl, lam in zip(self.lam_slices, state.lambdas):
+            y[sl] = lam
+        return y
+
+    def unpack(self, t: float, y: Array) -> CompositeState:
+        return CompositeState(
+            t=t,
+            x=y[: self.n].copy(),
+            theta_hat=y[self.n: self.n + self.p].copy(),
+            lambdas=tuple(y[sl].copy() for sl in self.lam_slices),
+        )
+
+    def initial_state(self) -> CompositeState:
+        return CompositeState(
+            t=0.0,
+            x=np.asarray(self.cfg.x0),
+            theta_hat=np.asarray(self.cfg.theta_hat0),
+            lambdas=tuple(ms.lam_array for ms in self.multipliers)
+            if self.has_multipliers else (),
+        )
+
+    # -- dynamics ----------------------------------------------------------
+
+    def rhs_flat(self, t: float, y: Array) -> Array:
+        n, p = self.n, self.p
+        x = y[:n]
+        th = y[n: n + p]
+        x_d, xdot_d = self.traj.eval(t)
+        Y = self.plant.regressor(x)
+        e = x - x_d
+        u = xdot_d - Y @ th - self.k * e
+        yd = np.empty(self.state_size)
+        yd[:n] = Y @ self.theta + u
+        thdot = self.P * (Y.T @ e)
+        law = self.active_law
+        if law in LAWS_WITH_MEMORY and len(self.stack) > 0:
+            thdot = thdot + self.P * (self.kcl * self.stack.cl_term(th))
+        if law is UpdateLaw.BARRIER_SIGMA_MOD and self.cfg.sigma2 != 0.0:
+            thdot = thdot - self.cfg.sigma2 * th
+        for grp, sl, alpha, gamma_inv in self._group_runtime:
+            # floor stage multipliers at zero: RK stage combinations may dip
+            # below the projection's domain even though accepted steps never do
+            lam = np.maximum(y[sl], 0.0)
+            ev = grp.evaluate(th, lam)
+            thdot = thdot - self.P * ev.weighted_gradient
+            yd[sl] = projection(-alpha * lam + gamma_inv * ev.values, lam)
+        yd[n: n + p] = thdot
+        return yd
+
+    def applied_input(self, t: float, x: Array, theta_hat: Array) -> Array:
+        x_d, xdot_d = self.traj.eval(t)
+        Y = self.plant.regressor(x)
+        return xdot_d - Y @ theta_hat - self.k * (x - x_d)
+
+
+def build_context(cfg: ScenarioConfig) -> RunContext:
+    return RunContext(cfg)
+
+
+def rhs(state: CompositeState, ctx: RunContext) -> CompositeDerivative:
+    """Composite vector field at a state, under the context's active law."""
+    y = ctx.pack(state)
+    yd = ctx.rhs_flat(state.t, y)
+    der = ctx.unpack(state.t, yd)
+    return CompositeDerivative(
+        xdot=der.x, theta_hat_dot=der.theta_hat, lambda_dots=der.lambdas
+    )
+
+
+# ---------------------------------------------------------------------------
+# integration
+
+
+def rk4(f: Callable[[float, Array], Array], t: float, y: Array, dt: float) -> Array:
+    """One classic 4-stage Runge-Kutta step for ydot = f(t, y)."""
+    k1 = f(t, y)
+    k2 = f(t + 0.5 * dt, y + (0.5 * dt) * k1)
+    k3 = f(t + 0.5 * dt, y + (0.5 * dt) * k2)
+    k4 = f(t + dt, y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _attempt(ctx: RunContext, t: float, y: Array, dt: float) -> Array:
+    out = rk4(ctx.rhs_flat, t, y, dt)
+    if not np.isfinite(out).all():
+        raise _NonFinite
+    n, p = ctx.n, ctx.p
+    th = out[n: n + p]
+    for grp in ctx.groups if ctx.has_multipliers else ():
+        ok, margin = grp.feasibility(th)
+        if not ok:
+            raise InfeasibleEvaluation(
+                f"step landed outside the feasible set (margin {margin:g})",
+                margin=margin,
+            )
+    for sl in ctx.lam_slices:
+        np.maximum(out[sl], 0.0, out=out[sl])
+    return out
+
+
+def _step_flat(ctx: RunContext, t: float, y: Array, dt: float,
+               budget: list | None = None) -> Array:
+    # budget counts halving events shared across the whole outer step, so a
+    # coarse step cannot hide behind an exponential number of tiny substeps
+    if budget is None:
+        budget = [MAX_HALVINGS]
+    try:
+        return _attempt(ctx, t, y, dt)
+    except (InfeasibleEvaluation, SingularGradient, _NonFinite) as err:
+        if not ctx.has_multipliers:
+            raise NumericalDivergence(
+                f"non-finite state while integrating at t={t:.6g}", time=t
+            ) from None
+        if budget[0] <= 0:
+            if isinstance(err, _NonFinite):
+                raise NumericalDivergence(
+                    f"non-finite state at t={t:.6g} with step {dt:g}", time=t
+                ) from None
+            raise BarrierBreach(
+                f"barrier stayed infeasible at t={t:.6g} after {MAX_HALVINGS} "
+                f"halvings (step {dt:g})",
+                time=t,
+                dt=dt,
+            ) from None
+        budget[0] -= 1
+        half = 0.5 * dt
+        mid = _step_flat(ctx, t, y, half, budget)
+        return _step_flat(ctx, t + half, mid, half, budget)
+
+
+def rk4_step(state: CompositeState, ctx: RunContext, dt: float) -> CompositeState:
+    """Advance the composite state by exactly dt, halving internally when a
+    barrier is about to be crossed."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    ctx.refresh_active_law()
+    y = _step_flat(ctx, state.t, ctx.pack(state), dt)
+    return ctx.unpack(state.t + dt, y)
+
+
+# ---------------------------------------------------------------------------
+# trajectory log
+
+
+@dataclass
+class TrajectoryLog:
+    columns: tuple[str, ...]
+    data: Array
+    meta: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._index = {name: i for i, name in enumerate(self.columns)}
+
+    def column(self, name: str) -> Array:
+        return self.data[:, self._index[name]]
+
+    def block(self, prefix: str) -> Array:
+        """All columns named prefix1, prefix2, ... in order, as a matrix."""
+        idx = []
+        i = 1
+        while f"{prefix}{i}" in self._index:
+            idx.append(self._index[f"{prefix}{i}"])
+            i += 1
+        return self.data[:, idx]
+
+    @property
+    def n_rows(self) -> int:
+        return self.data.shape[0]
+
+    def to_csv(self, path_or_buf) -> None:
+        def write(fh):
+            fh.write(",".join(self.columns) + "\n")
+            for row in self.data:
+                fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+
+        if hasattr(path_or_buf, "write"):
+            write(path_or_buf)
+        else:
+            with open(path_or_buf, "w") as fh:
+                write(fh)
+
+
+def _log_columns(ctx: RunContext) -> tuple[str, ...]:
+    n, p = ctx.n, ctx.p
+    cols = ["t"]
+    cols += [f"x{i + 1}" for i in range(n)]
+    cols += [f"xd{i + 1}" for i in range(n)]
+    cols += [f"e{i + 1}" for i in range(n)]
+    cols += ["e_norm"]
+    cols += [f"theta_hat{i + 1}" for i in range(p)]
+    cols += [f"theta_err{i + 1}" for i in range(p)]
+    cols += ["theta_err_norm"]
+    for g_idx, grp in enumerate(ctx.groups, start=1):
+        cols += [f"lambda{g_idx}_{i + 1}" for i in range(grp.n_constraints)]
+    cols += [f"margin{g_idx}" for g_idx in range(1, len(ctx.groups) + 1)]
+    cols += ["excitation", "lyapunov", "law_code"]
+    return tuple(cols)
+
+
+def run_scenario(cfg: ScenarioConfig) -> TrajectoryLog:
+    """Integrate the scenario and return the logged trajectory.
+
+    Logs one row at t=0 and one every log_every steps.  The Lyapunov column
+    is filled after the run, using the final logged multipliers as the
+    stationary-multiplier estimate.  Step errors (BarrierBreach,
+    NumericalDivergence) propagate with the failure time attached.
+    """
+    ctx = build_context(cfg)
+    cfg = ctx.cfg
+    n, p = ctx.n, ctx.p
+    dt = cfg.dt
+    n_steps = round(cfg.t_final / dt)
+    columns = _log_columns(ctx)
+    n_logged = 1 + n_steps // cfg.log_every
+    data = np.empty((n_logged, len(columns)))
+
+    y = ctx.pack(ctx.initial_state())
+    lam_width = sum(grp.n_constraints for grp in ctx.groups)
+
+    def write_row(row_idx: int, t: float, y: Array):
+        x = y[:n]
+        th = y[n: n + p]
+        x_d, _ = ctx.traj.eval(t)
+        e = x - x_d
+        tilde = ctx.theta - th
+        vals = [t]
+        vals.extend(x)
+        vals.extend(x_d)
+        vals.extend(e)
+        vals.append(float(np.linalg.norm(e)))
+        vals.extend(th)
+        vals.extend(tilde)
+        vals.append(float(np.linalg.norm(tilde)))
+        if ctx.has_multipliers:
+            for sl in ctx.lam_slices:
+                vals.extend(y[sl])
+        else:
+            vals.extend(np.zeros(lam_width))
+        for grp in ctx.groups:
+            vals.append(grp.feasibility(th).margin)
+        vals.append(ctx.stack.excitation_level())
+        vals.append(0.0)  # lyapunov, filled post-run
+        vals.append(float(LAW_CODES[ctx.active_law]))
+        data[row_idx] = vals
+
+    buffer: deque = deque(maxlen=3)
+    if ctx.online:
+        buffer.append((0.0, y[:n].copy(), y[n: n + p].copy()))
+
+    ctx.refresh_active_law()
+    write_row(0, 0.0, y)
+    row = 1
+    for k in range(n_steps):
+        t = k * dt
+        ctx.refresh_active_law()
+        y = _step_flat(ctx, t, y, dt)
+        t_next = (k + 1) * dt
+        if ctx.online:
+            buffer.append((t_next, y[:n].copy(), y[n: n + p].copy()))
+            if (k + 1) % cfg.stack.record_every == 0 and len(buffer) == 3:
+                _record_candidate(ctx, buffer)
+        if (k + 1) % cfg.log_every == 0:
+            write_row(row, t_next, y)
+            row += 1
+
+    log = TrajectoryLog(columns=columns, data=data)
+    _fill_lyapunov(ctx, log)
+    log.meta["config"] = cfg
+    log.meta["stack"] = ctx.stack
+    log.meta["final_state"] = ctx.unpack(n_steps * dt, y)
+    return log
+
+
+def _record_candidate(ctx: RunContext, buffer) -> bool:
+    (t0, x0, _), (t1, x1, th1), (t2, x2, _) = buffer
+    xdot_hat = estimate_state_derivative([t0, t1, t2], [x0, x1, x2])
+    Y = ctx.plant.regressor(x1)
+    u = ctx.applied_input(t1, x1, th1)
+    return ctx.stack.try_insert(Y, u, xdot_hat)
+
+
+def _fill_lyapunov(ctx: RunContext, log: TrajectoryLog):
+    gamma = np.concatenate(
+        [ms.gamma_array for ms in ctx.multipliers]
+    ) if ctx.has_multipliers else np.empty(0)
+    lam_cols = [name for name in log.columns if name.startswith("lambda")]
+    if ctx.has_multipliers:
+        lam = np.stack([log.column(name) for name in lam_cols], axis=1)
+        lam_star = lam[-1]
+        lam_tilde = lam - lam_star
+    e = log.block("e")
+    tilde = log.block("theta_err")
+    v_idx = log.columns.index("lyapunov")
+    for i in range(log.n_rows):
+        log.data[i, v_idx] = analysis.lyapunov_value(
+            e[i], tilde[i],
+            lam_tilde[i] if ctx.has_multipliers else np.empty(0),
+            ctx.P, gamma,
+        )
+    if ctx.has_multipliers:
+        log.meta["lambda_star"] = tuple(lam_star)
+
+
+# ---------------------------------------------------------------------------
+# derived metrics
+
+
+def steady_state_rms(log: TrajectoryLog, t_start: float = 20.0,
+                     t_end: float = 30.0) -> float:
+    """RMS of the tracking error norm over the steady-state window."""
+    return analysis.steady_state_rms(log.column("t"), log.column("e_norm"),
+                                     t_start, t_end)
+
+
+def min_margin(log: TrajectoryLog) -> float:
+    """Smallest logged constraint margin across all groups; +inf if the
+    scenario has no groups."""
+    margins = [log.column(c) for c in log.columns if c.startswith("margin")]
+    if not margins:
+        return float("inf")
+    return float(np.min([np.min(m) for m in margins]))
