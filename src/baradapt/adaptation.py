@@ -86,6 +86,18 @@ class MultiplierState:
         return 1.0 / self.gamma_inv_array
 
 
+def _diagonal(value, p: int, key: str) -> tuple[float, ...]:
+    """A positive finite gain diagonal of length p; a scalar fills it."""
+    arr = np.atleast_1d(np.asarray(value, dtype=float))
+    if arr.size == 1:
+        arr = np.full(p, arr[0])
+    if arr.shape != (p,):
+        raise ValueError(f"{key} must be a scalar or a vector of length {p}")
+    if not (np.all(arr > 0.0) and np.isfinite(arr).all()):
+        raise ValueError(f"{key} entries must be positive and finite")
+    return tuple(arr.tolist())
+
+
 @dataclass(frozen=True)
 class UpdateLawConfig:
     """Gains of the update law.  learning_rate and k_cl are the diagonals of
@@ -99,22 +111,18 @@ class UpdateLawConfig:
     sigma2: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "law", UpdateLaw(self.law))
-        p = self.dim_param
-        lr = np.atleast_1d(np.asarray(self.learning_rate, dtype=float))
-        kcl = np.atleast_1d(np.asarray(self.k_cl, dtype=float))
-        if lr.size == 1:
-            lr = np.full(p, lr[0])
-        if kcl.size == 1:
-            kcl = np.full(p, kcl[0])
-        if lr.shape != (p,) or kcl.shape != (p,):
-            raise ValueError("learning_rate and k_cl must be scalars or length dim_param")
-        if np.any(lr <= 0.0) or np.any(kcl <= 0.0):
-            raise ValueError("learning_rate and k_cl must be positive")
+        try:
+            law = UpdateLaw(self.law)
+        except ValueError:
+            raise ValueError(f"law must be one of {[v.value for v in UpdateLaw]}, "
+                             f"got '{self.law}'") from None
         if self.sigma2 < 0.0:
             raise ValueError("sigma2 must be non-negative")
-        object.__setattr__(self, "learning_rate", tuple(lr))
-        object.__setattr__(self, "k_cl", tuple(kcl))
+        object.__setattr__(self, "law", law)
+        object.__setattr__(self, "learning_rate",
+                           _diagonal(self.learning_rate, self.dim_param, "learning_rate"))
+        object.__setattr__(self, "k_cl", _diagonal(self.k_cl, self.dim_param, "k_cl"))
+        object.__setattr__(self, "sigma2", float(self.sigma2))
 
     @property
     def learning_rate_array(self) -> Array:

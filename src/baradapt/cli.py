@@ -9,25 +9,26 @@ level name (debug, info, ...) for diagnostics on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
 import sys
 import time
-from dataclasses import replace
+import types
+import typing
+from dataclasses import MISSING, asdict, fields, is_dataclass, replace
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis
-from .adaptation import MultiplierState, UpdateLaw, UpdateLawConfig
+from .adaptation import UpdateLaw
 from .errors import BarrierBreach, ConfigError, NumericalDivergence
-from .model import get_plant
+from .history import write_csv
 from .sim import (
-    GroupConfig,
     ScenarioConfig,
-    StackConfig,
     TrajectoryLog,
     build_context,
     canonical_config,
@@ -38,141 +39,91 @@ from .sim import (
 
 log = logging.getLogger("baradapt")
 
-_TOP_KEYS = {
-    "name", "plant", "trajectory", "law", "control_gain", "learning_rate",
-    "k_cl", "sigma2", "dt", "t_final", "log_every", "x0", "theta_hat0",
-    "theta_true", "groups", "stack",
-}
-_GROUP_KEYS = {"kind", "barrier", "lower", "upper", "gamma_inv", "alpha",
-               "lambda0", "norm_log_ok"}
-_STACK_KEYS = {"mode", "size", "record_every", "min_excitation"}
-_REQUIRED = ("name", "law", "control_gain", "learning_rate", "x0", "theta_hat0")
-
 SWEEP_KEYS = ("control_gain", "k_cl_scale", "learning_rate_scale", "alpha")
+
+_JSON_NAMES = {float: "a number", int: "an integer", str: "a string",
+               bool: "true or false", type(None): "null"}
+
+
+@functools.cache
+def _schema(cls) -> dict[str, tuple[object, bool]]:
+    """Field name -> (resolved type, required) of a config dataclass; a
+    field is required when it has no default."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (hints[f.name], f.default is MISSING and f.default_factory is MISSING)
+            for f in fields(cls)}
+
+
+def _describe(tp) -> str:
+    if typing.get_origin(tp) in (typing.Union, types.UnionType):
+        return " or ".join(_describe(arm) for arm in typing.get_args(tp))
+    if typing.get_origin(tp) is tuple:
+        return "a list"
+    return "an object" if is_dataclass(tp) else _JSON_NAMES[tp]
+
+
+def _from_json(tp, value, key: str):
+    """Strict conversion of a parsed JSON value to a config field type:
+    objects to config dataclasses (unknown keys rejected, missing ones
+    defaulted or reported as required), lists to tuples, and numbers to
+    floats; a bool is never a number.  Errors name the dotted key path."""
+    if is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{key or 'config'} must be a JSON object")
+        prefix = f"{key}." if key else ""
+        schema = _schema(tp)
+        for name in value:
+            if name not in schema:
+                raise ConfigError(f"unknown key '{prefix}{name}'")
+        kwargs = {}
+        for name, (field_tp, required) in schema.items():
+            if name in value:
+                kwargs[name] = _from_json(field_tp, value[name], prefix + name)
+            elif required:
+                raise ConfigError(f"missing required key '{prefix}{name}'")
+        return tp(**kwargs)
+    if typing.get_origin(tp) in (typing.Union, types.UnionType):
+        for arm in typing.get_args(tp):
+            try:
+                return _from_json(arm, value, key)
+            except ConfigError:
+                pass
+    elif typing.get_origin(tp) is tuple:
+        if isinstance(value, list):
+            item_tp = typing.get_args(tp)[0]
+            return tuple(_from_json(item_tp, v, f"{key}[{i}]")
+                         for i, v in enumerate(value, start=1))
+    elif tp is float:
+        # the bound also rejects NaN, the infinities and ints beyond a double
+        if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+            return float(value)
+    elif type(value) is tp:
+        return value
+    raise ConfigError(f"{key} must be {_describe(tp)}, got {json.dumps(value)}")
 
 
 def parse_config(text: str) -> ScenarioConfig:
     """Parse a JSON scenario description into a canonical ScenarioConfig.
-    Unknown or missing keys are rejected by name."""
+    The keys, defaults and JSON types are those of the ScenarioConfig,
+    GroupConfig and StackConfig fields; errors name the offending key."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as err:
+    except ValueError as err:
         raise ConfigError(f"invalid JSON: {err}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    for key in raw:
-        if key not in _TOP_KEYS:
-            raise ConfigError(f"unknown key '{key}'")
-    for key in _REQUIRED:
-        if key not in raw:
-            raise ConfigError(f"missing required key '{key}'")
-
-    groups = []
-    raw_groups = raw.get("groups", [])
-    if not isinstance(raw_groups, list):
-        raise ConfigError("'groups' must be a list")
-    for i, g in enumerate(raw_groups, start=1):
-        if not isinstance(g, dict):
-            raise ConfigError(f"groups[{i}] must be an object")
-        for key in g:
-            if key not in _GROUP_KEYS:
-                raise ConfigError(f"unknown key 'groups[{i}].{key}'")
-        for key in ("kind", "barrier", "lower", "upper", "gamma_inv", "alpha", "lambda0"):
-            if key not in g:
-                raise ConfigError(f"missing required key 'groups[{i}].{key}'")
-        groups.append(
-            GroupConfig(
-                kind=g["kind"],
-                barrier=g["barrier"],
-                lower=_tuplify(g["lower"]),
-                upper=_tuplify(g["upper"]),
-                gamma_inv=_tuplify(g["gamma_inv"]),
-                alpha=g["alpha"],
-                lambda0=_tuplify(g["lambda0"]),
-                norm_log_ok=bool(g.get("norm_log_ok", False)),
-            )
-        )
-
-    raw_stack = raw.get("stack", {})
-    if not isinstance(raw_stack, dict):
-        raise ConfigError("'stack' must be an object")
-    for key in raw_stack:
-        if key not in _STACK_KEYS:
-            raise ConfigError(f"unknown key 'stack.{key}'")
-    stack = StackConfig(
-        mode=raw_stack.get("mode", "online"),
-        size=raw_stack.get("size", 20),
-        record_every=raw_stack.get("record_every", 50),
-        min_excitation=raw_stack.get("min_excitation", 1e-3),
-    )
-
-    cfg = ScenarioConfig(
-        name=str(raw["name"]),
-        plant=str(raw.get("plant", "benchmark")),
-        trajectory=str(raw.get("trajectory", "benchmark")),
-        law=str(raw["law"]),
-        control_gain=_tuplify(raw["control_gain"]),
-        learning_rate=_tuplify(raw["learning_rate"]),
-        k_cl=_tuplify(raw.get("k_cl", 1.0)),
-        sigma2=raw.get("sigma2", 0.0),
-        dt=raw.get("dt", 1e-3),
-        t_final=raw.get("t_final", 30.0),
-        log_every=raw.get("log_every", 10),
-        x0=_tuplify(raw["x0"]),
-        theta_hat0=_tuplify(raw["theta_hat0"]),
-        theta_true=_tuplify(raw["theta_true"]) if raw.get("theta_true") is not None else None,
-        groups=tuple(groups),
-        stack=stack,
-    )
-    return canonical_config(cfg)
+    return canonical_config(_from_json(ScenarioConfig, raw, ""))
 
 
-def _tuplify(value):
-    if isinstance(value, list):
-        return tuple(value)
-    return value
+def _json_fields(items) -> dict:
+    # lists, not tuples, so the dict equals what json.loads gives back
+    return {name: list(v) if isinstance(v, tuple) else v for name, v in items}
 
 
 def config_to_dict(cfg: ScenarioConfig) -> dict:
     """Canonical config as a JSON-ready dict; parse_config inverts this
     exactly."""
-    cfg = canonical_config(cfg)
-    out = {
-        "name": cfg.name,
-        "plant": cfg.plant,
-        "trajectory": cfg.trajectory,
-        "law": cfg.law,
-        "control_gain": list(cfg.control_gain),
-        "learning_rate": list(cfg.learning_rate),
-        "k_cl": list(cfg.k_cl),
-        "sigma2": cfg.sigma2,
-        "dt": cfg.dt,
-        "t_final": cfg.t_final,
-        "log_every": cfg.log_every,
-        "x0": list(cfg.x0),
-        "theta_hat0": list(cfg.theta_hat0),
-        "groups": [
-            {
-                "kind": g.kind,
-                "barrier": g.barrier,
-                "lower": list(g.lower) if isinstance(g.lower, tuple) else g.lower,
-                "upper": list(g.upper) if isinstance(g.upper, tuple) else g.upper,
-                "gamma_inv": list(g.gamma_inv),
-                "alpha": g.alpha,
-                "lambda0": list(g.lambda0),
-                "norm_log_ok": g.norm_log_ok,
-            }
-            for g in cfg.groups
-        ],
-        "stack": {
-            "mode": cfg.stack.mode,
-            "size": cfg.stack.size,
-            "record_every": cfg.stack.record_every,
-            "min_excitation": cfg.stack.min_excitation,
-        },
-    }
-    if cfg.theta_true is not None:
-        out["theta_true"] = list(cfg.theta_true)
+    out = asdict(canonical_config(cfg), dict_factory=_json_fields)
+    if out["theta_true"] is None:
+        del out["theta_true"]
     return out
 
 
@@ -205,7 +156,6 @@ def scenario_summary(cfg: ScenarioConfig, trajectory: TrajectoryLog,
     cfg = canonical_config(cfg)
     final = trajectory.meta["final_state"]
     stack = trajectory.meta.get("stack")
-    plant = get_plant(cfg.plant, cfg.theta_true)
     ctx = build_context(cfg)
     e_norm = float(trajectory.column("e_norm")[-1])
     tilde_norm = float(trajectory.column("theta_err_norm")[-1])
@@ -239,38 +189,20 @@ def scenario_summary(cfg: ScenarioConfig, trajectory: TrajectoryLog,
     report = analysis.envelope_check(trajectory, consts)
     lines.append(report.as_text())
 
-    law_cfg = UpdateLawConfig(
-        law=UpdateLaw(cfg.law),
-        dim_param=plant.dim_param,
-        learning_rate=cfg.learning_rate,
-        k_cl=cfg.k_cl,
-        sigma2=cfg.sigma2,
-    )
     x_d, _ = ctx.traj.at(final.t)
-    Y = plant.eval_regressor(final.x)
-    lambdas = tuple(
-        MultiplierState(lam=tuple(lam), gamma_inv=g.gamma_inv, alpha=g.alpha)
-        for lam, g in zip(final.lambdas, cfg.groups)
-    )
+    Y = ctx.plant.eval_regressor(final.x)
+    lambdas = tuple(replace(ms, lam=tuple(lam))
+                    for lam, ms in zip(final.lambdas, ctx.multipliers))
     groups = ctx.groups[: len(lambdas)]
     kkt = analysis.kkt_residuals(
-        law_cfg, final.x - x_d, Y, stack, groups, lambdas,
-        final.theta_hat, plant.theta,
+        ctx.law_cfg, final.x - x_d, Y, stack, groups, lambdas,
+        final.theta_hat, ctx.plant.theta,
     )
     lines += [
         f"kkt_stationarity: {kkt.stationarity:.10g}",
         f"kkt_complementary_slackness: {kkt.complementary_slackness:.10g}",
     ]
     return "\n".join(lines) + "\n"
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(
-                v if isinstance(v, str) else format(float(v), ".17g") for v in row
-            ) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +263,7 @@ def cmd_compare(args) -> int:
             min_margin(trajectory),
             float(trajectory.column("theta_err_norm")[-1]),
         ])
-    _write_csv(out / "compare.csv",
+    write_csv(out / "compare.csv",
                ["law", "steady_state_rms", "min_margin", "final_theta_err_norm"],
                rows)
     for row in rows:
@@ -377,7 +309,7 @@ def cmd_sweep(args) -> int:
             steady_state_rms(trajectory),
             float(trajectory.column("theta_err_norm")[-1]),
         ])
-    _write_csv(out / "sweep.csv",
+    write_csv(out / "sweep.csv",
                [args.sweep_key, "steady_state_rms", "final_theta_err_norm"],
                rows)
     for row in rows:

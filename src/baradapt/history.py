@@ -14,7 +14,6 @@ strictly improves on the current value.
 
 from __future__ import annotations
 
-import io
 from typing import NamedTuple
 
 import numpy as np
@@ -167,23 +166,24 @@ class HistoryStack:
             + [f"u{i + 1}" for i in range(n)]
             + [f"xdot_hat{i + 1}" for i in range(n)]
         )
-        rows = []
-        for k, ent in enumerate(self._entries):
-            rows.append(
-                np.concatenate([[float(k)], ent.Y.ravel(), ent.u, ent.xdot_hat])
-            )
-        data = np.asarray(rows) if rows else np.empty((0, len(header)))
-        if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
-            with open(path_or_buf, "w") as fh:
-                _write_csv(fh, header, data)
-        else:
-            _write_csv(path_or_buf, header, data)
+        rows = [np.concatenate([[float(k)], ent.Y.ravel(), ent.u, ent.xdot_hat])
+                for k, ent in enumerate(self._entries)]
+        write_csv(path_or_buf, header, rows)
 
 
-def _write_csv(fh: io.TextIOBase, header: list[str], data: Array) -> None:
-    fh.write(",".join(header) + "\n")
-    for row in data:
-        fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+def write_csv(path_or_buf, header, rows) -> None:
+    """Write a header line and one line per row to a path or an open text
+    file.  Numbers are printed with 17 significant digits, which reads back
+    as the same double; string cells are written as they are."""
+    if not hasattr(path_or_buf, "write"):
+        with open(path_or_buf, "w") as fh:
+            write_csv(fh, header, rows)
+        return
+    path_or_buf.write(",".join(header) + "\n")
+    for row in rows:
+        path_or_buf.write(",".join(
+            [v if isinstance(v, str) else format(v, ".17g") for v in row]
+        ) + "\n")
 
 
 def fill_with_exact_model_data(stack: HistoryStack, plant: PlantModel,

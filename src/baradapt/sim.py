@@ -29,7 +29,7 @@ from .adaptation import (
     UpdateLawConfig,
     projection,
 )
-from .barrier import BarrierKind, ConstraintGroup, ConstraintKind
+from .barrier import ConstraintGroup, ConstraintKind
 from .errors import (
     BarrierBreach,
     ConfigError,
@@ -37,7 +37,12 @@ from .errors import (
     NumericalDivergence,
     SingularGradient,
 )
-from .history import HistoryStack, estimate_state_derivative, fill_with_exact_model_data
+from .history import (
+    HistoryStack,
+    estimate_state_derivative,
+    fill_with_exact_model_data,
+    write_csv,
+)
 from .model import DesiredTrajectory, PlantModel, get_plant, get_trajectory
 
 Array = np.ndarray
@@ -128,9 +133,20 @@ def _as_tuple(value, length: int, key: str) -> tuple[float, ...]:
     return tuple(float(v) for v in arr)
 
 
-def canonical_config(cfg: ScenarioConfig) -> ScenarioConfig:
-    """Validate and normalize: scalars promoted to full tuples, enum strings
-    lowered, so that equal effective configs compare equal."""
+def _checked(key_prefix: str, build):
+    """Call a constructor that validates its own arguments, re-raising its
+    error as a ConfigError under the config key it was built from."""
+    try:
+        return build()
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{key_prefix}{err}") from None
+
+
+def _compile(cfg: ScenarioConfig) -> tuple:
+    """Validate a config by building what a run needs from it: returns the
+    canonical config, its UpdateLawConfig, ConstraintGroups and
+    MultiplierStates.  Each gain is checked by the object that owns it;
+    only facts about the config as a whole are checked here."""
     try:
         plant = get_plant(cfg.plant, cfg.theta_true)
         traj = get_trajectory(cfg.trajectory)
@@ -141,20 +157,13 @@ def canonical_config(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ConfigError(
             f"trajectory '{cfg.trajectory}' has dimension {traj.dim}, plant needs {n}"
         )
-    law = str(cfg.law).lower()
-    if law not in [v.value for v in UpdateLaw]:
-        raise ConfigError(f"law must be one of {[v.value for v in UpdateLaw]}, got '{cfg.law}'")
+    law_cfg = _checked("", lambda: UpdateLawConfig(
+        law=str(cfg.law).lower(), dim_param=p, learning_rate=cfg.learning_rate,
+        k_cl=cfg.k_cl, sigma2=cfg.sigma2,
+    ))
     control_gain = _as_tuple(cfg.control_gain, n, "control_gain")
-    learning_rate = _as_tuple(cfg.learning_rate, p, "learning_rate")
-    k_cl = _as_tuple(cfg.k_cl, p, "k_cl")
     if any(v <= 0 for v in control_gain):
         raise ConfigError("control_gain entries must be positive")
-    if any(v <= 0 for v in learning_rate):
-        raise ConfigError("learning_rate entries must be positive")
-    if any(v <= 0 for v in k_cl):
-        raise ConfigError("k_cl entries must be positive")
-    if cfg.sigma2 < 0:
-        raise ConfigError("sigma2 must be non-negative")
     x0 = _as_tuple(cfg.x0, n, "x0")
     theta_hat0 = _as_tuple(cfg.theta_hat0, p, "theta_hat0")
     theta_true = None if cfg.theta_true is None else _as_tuple(cfg.theta_true, p, "theta_true")
@@ -162,60 +171,61 @@ def canonical_config(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ConfigError("dt must be positive")
     if cfg.t_final < cfg.dt:
         raise ConfigError("t_final must be at least dt")
-    n_steps = round(cfg.t_final / cfg.dt)
-    if abs(n_steps * cfg.dt - cfg.t_final) > 1e-6 * cfg.dt:
+    steps = cfg.t_final / cfg.dt
+    if not np.isfinite(steps) or abs(round(steps) * cfg.dt - cfg.t_final) > 1e-6 * cfg.dt:
         raise ConfigError("t_final must be an integer multiple of dt")
     if cfg.log_every < 1:
         raise ConfigError("log_every must be at least 1")
 
-    groups = []
+    groups, built, multipliers = [], [], []
+    th = np.asarray(theta_hat0)
     for g_idx, grp in enumerate(cfg.groups, start=1):
+        key = f"groups[{g_idx}]"
         kind = str(grp.kind).lower()
-        barrier = str(grp.barrier).lower()
         if kind == ConstraintKind.COMPONENT.value:
-            lower = _as_tuple(grp.lower, p, f"groups[{g_idx}].lower")
-            upper = _as_tuple(grp.upper, p, f"groups[{g_idx}].upper")
-            n_con = 2 * p
-            # a length-p gamma_inv applies to the lower and upper family alike
-            gi_raw = np.atleast_1d(np.asarray(grp.gamma_inv, dtype=float))
-            if gi_raw.size == p:
-                gamma_inv = tuple(float(v) for v in np.tile(gi_raw, 2))
-            else:
-                gamma_inv = _as_tuple(grp.gamma_inv, n_con, f"groups[{g_idx}].gamma_inv")
+            lower = _as_tuple(grp.lower, p, f"{key}.lower")
+            upper = _as_tuple(grp.upper, p, f"{key}.upper")
         elif kind == ConstraintKind.NORM.value:
-            lower = float(np.squeeze(np.asarray(grp.lower, dtype=float)))
-            upper = float(np.squeeze(np.asarray(grp.upper, dtype=float)))
-            n_con = 2
-            gamma_inv = _as_tuple(grp.gamma_inv, n_con, f"groups[{g_idx}].gamma_inv")
+            lower, upper = grp.lower, grp.upper
         else:
-            raise ConfigError(f"groups[{g_idx}].kind must be component or norm, got '{grp.kind}'")
-        lambda0 = _as_tuple(grp.lambda0, n_con, f"groups[{g_idx}].lambda0")
+            raise ConfigError(f"{key}.kind must be component or norm, got '{grp.kind}'")
+        group = _checked(f"{key}: ", lambda: ConstraintGroup(
+            kind=kind, barrier=str(grp.barrier).lower(), lower=lower, upper=upper,
+            dim_param=p, norm_log_ok=bool(grp.norm_log_ok),
+        ))
+        n_con = group.n_constraints
+        # a length-p gamma_inv applies to the lower and upper family alike
+        gi_raw = np.atleast_1d(np.asarray(grp.gamma_inv, dtype=float))
+        if group.kind is ConstraintKind.COMPONENT and gi_raw.size == p:
+            gamma_inv = tuple(float(v) for v in np.tile(gi_raw, 2))
+        else:
+            gamma_inv = _as_tuple(grp.gamma_inv, n_con, f"{key}.gamma_inv")
+        lambda0 = _as_tuple(grp.lambda0, n_con, f"{key}.lambda0")
         if any(v <= 0 for v in lambda0):
-            raise ConfigError(f"groups[{g_idx}].lambda0 entries must be positive")
-        if any(v <= 0 for v in gamma_inv):
-            raise ConfigError(f"groups[{g_idx}].gamma_inv entries must be positive")
-        if grp.alpha <= 0:
-            raise ConfigError(f"groups[{g_idx}].alpha must be positive")
-        groups.append(
-            GroupConfig(
-                kind=kind,
-                barrier=barrier,
-                lower=lower,
-                upper=upper,
-                gamma_inv=gamma_inv,
-                alpha=float(grp.alpha),
-                lambda0=lambda0,
-                norm_log_ok=bool(grp.norm_log_ok),
-            )
-        )
+            raise ConfigError(f"{key}.lambda0 entries must be positive")
+        ms = _checked(f"{key}.", lambda: MultiplierState(
+            lam=lambda0, gamma_inv=gamma_inv, alpha=grp.alpha))
+        _check_initial_feasibility(group, th, key)
+        groups.append(GroupConfig(
+            kind=kind,
+            barrier=group.barrier.value,
+            lower=group.lower,
+            upper=group.upper,
+            gamma_inv=ms.gamma_inv,
+            alpha=float(ms.alpha),
+            lambda0=ms.lam,
+            norm_log_ok=group.norm_log_ok,
+        ))
+        built.append(group)
+        multipliers.append(ms)
 
     out = replace(
         cfg,
-        law=law,
+        law=law_cfg.law.value,
         control_gain=control_gain,
-        learning_rate=learning_rate,
-        k_cl=k_cl,
-        sigma2=float(cfg.sigma2),
+        learning_rate=law_cfg.learning_rate,
+        k_cl=law_cfg.k_cl,
+        sigma2=law_cfg.sigma2,
         dt=float(cfg.dt),
         t_final=float(cfg.t_final),
         log_every=int(cfg.log_every),
@@ -230,49 +240,36 @@ def canonical_config(cfg: ScenarioConfig) -> ScenarioConfig:
             min_excitation=float(cfg.stack.min_excitation),
         ),
     )
-    _check_initial_feasibility(out)
-    return out
+    return out, law_cfg, tuple(built), tuple(multipliers)
 
 
-def _build_group(grp: GroupConfig, p: int) -> ConstraintGroup:
-    try:
-        return ConstraintGroup(
-            kind=ConstraintKind(grp.kind),
-            barrier=BarrierKind(grp.barrier),
-            lower=grp.lower,
-            upper=grp.upper,
-            dim_param=p,
-            norm_log_ok=grp.norm_log_ok,
-        )
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
+def canonical_config(cfg: ScenarioConfig) -> ScenarioConfig:
+    """Validate and normalize: scalars promoted to full tuples, enum strings
+    lowered, so that equal effective configs compare equal."""
+    return _compile(cfg)[0]
 
 
-def _check_initial_feasibility(cfg: ScenarioConfig):
-    p = len(cfg.theta_hat0)
-    th = np.asarray(cfg.theta_hat0)
-    for g_idx, grp in enumerate(cfg.groups, start=1):
-        group = _build_group(grp, p)
-        ok, margin = group.feasibility(th)
-        if ok:
-            continue
-        if group.kind is ConstraintKind.COMPONENT:
-            slacks = group.slacks(th)
-            worst = int(np.argmin(slacks))
-            if worst < p:
-                bound, side, comp = grp.lower[worst], "lower", worst + 1
-            else:
-                bound, side, comp = grp.upper[worst - p], "upper", worst - p + 1
-            raise ConfigError(
-                f"theta_hat0 violates {side} bound {bound:g} on component {comp} "
-                f"of groups[{g_idx}] (margin {margin:g})"
-            )
-        r = float(np.linalg.norm(th))
-        side, bound = ("lower", grp.lower) if r <= grp.lower else ("upper", grp.upper)
+def _check_initial_feasibility(group: ConstraintGroup, th: Array, key: str):
+    ok, margin = group.feasibility(th)
+    if ok:
+        return
+    if group.kind is ConstraintKind.COMPONENT:
+        p = group.dim_param
+        worst = int(np.argmin(group.slacks(th)))
+        if worst < p:
+            bound, side, comp = group.lower[worst], "lower", worst + 1
+        else:
+            bound, side, comp = group.upper[worst - p], "upper", worst - p + 1
         raise ConfigError(
-            f"theta_hat0 violates {side} norm bound {bound:g} of groups[{g_idx}] "
-            f"(norm {r:g}, margin {margin:g})"
+            f"theta_hat0 violates {side} bound {bound:g} on component {comp} "
+            f"of {key} (margin {margin:g})"
         )
+    r = float(np.linalg.norm(th))
+    side, bound = ("lower", group.lower) if r <= group.lower else ("upper", group.upper)
+    raise ConfigError(
+        f"theta_hat0 violates {side} norm bound {bound:g} of {key} "
+        f"(norm {r:g}, margin {margin:g})"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +309,7 @@ class RunContext:
     built constraint groups, flat-state layout, and the history stack."""
 
     def __init__(self, cfg: ScenarioConfig):
-        cfg = canonical_config(cfg)
+        cfg, self.law_cfg, self.groups, self.multipliers = _compile(cfg)
         self.cfg = cfg
         self.plant: PlantModel = get_plant(cfg.plant, cfg.theta_true)
         self.traj: DesiredTrajectory = get_trajectory(cfg.trajectory)
@@ -320,21 +317,9 @@ class RunContext:
         self.p = self.plant.dim_param
         self.theta = self.plant.theta
         self.k = np.asarray(cfg.control_gain)
-        self.law = UpdateLaw(cfg.law)
-        self.law_cfg = UpdateLawConfig(
-            law=self.law,
-            dim_param=self.p,
-            learning_rate=cfg.learning_rate,
-            k_cl=cfg.k_cl,
-            sigma2=cfg.sigma2,
-        )
+        self.law = self.law_cfg.law
         self.P = self.law_cfg.learning_rate_array
         self.kcl = self.law_cfg.k_cl_array
-        self.groups = tuple(_build_group(g, self.p) for g in cfg.groups)
-        self.multipliers = tuple(
-            MultiplierState(lam=g.lambda0, gamma_inv=g.gamma_inv, alpha=g.alpha)
-            for g in cfg.groups
-        )
         # multipliers are integrated only for barrier laws; other laws still
         # log the constraint margins of any configured groups
         self.has_multipliers = self.law in LAWS_WITH_BARRIER and bool(self.groups)
@@ -551,16 +536,8 @@ class TrajectoryLog:
         return self.data.shape[0]
 
     def to_csv(self, path_or_buf) -> None:
-        def write(fh):
-            fh.write(",".join(self.columns) + "\n")
-            for row in self.data:
-                fh.write(",".join(format(v, ".17g") for v in row) + "\n")
-
-        if hasattr(path_or_buf, "write"):
-            write(path_or_buf)
-        else:
-            with open(path_or_buf, "w") as fh:
-                write(fh)
+        # Python floats format faster than numpy scalars, to the same text
+        write_csv(path_or_buf, self.columns, map(np.ndarray.tolist, self.data))
 
 
 def _log_columns(ctx: RunContext) -> tuple[str, ...]:
@@ -583,7 +560,8 @@ def _log_columns(ctx: RunContext) -> tuple[str, ...]:
 def run_scenario(cfg: ScenarioConfig) -> TrajectoryLog:
     """Integrate the scenario and return the logged trajectory.
 
-    Logs one row at t=0 and one every log_every steps.  The Lyapunov column
+    Logs one row at t=0, one every log_every steps, and one at t_final
+    when log_every does not divide the step count.  The Lyapunov column
     is filled after the run, using the final logged multipliers as the
     stationary-multiplier estimate.  Step errors (BarrierBreach,
     NumericalDivergence) propagate with the failure time attached.
@@ -594,7 +572,7 @@ def run_scenario(cfg: ScenarioConfig) -> TrajectoryLog:
     dt = cfg.dt
     n_steps = round(cfg.t_final / dt)
     columns = _log_columns(ctx)
-    n_logged = 1 + n_steps // cfg.log_every
+    n_logged = 1 + -(-n_steps // cfg.log_every)
     data = np.empty((n_logged, len(columns)))
 
     y = ctx.pack(ctx.initial_state())
@@ -642,7 +620,7 @@ def run_scenario(cfg: ScenarioConfig) -> TrajectoryLog:
             buffer.append((t_next, y[:n].copy(), y[n: n + p].copy()))
             if (k + 1) % cfg.stack.record_every == 0 and len(buffer) == 3:
                 _record_candidate(ctx, buffer)
-        if (k + 1) % cfg.log_every == 0:
+        if (k + 1) % cfg.log_every == 0 or k + 1 == n_steps:
             write_row(row, t_next, y)
             row += 1
 

@@ -83,8 +83,10 @@ def test_update_law_config_promotion():
     assert cfg.learning_rate == (0.075,) * 4
     assert cfg.k_cl == (1.0,) * 4
     assert cfg.law is UpdateLaw.GRADIENT
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^learning_rate entries"):
         UpdateLawConfig(law="gradient", dim_param=4, learning_rate=0.0)
+    with pytest.raises(ValueError, match="^k_cl entries"):
+        UpdateLawConfig(law="gradient", dim_param=4, learning_rate=1.0, k_cl=0.0)
     with pytest.raises(ValueError):
         UpdateLawConfig(law="gradient", dim_param=4, learning_rate=(1.0, 1.0))
     with pytest.raises(ValueError):

@@ -83,6 +83,43 @@ def test_parse_rejects_bad_group_and_stack_keys():
         cli.parse_config(json.dumps(bad))
 
 
+BAD_INPUTS = [
+    ("dt", "0.001"),
+    ("dt", True),
+    ("t_final", None),
+    ("sigma2", "x"),
+    ("x0", [10, "a"]),
+    ("x0", {"a": 1}),
+    ("log_every", 2.5),
+    ("learning_rate", True),
+    ("name", 5),
+    ("theta_true", "abc"),
+    ("groups[1].alpha", "0.1"),
+    ("groups[1].norm_log_ok", "no"),
+    ("stack.size", 2.7),
+]
+
+
+@pytest.mark.parametrize("key,value", BAD_INPUTS,
+                         ids=[f"{k}={json.dumps(v)}" for k, v in BAD_INPUTS])
+def test_run_rejects_badly_typed_value_by_key(tmp_path, capsys, key, value):
+    raw = cli.config_to_dict(replace(cli.load_config("sec5a"), t_final=0.01))
+    owner, name = raw, key
+    if key.startswith("groups[1]."):
+        owner, name = raw["groups"][0], key.split(".", 1)[1]
+    elif key.startswith("stack."):
+        owner, name = raw["stack"], key.split(".", 1)[1]
+    owner[name] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    rc = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error:")
+    assert key in err
+    assert "Traceback" not in err
+
+
 def test_parse_applies_gain_promotion():
     cfg = cli.load_config("sec5a")
     assert len(cfg.control_gain) == 2

@@ -282,6 +282,14 @@ def test_final_state_meta():
     assert log.meta["config"] == canonical_config(cfg)
 
 
+def test_final_step_logged_when_log_every_does_not_divide():
+    log = run_scenario(barrier_cfg(t_final=0.25, log_every=100))
+    final = log.meta["final_state"]
+    assert log.column("t").tolist() == [0.0, 0.1, 0.2, final.t]
+    assert np.array_equal(log.block("x")[-1], final.x)
+    assert np.array_equal(log.block("theta_hat")[-1], final.theta_hat)
+
+
 def test_to_csv_round_trip_exact():
     log = run_scenario(barrier_cfg(t_final=0.2))
     buf = io.StringIO()
