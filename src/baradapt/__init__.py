@@ -71,7 +71,6 @@ from .sim import (
     canonical_config,
     control_input,
     min_margin,
-    rhs,
     rk4,
     rk4_step,
     run_scenario,
@@ -127,7 +126,6 @@ __all__ = [
     "min_margin",
     "norm_bounds",
     "projection",
-    "rhs",
     "rk4",
     "rk4_step",
     "run_scenario",

@@ -143,11 +143,18 @@ def projection(a, b) -> Array:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     if np.any(b < 0.0):
         raise ValueError("projection base must be non-negative")
+    return _project(a, b)
+
+
+def _project(a: Array, b: Array) -> Array:
     return np.where(b > 0.0, a, np.maximum(a, 0.0))
 
 
 def _lambda_dot(lam: Array, alpha: float, gamma_inv: Array, c_values: Array) -> Array:
-    return projection(-alpha * lam + gamma_inv * c_values, lam)
+    """Multiplier flow, unchecked: lam must be non-negative."""
+    a = -alpha * lam + gamma_inv * c_values
+    # the projection passes a through when no multiplier is at 0
+    return a if lam.all() else _project(a, lam)
 
 
 def lambda_dot(ms: MultiplierState, c_values) -> Array:
@@ -160,6 +167,28 @@ def lambda_dot(ms: MultiplierState, c_values) -> Array:
     return _lambda_dot(ms.lam_array, ms.alpha, ms.gamma_inv_array, c)
 
 
+def _control(xdot_d: Array, Y: Array, theta_hat: Array, k: Array, e: Array) -> Array:
+    """Certainty-equivalence input xdot_d - Y theta_hat - k e, unchecked."""
+    return xdot_d - Y @ theta_hat - k * e
+
+
+def _estimate_flow(law: UpdateLaw, P: Array, k_cl: Array, sigma2: float, e: Array,
+                   Y: Array, th: Array, stack, forces) -> Array:
+    """theta_hat_dot from arrays of matching shapes, unchecked.  forces are
+    the groups' multiplier-weighted barrier gradients, empty when the law
+    has no constraint force.  Conditional terms are skipped, not added as
+    zeros, so degenerate configurations reduce bitwise to simpler laws."""
+    out = P * (Y.T @ e)
+    if law in LAWS_WITH_MEMORY and stack is not None and len(stack) > 0:
+        # the stack's cl_term, from its cached sums
+        out = out + P * (k_cl * (stack._proj - stack._gram @ th))
+    if law is UpdateLaw.BARRIER_SIGMA_MOD and sigma2 != 0.0:
+        out = out - sigma2 * th
+    for force in forces:
+        out = out - P * force
+    return out
+
+
 def theta_hat_dot(cfg: UpdateLawConfig, e, Y, stack, groups, lambdas,
                   theta_hat, u_current=None) -> Array:
     """Estimate flow for the configured law.
@@ -167,23 +196,16 @@ def theta_hat_dot(cfg: UpdateLawConfig, e, Y, stack, groups, lambdas,
     groups / lambdas are parallel sequences of ConstraintGroup and
     MultiplierState; both may be empty for unconstrained laws.  u_current is
     reserved for laws that need the applied input and is unused here.
-    Conditional terms are skipped (not added as zeros) so degenerate
-    configurations reduce bitwise to the simpler laws.
     """
     e = np.asarray(e, dtype=float)
     Y = np.asarray(Y, dtype=float)
     th = np.asarray(theta_hat, dtype=float)
-    P = cfg.learning_rate_array
-    out = P * (Y.T @ e)
-    law = cfg.law
-    if law in LAWS_WITH_MEMORY and stack is not None and len(stack) > 0:
-        out = out + P * (cfg.k_cl_array * stack.cl_term(th))
-    if law is UpdateLaw.BARRIER_SIGMA_MOD and cfg.sigma2 != 0.0:
-        out = out - cfg.sigma2 * th
-    if law in LAWS_WITH_BARRIER and groups:
-        for group, ms in zip(groups, lambdas):
-            out = out - P * group.weighted_gradient_sum(th, ms.lam_array)
-    return out
+    forces = ()
+    if cfg.law in LAWS_WITH_BARRIER and groups:
+        forces = [group.weighted_gradient_sum(th, ms.lam_array)
+                  for group, ms in zip(groups, lambdas)]
+    return _estimate_flow(cfg.law, cfg.learning_rate_array, cfg.k_cl_array,
+                          cfg.sigma2, e, Y, th, stack, forces)
 
 
 def lagrangian_value(cfg: UpdateLawConfig, e, Y, stack, groups, lambdas,

@@ -16,6 +16,7 @@ raises InfeasibleEvaluation so the caller can shrink its step.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -99,6 +100,19 @@ class ConstraintGroup:
                 )
             object.__setattr__(self, "lower", lo)
             object.__setattr__(self, "upper", hi)
+        # static arrays of the unchecked core: the bounds, and the signed
+        # slack Jacobian ds/d(theta_hat): rows +I then -I, or for a norm
+        # group the signs +1, -1 that multiply the radial direction
+        component = kind is ConstraintKind.COMPONENT
+        if component:
+            eye = np.eye(self.dim_param)
+            lo, hi, jac = np.asarray(lo), np.asarray(hi), np.concatenate([eye, -eye])
+        else:
+            jac = np.array([[1.0], [-1.0]])
+        for name, value in (("_component", component), ("_lo", lo), ("_hi", hi),
+                            ("_inverse", barrier is BarrierKind.INVERSE),
+                            ("_jac", jac), ("_eye", np.eye(len(jac)))):
+            object.__setattr__(self, name, value)
 
     @property
     def n_constraints(self) -> int:
@@ -114,61 +128,43 @@ class ConstraintGroup:
             )
         return th
 
-    def _bound_arrays(self) -> tuple[Array, Array]:
-        cached = getattr(self, "_bounds_cache", None)
-        if cached is None:
-            cached = (np.asarray(self.lower, dtype=float),
-                      np.asarray(self.upper, dtype=float))
-            object.__setattr__(self, "_bounds_cache", cached)
-        return cached
+    def _slacks(self, th: Array) -> Array:
+        if self._component:
+            return np.concatenate([th - self._lo, self._hi - th])
+        r = math.sqrt(th @ th)
+        return np.array([r - self._lo, self._hi - r])
 
     def slacks(self, theta_hat) -> Array:
         """Distances to each bound; positive iff the constraint holds strictly."""
-        th = self._check_theta(theta_hat)
-        if self.kind is ConstraintKind.COMPONENT:
-            lo, hi = self._bound_arrays()
-            return np.concatenate([th - lo, hi - th])
-        r = float(np.linalg.norm(th))
-        return np.array([r - self.lower, self.upper - r])
+        return self._slacks(self._check_theta(theta_hat))
 
     def feasibility(self, theta_hat) -> Feasibility:
         """Strict feasibility plus the worst-case slack.  Margin 0 (a bound
         hit exactly) counts as infeasible."""
-        margin = float(np.min(self.slacks(theta_hat)))
+        margin = float(self.slacks(theta_hat).min())
         return Feasibility(margin > 0.0, margin)
 
     # -- barrier values and gradients --------------------------------------
 
     def values(self, theta_hat) -> Array:
         """Per-constraint barrier values, ordered lower block then upper."""
-        s = self.slacks(theta_hat)
-        self._require_feasible(s)
-        if self.barrier is BarrierKind.INVERSE:
-            return 1.0 / s
-        return -np.log(s)
+        return self._core(self._check_theta(theta_hat), 0.0)[0]
 
     def gradients(self, theta_hat) -> Array:
         """d(values)/d(theta_hat), one row per constraint."""
-        th = self._check_theta(theta_hat)
-        ds = self._slack_jacobian(th)
-        s = self.slacks(th)
-        self._require_feasible(s)
-        return self._dc_ds(s)[:, None] * ds
+        # weighting by the identity gives back the gradient rows themselves
+        return self._core(self._check_theta(theta_hat), self._eye)[1]
 
     def evaluate(self, theta_hat, lam) -> BarrierEval:
         """Values, gradients and sum_i lam_i * grad_i in one pass."""
         th = self._check_theta(theta_hat)
         lam = self._check_lam(lam)
-        ds = self._slack_jacobian(th)
-        s = self.slacks(th)
-        self._require_feasible(s)
-        values = 1.0 / s if self.barrier is BarrierKind.INVERSE else -np.log(s)
-        gradients = self._dc_ds(s)[:, None] * ds
-        return BarrierEval(values, gradients, lam @ gradients)
+        values, rows = self._core(th, np.vstack([self._eye, lam]))
+        return BarrierEval(values, rows[:-1], rows[-1])
 
     def weighted_gradient_sum(self, theta_hat, lam) -> Array:
         """sum_i lam_i * gradient_i, the constraint force in the update law."""
-        return self.evaluate(theta_hat, lam).weighted_gradient
+        return self._core(self._check_theta(theta_hat), self._check_lam(lam))[1]
 
     def _check_lam(self, lam) -> Array:
         lam = np.asarray(lam, dtype=float)
@@ -180,33 +176,29 @@ class ConstraintGroup:
             raise ValueError("multipliers must be non-negative")
         return lam
 
-    def _require_feasible(self, slacks: Array):
-        margin = float(np.min(slacks))
+    def _core(self, th: Array, lam: Array) -> tuple[Array, Array]:
+        """Barrier values at th and lam @ (their gradient rows), without
+        argument checks: th has shape (dim_param,) and lam shape
+        (n_constraints,), or (k, n_constraints) for k weightings at once
+        (a scalar weights every constraint alike).
+        Raises SingularGradient at theta_hat = 0 for a norm group, then
+        InfeasibleEvaluation for a margin <= 0."""
+        s = self._slacks(th)
+        ds = self._jac
+        if not self._component:
+            r = math.sqrt(th @ th)
+            if r == 0.0:
+                raise SingularGradient("norm-constraint gradient undefined at theta_hat = 0")
+            ds = ds * (th / r)
+        margin = min(s.tolist())  # faster than s.min() on a few entries
         if margin <= 0.0:
             raise InfeasibleEvaluation(
                 f"barrier evaluated outside the feasible set (margin {margin:g})",
                 margin=margin,
             )
-
-    def _dc_ds(self, s: Array) -> Array:
-        if self.barrier is BarrierKind.INVERSE:
-            return -1.0 / (s * s)
-        return -1.0 / s
-
-    def _slack_jacobian(self, th: Array) -> Array:
-        p = self.dim_param
-        if self.kind is ConstraintKind.COMPONENT:
-            jac = getattr(self, "_jac_cache", None)
-            if jac is None:
-                eye = np.eye(p)
-                jac = np.concatenate([eye, -eye], axis=0)
-                object.__setattr__(self, "_jac_cache", jac)
-            return jac
-        r = float(np.linalg.norm(th))
-        if r == 0.0:
-            raise SingularGradient("norm-constraint gradient undefined at theta_hat = 0")
-        radial = th / r
-        return np.stack([radial, -radial])
+        if self._inverse:
+            return 1.0 / s, (lam * (-1.0 / (s * s))) @ ds
+        return -np.log(s), (lam * (-1.0 / s)) @ ds
 
 
 def component_bounds(lower, upper, barrier=BarrierKind.INVERSE) -> ConstraintGroup:

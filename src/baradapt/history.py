@@ -61,6 +61,7 @@ class HistoryStack:
         self.capacity = int(capacity)
         self.min_eig_threshold = float(min_eig_threshold)
         self._entries: list[StackEntry] = []
+        self._entry_grams: list[Array] = []  # Y_k^T Y_k, parallel to _entries
         self._gram = np.zeros((self.dim_param, self.dim_param))
         # cached sum_k Y_k^T (xdot_hat_k - u_k); cl_term is this minus gram @ theta
         self._proj = np.zeros(self.dim_param)
@@ -95,8 +96,8 @@ class HistoryStack:
     def _recompute(self):
         gram = np.zeros((self.dim_param, self.dim_param))
         proj = np.zeros(self.dim_param)
-        for ent in self._entries:
-            gram += ent.Y.T @ ent.Y
+        for ent, ent_gram in zip(self._entries, self._entry_grams):
+            gram += ent_gram
             proj += ent.Y.T @ (ent.xdot_hat - ent.u)
         self._gram = gram
         self._proj = proj
@@ -120,28 +121,26 @@ class HistoryStack:
         cand = self._validate(Y, u, xdot_hat)
         if self.capacity == 0:
             return False
+        cand_gram = cand.Y.T @ cand.Y
         if len(self._entries) < self.capacity:
             self._entries.append(cand)
+            self._entry_grams.append(cand_gram)
             self._recompute()
             return True
         current = self.excitation_level()
-        cand_gram = cand.Y.T @ cand.Y
-        best_idx = -1
-        best_eig = current
-        for idx, ent in enumerate(self._entries):
-            trial = self._gram - ent.Y.T @ ent.Y + cand_gram
-            eig = float(np.linalg.eigvalsh(trial)[0])
-            if eig > best_eig:
-                best_eig = eig
-                best_idx = idx
-        if best_idx < 0 or best_eig <= current * (1.0 + 1e-12):
+        # every trial swap at once: one batched eigvalsh over the stacked
+        # grams; argmax keeps the first of equally good swaps
+        trials = self._gram - np.array(self._entry_grams) + cand_gram
+        eigs = np.linalg.eigvalsh(trials)[:, 0]
+        best_idx = int(np.argmax(eigs))
+        if eigs[best_idx] <= current * (1.0 + 1e-12):
             return False
-        removed = self._entries[best_idx]
-        self._entries[best_idx] = cand
+        removed = self._entries[best_idx], self._entry_grams[best_idx]
+        self._entries[best_idx], self._entry_grams[best_idx] = cand, cand_gram
         self._recompute()
         # guard against trial-vs-recomputed eigenvalue drift near the margin
         if self.excitation_level() <= current:
-            self._entries[best_idx] = removed
+            self._entries[best_idx], self._entry_grams[best_idx] = removed
             self._recompute()
             return False
         return True

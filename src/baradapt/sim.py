@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -27,7 +27,10 @@ from .adaptation import (
     MultiplierState,
     UpdateLaw,
     UpdateLawConfig,
-    projection,
+    _control,
+    _estimate_flow,
+    _lambda_dot,
+    projection,  # noqa: F401  bench/tracing.py wraps it as sim.projection
 )
 from .barrier import ConstraintGroup, ConstraintKind
 from .errors import (
@@ -165,6 +168,7 @@ def _compile(cfg: ScenarioConfig) -> tuple:
     if any(v <= 0 for v in control_gain):
         raise ConfigError("control_gain entries must be positive")
     x0 = _as_tuple(cfg.x0, n, "x0")
+    _checked(f"plant '{cfg.plant}': ", lambda: plant.eval_regressor(x0))
     theta_hat0 = _as_tuple(cfg.theta_hat0, p, "theta_hat0")
     theta_true = None if cfg.theta_true is None else _as_tuple(cfg.theta_true, p, "theta_true")
     if cfg.dt <= 0:
@@ -284,20 +288,12 @@ class CompositeState:
     lambdas: tuple[Array, ...] = ()
 
 
-class CompositeDerivative(NamedTuple):
-    xdot: Array
-    theta_hat_dot: Array
-    lambda_dots: tuple[Array, ...]
-
-
 def control_input(x, x_d, xdot_d, theta_hat, Y, control_gain) -> Array:
     """Certainty-equivalence input xdot_d - Y theta_hat - k (x - x_d)."""
-    x = np.asarray(x, dtype=float)
-    x_d = np.asarray(x_d, dtype=float)
-    k = np.asarray(control_gain, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    return np.asarray(xdot_d, dtype=float) - Y @ np.asarray(theta_hat, dtype=float) \
-        - k * (x - x_d)
+    e = np.asarray(x, dtype=float) - np.asarray(x_d, dtype=float)
+    return _control(np.asarray(xdot_d, dtype=float), np.asarray(Y, dtype=float),
+                    np.asarray(theta_hat, dtype=float),
+                    np.asarray(control_gain, dtype=float), e)
 
 
 class _NonFinite(Exception):
@@ -390,49 +386,36 @@ class RunContext:
     # -- dynamics ----------------------------------------------------------
 
     def rhs_flat(self, t: float, y: Array) -> Array:
+        """The law kernel: closed-loop vector field at (t, y) under the
+        active law.  Its inputs were validated when the context was
+        compiled, so it makes no per-call shape or sign checks."""
         n, p = self.n, self.p
         x = y[:n]
         th = y[n: n + p]
         x_d, xdot_d = self.traj.eval(t)
         Y = self.plant.regressor(x)
         e = x - x_d
-        u = xdot_d - Y @ th - self.k * e
         yd = np.empty(self.state_size)
-        yd[:n] = Y @ self.theta + u
-        thdot = self.P * (Y.T @ e)
-        law = self.active_law
-        if law in LAWS_WITH_MEMORY and len(self.stack) > 0:
-            thdot = thdot + self.P * (self.kcl * self.stack.cl_term(th))
-        if law is UpdateLaw.BARRIER_SIGMA_MOD and self.cfg.sigma2 != 0.0:
-            thdot = thdot - self.cfg.sigma2 * th
+        yd[:n] = Y @ self.theta + _control(xdot_d, Y, th, self.k, e)
+        forces = []
         for grp, sl, alpha, gamma_inv in self._group_runtime:
             # floor stage multipliers at zero: RK stage combinations may dip
             # below the projection's domain even though accepted steps never do
             lam = np.maximum(y[sl], 0.0)
-            ev = grp.evaluate(th, lam)
-            thdot = thdot - self.P * ev.weighted_gradient
-            yd[sl] = projection(-alpha * lam + gamma_inv * ev.values, lam)
-        yd[n: n + p] = thdot
+            values, force = grp._core(th, lam)
+            forces.append(force)
+            yd[sl] = _lambda_dot(lam, alpha, gamma_inv, values)
+        yd[n: n + p] = _estimate_flow(self.active_law, self.P, self.kcl, self.cfg.sigma2,
+                                      e, Y, th, self.stack, forces)
         return yd
 
     def applied_input(self, t: float, x: Array, theta_hat: Array) -> Array:
         x_d, xdot_d = self.traj.eval(t)
-        Y = self.plant.regressor(x)
-        return xdot_d - Y @ theta_hat - self.k * (x - x_d)
+        return _control(xdot_d, self.plant.regressor(x), theta_hat, self.k, x - x_d)
 
 
 def build_context(cfg: ScenarioConfig) -> RunContext:
     return RunContext(cfg)
-
-
-def rhs(state: CompositeState, ctx: RunContext) -> CompositeDerivative:
-    """Composite vector field at a state, under the context's active law."""
-    y = ctx.pack(state)
-    yd = ctx.rhs_flat(state.t, y)
-    der = ctx.unpack(state.t, yd)
-    return CompositeDerivative(
-        xdot=der.x, theta_hat_dot=der.theta_hat, lambda_dots=der.lambdas
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from baradapt.adaptation import MultiplierState, UpdateLaw, lambda_dot, theta_hat_dot
-from baradapt.errors import BarrierBreach, ConfigError, NumericalDivergence
+from baradapt import sim
+from baradapt.adaptation import UpdateLaw, lambda_dot, theta_hat_dot
+from baradapt.errors import (
+    BarrierBreach,
+    ConfigError,
+    InfeasibleEvaluation,
+    NumericalDivergence,
+    SingularGradient,
+)
+from baradapt.history import fill_with_exact_model_data
 from baradapt.sim import (
     CompositeState,
     GroupConfig,
@@ -15,7 +23,6 @@ from baradapt.sim import (
     canonical_config,
     control_input,
     min_margin,
-    rhs,
     rk4,
     rk4_step,
     run_scenario,
@@ -108,6 +115,17 @@ def test_canonical_rejects_bad_group_gains():
         canonical_config(barrier_cfg(groups=(replace(SEC5A_GROUP, kind="ball"),)))
 
 
+def test_canonical_checks_the_regressor_shape(monkeypatch):
+    from baradapt import model
+
+    def flat_plant():
+        return replace(model.benchmark_plant(), regressor=lambda x: np.zeros(4))
+
+    monkeypatch.setitem(model.PLANTS, "flat", flat_plant)
+    with pytest.raises(ConfigError, match=r"plant 'flat': regressor returned shape \(4,\)"):
+        canonical_config(barrier_cfg(plant="flat"))
+
+
 def test_stack_config_validation():
     with pytest.raises(ConfigError):
         StackConfig(mode="buffered")
@@ -142,30 +160,59 @@ def test_rk4_uses_time_argument():
     assert got[0] == pytest.approx(1.0 + (1.5**2 - 1.0**2), rel=1e-14)
 
 
-def test_rhs_matches_module_pieces():
+NORM_GROUP = GroupConfig(kind="norm", barrier="inverse", lower=25.0, upper=28.0,
+                         gamma_inv=0.1, alpha=0.1, lambda0=5.0)
+NORM_THETA = (4.5, 11.0, 13.5, 21.0)
+
+
+@pytest.mark.parametrize("kind", ["component", "norm"])
+@pytest.mark.parametrize("barrier", ["inverse", "log"])
+def test_rhs_matches_module_pieces(kind, barrier):
+    base = SEC5A_GROUP if kind == "component" else NORM_GROUP
+    group = replace(base, barrier=barrier, norm_log_ok=kind == "norm")
+    theta_hat0 = NORM_THETA if kind == "norm" else (4.5, 8.0, 12.0, 15.0)
+    ctx = build_context(barrier_cfg(groups=(group,), theta_hat0=theta_hat0))
+    x_ref = [ctx.traj.eval(float(t))[0] for t in np.linspace(0.5, 30.0, 20)]
+    fill_with_exact_model_data(ctx.stack, ctx.plant, x_ref)
+    assert ctx.refresh_active_law() is UpdateLaw.BARRIER_CONSTRAINED
+    t = 0.5
+    y = ctx.pack(ctx.initial_state())
+    sl = ctx.lam_slices[0]
+    # a multiplier exactly at 0 on the first constraint: its slack exceeds 1,
+    # so the log barrier's value there is negative and the projection clips
+    # the inward flow
+    y[sl.start] = 0.0
+    yd = ctx.rhs_flat(t, y)
+
+    x, th, lam = y[:2], y[2:6], y[sl]
+    x_d, xdot_d = ctx.traj.at(t)
+    Y = ctx.plant.eval_regressor(x)
+    u = control_input(x, x_d, xdot_d, th, Y, ctx.cfg.control_gain)
+    assert np.allclose(yd[:2], Y @ ctx.plant.theta + u, rtol=1e-14, atol=0)
+    grp, ms = ctx.groups[0], replace(ctx.multipliers[0], lam=tuple(lam))
+    expected_th = theta_hat_dot(ctx.law_cfg, x - x_d, Y, ctx.stack, (grp,), (ms,), th)
+    assert np.allclose(yd[2:6], expected_th, rtol=1e-14, atol=0)
+    expected_lam = lambda_dot(ms, grp.values(th))
+    assert np.allclose(yd[sl], expected_lam, rtol=1e-14, atol=0)
+    if barrier == "log":
+        assert yd[sl.start] == 0.0
+
+
+def test_rhs_raises_outside_a_group():
     ctx = build_context(barrier_cfg())
-    state = ctx.initial_state()
-    der = rhs(state, ctx)
-    x_d, xdot_d = ctx.traj.at(0.0)
-    Y = ctx.plant.eval_regressor(state.x)
-    e = state.x - x_d
-    u = control_input(state.x, x_d, xdot_d, state.theta_hat, Y, ctx.cfg.control_gain)
-    assert np.allclose(der.xdot, Y @ ctx.plant.theta + u, rtol=1e-14, atol=1e-14)
-    expected_th = theta_hat_dot(
-        replace_law_cfg(ctx), e, Y, ctx.stack, ctx.groups, ctx.multipliers,
-        state.theta_hat,
-    )
-    assert np.allclose(der.theta_hat_dot, expected_th, rtol=1e-14, atol=1e-14)
-    for j, (grp, ms) in enumerate(zip(ctx.groups, ctx.multipliers)):
-        expected_lam = lambda_dot(ms, grp.values(state.theta_hat))
-        assert np.allclose(der.lambda_dots[j], expected_lam, rtol=1e-14, atol=1e-14)
+    y = ctx.pack(ctx.initial_state())
+    y[2] = 2.0  # below the first lower bound
+    with pytest.raises(InfeasibleEvaluation) as err:
+        ctx.rhs_flat(0.0, y)
+    assert err.value.margin == -1.0
 
 
-def replace_law_cfg(ctx):
-    # the context may be running its sigma-mod fallback; mirror that choice
-    from dataclasses import replace as dc_replace
-
-    return dc_replace(ctx.law_cfg, law=ctx.active_law)
+def test_rhs_raises_singular_gradient_at_origin_of_norm_group():
+    ctx = build_context(barrier_cfg(groups=(NORM_GROUP,), theta_hat0=NORM_THETA))
+    y = ctx.pack(ctx.initial_state())
+    y[2:6] = 0.0
+    with pytest.raises(SingularGradient):
+        ctx.rhs_flat(0.0, y)
 
 
 def test_sigma_mod_engages_until_stack_excited():
@@ -315,6 +362,26 @@ def test_coarse_step_breaches_barrier():
         run_scenario(cfg)
     assert err.value.time >= 0.0
     assert err.value.dt is not None
+
+
+def test_halving_recovers_and_run_ends_feasible(monkeypatch):
+    from baradapt.cli import load_config
+
+    attempts = 0
+    step = sim._step_flat
+
+    def counted(*args):
+        nonlocal attempts
+        attempts += 1
+        return step(*args)
+
+    monkeypatch.setattr(sim, "_step_flat", counted)
+    log = run_scenario(replace(load_config("sec5a"), dt=0.05, t_final=30.0))
+    # each halving adds two calls to the 600 outer steps (608 measured)
+    assert attempts > 600
+    assert min_margin(log) > 0.0
+    lam = np.stack([log.column(c) for c in log.columns if c.startswith("lambda")])
+    assert np.all(lam >= 0.0)
 
 
 def test_divergent_gains_raise_with_time():
