@@ -129,30 +129,6 @@ def uub_constants(control_gain, learning_rate, k_cl, gamma, alpha,
     )
 
 
-def uub_constants_from_config(cfg, sigma_bar1, lambda_star=None,
-                              alpha1=None, alpha2=None) -> UubConstants:
-    """Convenience wrapper reading gain diagonals off a scenario config."""
-    gamma = []
-    alphas = []
-    for grp in cfg.groups:
-        gamma.extend(1.0 / v for v in np.atleast_1d(np.asarray(grp.gamma_inv, float)))
-        alphas.append(grp.alpha)
-    if lambda_star is None:
-        lambda_star = np.zeros(len(gamma))
-    alpha = min(alphas) if alphas else 0.0
-    return uub_constants(
-        control_gain=cfg.control_gain,
-        learning_rate=cfg.learning_rate,
-        k_cl=cfg.k_cl,
-        gamma=np.asarray(gamma),
-        alpha=alpha,
-        sigma_bar1=sigma_bar1,
-        lambda_star=lambda_star,
-        alpha1=alpha1,
-        alpha2=alpha2,
-    )
-
-
 @dataclass(frozen=True)
 class EnvelopeReport:
     """Pointwise comparison of logged ||z||^2 against the decay envelope."""
@@ -175,41 +151,26 @@ class EnvelopeReport:
         ]
         return "\n".join(lines)
 
-    def csv_row(self) -> tuple[list[str], list[float]]:
-        header = [
-            "n_points", "n_violations", "fraction_satisfied",
-            "worst_ratio", "beta1", "beta2",
-        ]
-        row = [
-            float(self.n_points), float(self.n_violations),
-            self.fraction_satisfied, self.worst_ratio, self.beta1, self.beta2,
-        ]
-        return header, row
-
 
 def envelope_check(log, consts: UubConstants) -> EnvelopeReport:
     """Fraction of logged steps whose composite error squared stays under
     consts.envelope, plus the worst observed ratio.
 
-    log must expose column(name) and a columns tuple with e*, theta_err* and
-    lambda* entries (the trajectory log does)."""
+    log is a TrajectoryLog; ||z||^2 sums the squares of its e, theta_err
+    and lambda - lambda_star columns, one column at a time in log order."""
     t = log.column("t")
-    zsq = np.zeros(len(t))
-    for name in log.columns:
-        if name.startswith("e") and name[1:].isdigit():
-            zsq += log.column(name) ** 2
-        elif name.startswith("theta_err") and name[len("theta_err"):].isdigit():
-            zsq += log.column(name) ** 2
-    lam_cols = [name for name in log.columns if name.startswith("lambda")]
-    lam_star = np.asarray(consts.lambda_star, dtype=float)
-    if lam_cols:
-        if lam_star.size != len(lam_cols):
+    lam_tilde = log.multipliers()
+    if lam_tilde.shape[1]:
+        lam_star = np.asarray(consts.lambda_star, dtype=float)
+        if lam_star.size != lam_tilde.shape[1]:
             raise ValueError(
-                f"lambda_star has length {lam_star.size}, log has {len(lam_cols)} "
-                "multiplier columns"
+                f"lambda_star has length {lam_star.size}, log has "
+                f"{lam_tilde.shape[1]} multiplier columns"
             )
-        for j, name in enumerate(lam_cols):
-            zsq += (log.column(name) - lam_star[j]) ** 2
+        lam_tilde = lam_tilde - lam_star
+    zsq = np.zeros(len(t))
+    for col in (*log.block("e").T, *log.block("theta_err").T, *lam_tilde.T):
+        zsq += col ** 2
     env = consts.envelope(t - t[0], float(zsq[0]))
     ratio = zsq / np.maximum(env, 1e-300)
     violations = int(np.sum(ratio > 1.0))

@@ -21,8 +21,6 @@ from dataclasses import MISSING, asdict, fields, is_dataclass, replace
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from . import analysis
 from .adaptation import UpdateLaw
 from .errors import BarrierBreach, ConfigError, NumericalDivergence
@@ -30,7 +28,7 @@ from .history import write_csv
 from .sim import (
     ScenarioConfig,
     TrajectoryLog,
-    build_context,
+    build_context,  # noqa: F401  bench/tracing.py wraps it as cli.build_context
     canonical_config,
     min_margin,
     run_scenario,
@@ -149,14 +147,14 @@ def bundled_config_names() -> list[str]:
 # reporting
 
 
-def scenario_summary(cfg: ScenarioConfig, trajectory: TrajectoryLog,
+def scenario_summary(trajectory: TrajectoryLog,
                      runtime_seconds: float | None = None) -> str:
     """Flat key-value block: final errors, margins, decay constants, KKT
-    residuals and the envelope report."""
-    cfg = canonical_config(cfg)
+    residuals and the envelope report, all read off the run's own
+    context in trajectory.meta."""
+    ctx = trajectory.meta["context"]
+    cfg, stack = ctx.cfg, ctx.stack
     final = trajectory.meta["final_state"]
-    stack = trajectory.meta.get("stack")
-    ctx = build_context(cfg)
     e_norm = float(trajectory.column("e_norm")[-1])
     tilde_norm = float(trajectory.column("theta_err_norm")[-1])
     excitation = float(trajectory.column("excitation")[-1])
@@ -170,16 +168,12 @@ def scenario_summary(cfg: ScenarioConfig, trajectory: TrajectoryLog,
         f"min_margin: {min_margin(trajectory):.10g}",
         f"steady_state_rms: {steady_state_rms(trajectory):.10g}",
         f"excitation_final: {excitation:.10g}",
-        f"assumption_met: {str(bool(stack.assumption_met)).lower() if stack else 'false'}",
+        f"assumption_met: {str(stack.assumption_met).lower()}",
     ]
     if runtime_seconds is not None:
         lines.insert(4, f"runtime_seconds: {runtime_seconds:.3f}")
 
-    lam_star = trajectory.meta.get("lambda_star", ())
-    consts = analysis.uub_constants_from_config(
-        cfg, sigma_bar1=excitation, lambda_star=np.asarray(lam_star, dtype=float)
-        if len(lam_star) else None,
-    )
+    consts = ctx.uub_constants(excitation, trajectory.meta.get("lambda_star"))
     lines += [
         f"uub_Lambda_min: {consts.Lambda_min:.10g}",
         f"uub_Lambda_max: {consts.Lambda_max:.10g}",
@@ -210,30 +204,27 @@ def scenario_summary(cfg: ScenarioConfig, trajectory: TrajectoryLog,
 
 
 def _load_with_overrides(args) -> ScenarioConfig:
-    cfg = load_config(args.config)
-    changes = {}
-    if getattr(args, "dt", None) is not None:
-        changes["dt"] = args.dt
-    if getattr(args, "t_final", None) is not None:
-        changes["t_final"] = args.t_final
-    if changes:
-        cfg = canonical_config(replace(cfg, **changes))
-    return cfg
+    """The loaded config with --dt / --t-final applied; whatever runs or
+    writes it next (run_scenario, config_to_dict) validates the result."""
+    changes = {key: getattr(args, key) for key in ("dt", "t_final")
+               if getattr(args, key) is not None}
+    return replace(load_config(args.config), **changes)
 
 
 def cmd_run(args) -> int:
     cfg = _load_with_overrides(args)
+    effective = config_to_dict(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "effective_config.json", "w") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2)
+        json.dump(effective, fh, indent=2)
         fh.write("\n")
     log.info("running scenario %s", cfg.name)
     started = time.perf_counter()
     trajectory = run_scenario(cfg)
     runtime = time.perf_counter() - started
     trajectory.to_csv(out / "trajectory.csv")
-    summary = scenario_summary(cfg, trajectory, runtime_seconds=runtime)
+    summary = scenario_summary(trajectory, runtime_seconds=runtime)
     (out / "summary.txt").write_text(summary)
     print(f"run {cfg.name}: {trajectory.n_rows} rows in {runtime:.2f}s, "
           f"final |e| = {trajectory.column('e_norm')[-1]:.3e}")
@@ -253,9 +244,8 @@ def cmd_compare(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for law_name in laws:
-        cfg = canonical_config(replace(base, law=law_name))
-        log.info("compare: running %s under %s", cfg.name, law_name)
-        trajectory = run_scenario(cfg)
+        log.info("compare: running %s under %s", base.name, law_name)
+        trajectory = run_scenario(replace(base, law=law_name))
         trajectory.to_csv(out / f"{law_name}.csv")
         rows.append([
             law_name,
@@ -274,16 +264,14 @@ def cmd_compare(args) -> int:
 
 def _apply_sweep(cfg: ScenarioConfig, key: str, value: float) -> ScenarioConfig:
     if key == "control_gain":
-        swept = replace(cfg, control_gain=value)
-    elif key == "k_cl_scale":
-        swept = replace(cfg, k_cl=tuple(v * value for v in cfg.k_cl))
-    elif key == "learning_rate_scale":
-        swept = replace(cfg, learning_rate=tuple(v * value for v in cfg.learning_rate))
-    elif key == "alpha":
-        swept = replace(cfg, groups=tuple(replace(g, alpha=value) for g in cfg.groups))
-    else:
-        raise ConfigError(f"unknown sweep key '{key}' (choose from {SWEEP_KEYS})")
-    return canonical_config(swept)
+        return replace(cfg, control_gain=value)
+    if key == "k_cl_scale":
+        return replace(cfg, k_cl=tuple(v * value for v in cfg.k_cl))
+    if key == "learning_rate_scale":
+        return replace(cfg, learning_rate=tuple(v * value for v in cfg.learning_rate))
+    if key == "alpha":
+        return replace(cfg, groups=tuple(replace(g, alpha=value) for g in cfg.groups))
+    raise ConfigError(f"unknown sweep key '{key}' (choose from {SWEEP_KEYS})")
 
 
 def cmd_sweep(args) -> int:

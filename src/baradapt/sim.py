@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
+from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -46,7 +48,7 @@ from .history import (
     fill_with_exact_model_data,
     write_csv,
 )
-from .model import DesiredTrajectory, PlantModel, get_plant, get_trajectory
+from .model import get_plant, get_trajectory
 
 Array = np.ndarray
 
@@ -62,6 +64,14 @@ LAW_CODES = {
 
 # ---------------------------------------------------------------------------
 # configuration
+
+
+def _integral(value, key: str) -> int:
+    """value as an int; a float passes only when it is integral."""
+    # value % 1 is NaN, so truthy, for NaN and the infinities
+    if isinstance(value, bool) or not isinstance(value, Real) or value % 1:
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -80,12 +90,17 @@ class StackConfig:
     def __post_init__(self):
         if self.mode not in ("online", "offline", "none"):
             raise ConfigError(f"stack.mode must be online/offline/none, got '{self.mode}'")
-        if self.size < 0:
+        size = _integral(self.size, "stack.size")
+        record_every = _integral(self.record_every, "stack.record_every")
+        if size < 0:
             raise ConfigError("stack.size must be non-negative")
-        if self.record_every < 1:
+        if record_every < 1:
             raise ConfigError("stack.record_every must be at least 1")
-        if self.min_excitation < 0:
+        if not self.min_excitation >= 0:  # NaN fails too
             raise ConfigError("stack.min_excitation must be non-negative")
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "record_every", record_every)
+        object.__setattr__(self, "min_excitation", float(self.min_excitation))
 
 
 @dataclass(frozen=True)
@@ -147,9 +162,10 @@ def _checked(key_prefix: str, build):
 
 def _compile(cfg: ScenarioConfig) -> tuple:
     """Validate a config by building what a run needs from it: returns the
-    canonical config, its UpdateLawConfig, ConstraintGroups and
-    MultiplierStates.  Each gain is checked by the object that owns it;
-    only facts about the config as a whole are checked here."""
+    canonical config, its UpdateLawConfig, ConstraintGroups,
+    MultiplierStates, plant and reference trajectory.  Each gain is checked
+    by the object that owns it; only facts about the config as a whole are
+    checked here."""
     try:
         plant = get_plant(cfg.plant, cfg.theta_true)
         traj = get_trajectory(cfg.trajectory)
@@ -178,7 +194,8 @@ def _compile(cfg: ScenarioConfig) -> tuple:
     steps = cfg.t_final / cfg.dt
     if not np.isfinite(steps) or abs(round(steps) * cfg.dt - cfg.t_final) > 1e-6 * cfg.dt:
         raise ConfigError("t_final must be an integer multiple of dt")
-    if cfg.log_every < 1:
+    log_every = _integral(cfg.log_every, "log_every")
+    if log_every < 1:
         raise ConfigError("log_every must be at least 1")
 
     groups, built, multipliers = [], [], []
@@ -211,13 +228,8 @@ def _compile(cfg: ScenarioConfig) -> tuple:
             lam=lambda0, gamma_inv=gamma_inv, alpha=grp.alpha))
         _check_initial_feasibility(group, th, key)
         groups.append(GroupConfig(
-            kind=kind,
-            barrier=group.barrier.value,
-            lower=group.lower,
-            upper=group.upper,
-            gamma_inv=ms.gamma_inv,
-            alpha=float(ms.alpha),
-            lambda0=ms.lam,
+            kind=kind, barrier=group.barrier.value, lower=group.lower, upper=group.upper,
+            gamma_inv=ms.gamma_inv, alpha=float(ms.alpha), lambda0=ms.lam,
             norm_log_ok=group.norm_log_ok,
         ))
         built.append(group)
@@ -232,19 +244,13 @@ def _compile(cfg: ScenarioConfig) -> tuple:
         sigma2=law_cfg.sigma2,
         dt=float(cfg.dt),
         t_final=float(cfg.t_final),
-        log_every=int(cfg.log_every),
+        log_every=log_every,
         x0=x0,
         theta_hat0=theta_hat0,
         theta_true=theta_true,
         groups=tuple(groups),
-        stack=StackConfig(
-            mode=cfg.stack.mode,
-            size=int(cfg.stack.size),
-            record_every=int(cfg.stack.record_every),
-            min_excitation=float(cfg.stack.min_excitation),
-        ),
     )
-    return out, law_cfg, tuple(built), tuple(multipliers)
+    return out, law_cfg, tuple(built), tuple(multipliers), plant, traj
 
 
 def canonical_config(cfg: ScenarioConfig) -> ScenarioConfig:
@@ -305,10 +311,9 @@ class RunContext:
     built constraint groups, flat-state layout, and the history stack."""
 
     def __init__(self, cfg: ScenarioConfig):
-        cfg, self.law_cfg, self.groups, self.multipliers = _compile(cfg)
+        (cfg, self.law_cfg, self.groups, self.multipliers,
+         self.plant, self.traj) = _compile(cfg)
         self.cfg = cfg
-        self.plant: PlantModel = get_plant(cfg.plant, cfg.theta_true)
-        self.traj: DesiredTrajectory = get_trajectory(cfg.trajectory)
         self.n = self.plant.dim_state
         self.p = self.plant.dim_param
         self.theta = self.plant.theta
@@ -316,18 +321,16 @@ class RunContext:
         self.law = self.law_cfg.law
         self.P = self.law_cfg.learning_rate_array
         self.kcl = self.law_cfg.k_cl_array
+        # diagonal of Gamma over every group, for the Lyapunov bookkeeping
+        self.gamma = np.concatenate([ms.gamma_array for ms in self.multipliers]
+                                    or [np.empty(0)])
         # multipliers are integrated only for barrier laws; other laws still
         # log the constraint margins of any configured groups
         self.has_multipliers = self.law in LAWS_WITH_BARRIER and bool(self.groups)
-        off = self.n + self.p
-        self.lam_slices: tuple[slice, ...] = ()
-        if self.has_multipliers:
-            slices = []
-            for grp in self.groups:
-                slices.append(slice(off, off + grp.n_constraints))
-                off += grp.n_constraints
-            self.lam_slices = tuple(slices)
-        self.state_size = off
+        widths = [grp.n_constraints for grp in self.groups] if self.has_multipliers else []
+        ends = list(accumulate(widths, initial=self.n + self.p))
+        self.lam_slices = tuple(map(slice, ends[:-1], ends[1:]))
+        self.state_size = ends[-1]
         self._group_runtime = tuple(
             (grp, sl, ms.alpha, ms.gamma_inv_array)
             for grp, sl, ms in zip(self.groups, self.lam_slices, self.multipliers)
@@ -343,6 +346,15 @@ class RunContext:
             fill_with_exact_model_data(self.stack, self.plant, states)
         self.active_law = self.law
         self.refresh_active_law()
+
+    def uub_constants(self, sigma_bar1: float, lambda_star=None) -> analysis.UubConstants:
+        """Decay constants of this run's gains over every constraint group
+        (with or without multipliers); lambda_star defaults to zero."""
+        alpha = min((ms.alpha for ms in self.multipliers), default=0.0)
+        if lambda_star is None:
+            lambda_star = np.zeros(self.gamma.size)
+        return analysis.uub_constants(self.cfg.control_gain, self.cfg.learning_rate,
+                                      self.cfg.k_cl, self.gamma, alpha, sigma_bar1, lambda_star)
 
     # -- law scheduling ----------------------------------------------------
 
@@ -514,6 +526,10 @@ class TrajectoryLog:
             i += 1
         return self.data[:, idx]
 
+    def multipliers(self) -> Array:
+        """All multiplier columns lambda<g>_<i>, group after group."""
+        return self.data[:, [i for name, i in self._index.items() if name.startswith("lambda")]]
+
     @property
     def n_rows(self) -> int:
         return self.data.shape[0]
@@ -546,7 +562,9 @@ def run_scenario(cfg: ScenarioConfig) -> TrajectoryLog:
     Logs one row at t=0, one every log_every steps, and one at t_final
     when log_every does not divide the step count.  The Lyapunov column
     is filled after the run, using the final logged multipliers as the
-    stationary-multiplier estimate.  Step errors (BarrierBreach,
+    stationary-multiplier estimate.  log.meta holds the run's RunContext
+    ("context"), its canonical config, the final state and, when
+    multipliers run, "lambda_star".  Step errors (BarrierBreach,
     NumericalDivergence) propagate with the failure time attached.
     """
     ctx = build_context(cfg)
@@ -567,19 +585,10 @@ def run_scenario(cfg: ScenarioConfig) -> TrajectoryLog:
         x_d, _ = ctx.traj.eval(t)
         e = x - x_d
         tilde = ctx.theta - th
-        vals = [t]
-        vals.extend(x)
-        vals.extend(x_d)
-        vals.extend(e)
-        vals.append(float(np.linalg.norm(e)))
-        vals.extend(th)
-        vals.extend(tilde)
-        vals.append(float(np.linalg.norm(tilde)))
-        if ctx.has_multipliers:
-            for sl in ctx.lam_slices:
-                vals.extend(y[sl])
-        else:
-            vals.extend(np.zeros(lam_width))
+        vals = [t, *x, *x_d, *e, float(np.linalg.norm(e)),
+                *th, *tilde, float(np.linalg.norm(tilde))]
+        # the multiplier slices run, in group order, to the end of y
+        vals.extend(y[n + p:] if ctx.has_multipliers else np.zeros(lam_width))
         for grp in ctx.groups:
             vals.append(grp.feasibility(th).margin)
         vals.append(ctx.stack.excitation_level())
@@ -610,7 +619,7 @@ def run_scenario(cfg: ScenarioConfig) -> TrajectoryLog:
     log = TrajectoryLog(columns=columns, data=data)
     _fill_lyapunov(ctx, log)
     log.meta["config"] = cfg
-    log.meta["stack"] = ctx.stack
+    log.meta["context"] = ctx
     log.meta["final_state"] = ctx.unpack(n_steps * dt, y)
     return log
 
@@ -624,25 +633,17 @@ def _record_candidate(ctx: RunContext, buffer) -> bool:
 
 
 def _fill_lyapunov(ctx: RunContext, log: TrajectoryLog):
-    gamma = np.concatenate(
-        [ms.gamma_array for ms in ctx.multipliers]
-    ) if ctx.has_multipliers else np.empty(0)
-    lam_cols = [name for name in log.columns if name.startswith("lambda")]
+    gamma, lam_tilde = np.empty(0), np.empty((log.n_rows, 0))
     if ctx.has_multipliers:
-        lam = np.stack([log.column(name) for name in lam_cols], axis=1)
+        lam = log.multipliers()
         lam_star = lam[-1]
-        lam_tilde = lam - lam_star
-    e = log.block("e")
-    tilde = log.block("theta_err")
+        gamma, lam_tilde = ctx.gamma, lam - lam_star
+        log.meta["lambda_star"] = tuple(lam_star)
+    e, tilde = log.block("e"), log.block("theta_err")
     v_idx = log.columns.index("lyapunov")
     for i in range(log.n_rows):
-        log.data[i, v_idx] = analysis.lyapunov_value(
-            e[i], tilde[i],
-            lam_tilde[i] if ctx.has_multipliers else np.empty(0),
-            ctx.P, gamma,
-        )
-    if ctx.has_multipliers:
-        log.meta["lambda_star"] = tuple(lam_star)
+        log.data[i, v_idx] = analysis.lyapunov_value(e[i], tilde[i], lam_tilde[i],
+                                                     ctx.P, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +660,5 @@ def steady_state_rms(log: TrajectoryLog, t_start: float = 20.0,
 def min_margin(log: TrajectoryLog) -> float:
     """Smallest logged constraint margin across all groups; +inf if the
     scenario has no groups."""
-    margins = [log.column(c) for c in log.columns if c.startswith("margin")]
-    if not margins:
-        return float("inf")
-    return float(np.min([np.min(m) for m in margins]))
+    margins = log.block("margin")
+    return float(margins.min()) if margins.size else float("inf")

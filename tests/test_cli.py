@@ -1,11 +1,12 @@
 import json
 import logging
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from baradapt import cli
+from baradapt import cli, history, sim
 from baradapt.errors import ConfigError
 from baradapt.sim import canonical_config, run_scenario, steady_state_rms
 
@@ -186,6 +187,28 @@ def test_run_rejects_missing_config(tmp_path, capsys):
                    "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "config error:" in capsys.readouterr().err
+
+
+def test_run_compiles_and_prefills_no_more_than_needed(tmp_path, monkeypatch):
+    # the summary reads the run's own context instead of compiling (and,
+    # for an offline stack, prefilling) the scenario again
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(sim, "_compile", counted("compile", sim._compile))
+    fill = counted("fill", history.fill_with_exact_model_data)
+    monkeypatch.setattr(history, "fill_with_exact_model_data", fill)
+    monkeypatch.setattr(sim, "fill_with_exact_model_data", fill)
+    rc = cli.main(["run", "--config", "sanity", "--out", str(tmp_path),
+                   "--t-final", "0.2"])
+    assert rc == 0
+    assert calls["compile"] <= 4
+    assert calls["fill"] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import io
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -133,6 +134,25 @@ def test_stack_config_validation():
         StackConfig(record_every=0)
     with pytest.raises(ConfigError):
         StackConfig(min_excitation=-1.0)
+
+
+@pytest.mark.parametrize("build, key", [
+    (lambda: canonical_config(barrier_cfg(log_every=2.5)), "log_every"),
+    (lambda: StackConfig(size=2.7), "stack.size"),
+    (lambda: StackConfig(record_every=1.5), "stack.record_every"),
+    (lambda: StackConfig(min_excitation=float("nan")), "stack.min_excitation"),
+], ids=["log_every", "stack_size", "record_every", "nan_min_excitation"])
+def test_config_rejects_non_integral_counts_and_nan(build, key):
+    # int() would truncate these counts, and NaN fails no `< 0` check
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must"):
+        build()
+
+
+def test_stack_config_normalises_its_fields():
+    stack = StackConfig(size=20.0, record_every=np.int64(50), min_excitation=1)
+    assert stack == StackConfig(min_excitation=1.0)
+    assert type(stack.size) is int and type(stack.record_every) is int
+    assert type(stack.min_excitation) is float
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +347,7 @@ def test_final_state_meta():
     assert final.theta_hat.shape == (4,)
     assert len(final.lambdas) == 1
     assert log.meta["config"] == canonical_config(cfg)
+    assert log.meta["context"].cfg is log.meta["config"]
 
 
 def test_final_step_logged_when_log_every_does_not_divide():
