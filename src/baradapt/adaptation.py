@@ -24,8 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barrier import ConstraintGroup
-
 Array = np.ndarray
 
 
@@ -180,8 +178,7 @@ def _estimate_flow(law: UpdateLaw, P: Array, k_cl: Array, sigma2: float, e: Arra
     zeros, so degenerate configurations reduce bitwise to simpler laws."""
     out = P * (Y.T @ e)
     if law in LAWS_WITH_MEMORY and stack is not None and len(stack) > 0:
-        # the stack's cl_term, from its cached sums
-        out = out + P * (k_cl * (stack._proj - stack._gram @ th))
+        out = out + P * (k_cl * stack._cl_term(th))
     if law is UpdateLaw.BARRIER_SIGMA_MOD and sigma2 != 0.0:
         out = out - sigma2 * th
     for force in forces:

@@ -154,6 +154,11 @@ class HistoryStack:
             )
         if not self._entries:
             return np.zeros(self.dim_param)
+        return self._cl_term(th)
+
+    def _cl_term(self, th: Array) -> Array:
+        """cl_term from the cached sums, unchecked: th must have length
+        dim_param and the stack must be non-empty."""
         return self._proj - self._gram @ th
 
     def to_csv(self, path_or_buf) -> None:

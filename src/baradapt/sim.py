@@ -14,7 +14,6 @@ logs.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from numbers import Real
@@ -421,10 +420,6 @@ class RunContext:
                                       e, Y, th, self.stack, forces)
         return yd
 
-    def applied_input(self, t: float, x: Array, theta_hat: Array) -> Array:
-        x_d, xdot_d = self.traj.eval(t)
-        return _control(xdot_d, self.plant.regressor(x), theta_hat, self.k, x - x_d)
-
 
 def build_context(cfg: ScenarioConfig) -> RunContext:
     return RunContext(cfg)
@@ -539,111 +534,105 @@ class TrajectoryLog:
         write_csv(path_or_buf, self.columns, map(np.ndarray.tolist, self.data))
 
 
-def _log_columns(ctx: RunContext) -> tuple[str, ...]:
-    n, p = ctx.n, ctx.p
-    cols = ["t"]
-    cols += [f"x{i + 1}" for i in range(n)]
-    cols += [f"xd{i + 1}" for i in range(n)]
-    cols += [f"e{i + 1}" for i in range(n)]
-    cols += ["e_norm"]
-    cols += [f"theta_hat{i + 1}" for i in range(p)]
-    cols += [f"theta_err{i + 1}" for i in range(p)]
-    cols += ["theta_err_norm"]
-    for g_idx, grp in enumerate(ctx.groups, start=1):
-        cols += [f"lambda{g_idx}_{i + 1}" for i in range(grp.n_constraints)]
-    cols += [f"margin{g_idx}" for g_idx in range(1, len(ctx.groups) + 1)]
-    cols += ["excitation", "lyapunov", "law_code"]
-    return tuple(cols)
-
-
 def run_scenario(cfg: ScenarioConfig) -> TrajectoryLog:
     """Integrate the scenario and return the logged trajectory.
 
     Logs one row at t=0, one every log_every steps, and one at t_final
-    when log_every does not divide the step count.  The Lyapunov column
-    is filled after the run, using the final logged multipliers as the
-    stationary-multiplier estimate.  log.meta holds the run's RunContext
+    when log_every does not divide the step count.  The loop records only
+    what it cannot recompute: per logged step its index, state, stack
+    excitation and active law.  The log is built from those records after
+    the run (_trajectory_log).  log.meta holds the run's RunContext
     ("context"), its canonical config, the final state and, when
     multipliers run, "lambda_star".  Step errors (BarrierBreach,
     NumericalDivergence) propagate with the failure time attached.
     """
     ctx = build_context(cfg)
     cfg = ctx.cfg
-    n, p = ctx.n, ctx.p
     dt = cfg.dt
     n_steps = round(cfg.t_final / dt)
-    columns = _log_columns(ctx)
-    n_logged = 1 + -(-n_steps // cfg.log_every)
-    data = np.empty((n_logged, len(columns)))
 
-    y = ctx.pack(ctx.initial_state())
-    lam_width = sum(grp.n_constraints for grp in ctx.groups)
-
-    def write_row(row_idx: int, t: float, y: Array):
-        x = y[:n]
-        th = y[n: n + p]
-        x_d, _ = ctx.traj.eval(t)
-        e = x - x_d
-        tilde = ctx.theta - th
-        vals = [t, *x, *x_d, *e, float(np.linalg.norm(e)),
-                *th, *tilde, float(np.linalg.norm(tilde))]
-        # the multiplier slices run, in group order, to the end of y
-        vals.extend(y[n + p:] if ctx.has_multipliers else np.zeros(lam_width))
-        for grp in ctx.groups:
-            vals.append(grp.feasibility(th).margin)
-        vals.append(ctx.stack.excitation_level())
-        vals.append(0.0)  # lyapunov, filled post-run
-        vals.append(float(LAW_CODES[ctx.active_law]))
-        data[row_idx] = vals
-
-    buffer: deque = deque(maxlen=3)
-    if ctx.online:
-        buffer.append((0.0, y[:n].copy(), y[n: n + p].copy()))
-
+    # _step_flat returns a new array, so the states kept here are never
+    # written again and need no copies
+    y_prev, y = None, ctx.pack(ctx.initial_state())
     ctx.refresh_active_law()
-    write_row(0, 0.0, y)
-    row = 1
+    records = [(0, y, ctx.stack.excitation_level(), ctx.active_law)]
     for k in range(n_steps):
-        t = k * dt
         ctx.refresh_active_law()
-        y = _step_flat(ctx, t, y, dt)
-        t_next = (k + 1) * dt
-        if ctx.online:
-            buffer.append((t_next, y[:n].copy(), y[n: n + p].copy()))
-            if (k + 1) % cfg.stack.record_every == 0 and len(buffer) == 3:
-                _record_candidate(ctx, buffer)
+        y_next = _step_flat(ctx, k * dt, y, dt)
+        if ctx.online and y_prev is not None and (k + 1) % cfg.stack.record_every == 0:
+            _record_sample(ctx, k, y_prev, y, y_next)
+        y_prev, y = y, y_next
         if (k + 1) % cfg.log_every == 0 or k + 1 == n_steps:
-            write_row(row, t_next, y)
-            row += 1
+            records.append((k + 1, y, ctx.stack.excitation_level(), ctx.active_law))
 
-    log = TrajectoryLog(columns=columns, data=data)
-    _fill_lyapunov(ctx, log)
+    log = _trajectory_log(ctx, records)
     log.meta["config"] = cfg
     log.meta["context"] = ctx
     log.meta["final_state"] = ctx.unpack(n_steps * dt, y)
     return log
 
 
-def _record_candidate(ctx: RunContext, buffer) -> bool:
-    (t0, x0, _), (t1, x1, th1), (t2, x2, _) = buffer
-    xdot_hat = estimate_state_derivative([t0, t1, t2], [x0, x1, x2])
-    Y = ctx.plant.regressor(x1)
-    u = ctx.applied_input(t1, x1, th1)
-    return ctx.stack.try_insert(Y, u, xdot_hat)
+def _record_sample(ctx: RunContext, k: int, y_prev: Array, y: Array, y_next: Array):
+    """Offer the stack the sample at step k: the regressor and applied input
+    at step k, and the central difference over steps k-1..k+1."""
+    n, p, dt = ctx.n, ctx.p, ctx.cfg.dt
+    x = y[:n]
+    xdot_hat = estimate_state_derivative([(k - 1) * dt, k * dt, (k + 1) * dt],
+                                         [y_prev[:n], x, y_next[:n]])
+    x_d, xdot_d = ctx.traj.eval(k * dt)
+    Y = ctx.plant.regressor(x)
+    u = _control(xdot_d, Y, y[n: n + p], ctx.k, x - x_d)
+    ctx.stack.try_insert(Y, u, xdot_hat)
 
 
-def _fill_lyapunov(ctx: RunContext, log: TrajectoryLog):
-    gamma, lam_tilde = np.empty(0), np.empty((log.n_rows, 0))
+def _trajectory_log(ctx: RunContext, records) -> TrajectoryLog:
+    """The log of (step, y, excitation, law) records.  Each column block is
+    named next to the values it holds.  The Lyapunov column uses the final
+    logged multipliers as the stationary-multiplier estimate."""
+    n, p = ctx.n, ctx.p
+    steps, ys, excitation, laws = zip(*records)
+    ts = [k * ctx.cfg.dt for k in steps]
+    ys = np.array(ys)
+    x, th = ys[:, :n], ys[:, n: n + p]
+    x_d = np.array([ctx.traj.eval(t)[0] for t in ts])
+    e = x - x_d
+    tilde = ctx.theta - th
+    lam_names = [f"lambda{g}_{i + 1}" for g, grp in enumerate(ctx.groups, start=1)
+                 for i in range(grp.n_constraints)]
+    meta = {}
     if ctx.has_multipliers:
-        lam = log.multipliers()
-        lam_star = lam[-1]
-        gamma, lam_tilde = ctx.gamma, lam - lam_star
-        log.meta["lambda_star"] = tuple(lam_star)
-    e, tilde = log.block("e"), log.block("theta_err")
-    v_idx = log.columns.index("lyapunov")
-    for i in range(log.n_rows):
-        log.data[i, v_idx] = analysis.lyapunov_value(e[i], tilde[i], lam_tilde[i],
-                                                     ctx.P, gamma)
+        # the multiplier slices run, in group order, to the end of y
+        lam = ys[:, n + p:]
+        meta["lambda_star"] = tuple(lam[-1])
+        gamma, lam_tilde = ctx.gamma, lam - lam[-1]
+    else:
+        lam = np.zeros((len(ts), len(lam_names)))
+        gamma, lam_tilde = np.empty(0), np.empty((len(ts), 0))
+
+    def numbered(prefix: str, count: int) -> list[str]:
+        return [f"{prefix}{i + 1}" for i in range(count)]
+
+    blocks = [
+        (["t"], ts),
+        (numbered("x", n), x),
+        (numbered("xd", n), x_d),
+        (numbered("e", n), e),
+        (["e_norm"], [np.linalg.norm(row) for row in e]),
+        (numbered("theta_hat", p), th),
+        (numbered("theta_err", p), tilde),
+        (["theta_err_norm"], [np.linalg.norm(row) for row in tilde]),
+        (lam_names, lam),
+        (numbered("margin", len(ctx.groups)),
+         [[grp.feasibility(row).margin for grp in ctx.groups] for row in th]),
+        (["excitation"], excitation),
+        (["lyapunov"], [analysis.lyapunov_value(e[i], tilde[i], lam_tilde[i], ctx.P, gamma)
+                        for i in range(len(ts))]),
+        (["law_code"], [LAW_CODES[law] for law in laws]),
+    ]
+    columns = tuple(name for names, _ in blocks for name in names)
+    data = np.hstack([np.asarray(values, dtype=float).reshape(len(ts), len(names))
+                      for names, values in blocks])
+    return TrajectoryLog(columns=columns, data=data, meta=meta)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,126 @@
+"""An independent oracle for the closed loop.
+
+The paper's vector field is written here directly in numpy, from the
+definitions rather than from the package's law kernel:
+
+    plant        xdot       = Y(x) theta + u
+    control      u          = xdot_d - Y(x) theta_hat - k e
+    estimate     theta_hat' = P Y^T e - P sum_j lambda_j . grad c_j
+                              (+ P K_cl sum_k Y_k^T (xdot_hat_k - u_k - Y_k theta_hat)
+                               when the stack holds recorded data)
+    multipliers  lambda_j'  = proj(-alpha_j lambda_j + Gamma_j^-1 c_j, lambda_j)
+
+and integrated by an adaptive 8th-order Runge-Kutta method at tight
+tolerance.  The fixed-step RK4 run must agree with it to a stated bound and
+converge to it at fourth order.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from baradapt.cli import load_config
+from baradapt.sim import build_context, run_scenario
+
+integrate = pytest.importorskip("scipy.integrate")
+
+# the largest errors occur in the first 0.05 s, as theta_hat_1 of sec5a and
+# sec5c turns back from its upper bound
+HORIZON = 0.5
+
+
+def _barrier(group, th):
+    """Values c and gradient rows dc/dtheta_hat of one constraint group."""
+    if group.kind == "component":
+        lo, hi = np.asarray(group.lower), np.asarray(group.upper)
+        s = np.concatenate([th - lo, hi - th])
+        eye = np.eye(th.size)
+        ds = np.vstack([eye, -eye])
+    else:
+        r = np.sqrt(th @ th)
+        s = np.array([r - group.lower, group.upper - r])
+        ds = np.vstack([th / r, -th / r])
+    if group.barrier == "inverse":
+        return 1.0 / s, -(1.0 / s**2)[:, None] * ds
+    return -np.log(s), -(1.0 / s)[:, None] * ds
+
+
+def _oracle(cfg):
+    """A function of the logged times returning the oracle's states at
+    them.  Gains come from the canonical config and recorded data from the
+    stack a run of cfg starts with."""
+    ctx = build_context(cfg)
+    cfg = ctx.cfg
+    plant, traj = ctx.plant, ctx.traj
+    n, p = plant.dim_state, plant.dim_param
+    theta = np.asarray(plant.theta_true)
+    k = np.asarray(cfg.control_gain)
+    P = np.asarray(cfg.learning_rate)
+    k_cl = np.asarray(cfg.k_cl)
+    entries = ctx.stack.entries
+    groups = cfg.groups
+    widths = [len(g.lambda0) for g in groups]
+    bounds = np.cumsum([n + p] + widths)
+
+    def field(t, z):
+        x, th = z[:n], z[n: n + p]
+        x_d, xdot_d = traj.eval(t)
+        Y = plant.eval_regressor(x)
+        e = x - x_d
+        u = xdot_d - Y @ th - k * e
+        th_dot = P * (Y.T @ e)
+        for ent in entries:
+            th_dot += P * k_cl * (ent.Y.T @ (ent.xdot_hat - ent.u - ent.Y @ th))
+        lam_dots = []
+        for grp, lo, hi in zip(groups, bounds[:-1], bounds[1:]):
+            lam = z[lo:hi]
+            c, grad = _barrier(grp, th)
+            th_dot -= P * (lam @ grad)
+            a = -grp.alpha * lam + np.asarray(grp.gamma_inv) * c
+            lam_dots.append(np.where(lam > 0.0, a, np.maximum(a, 0.0)))
+        return np.concatenate([Y @ theta + u, th_dot, *lam_dots])
+
+    z0 = np.concatenate([cfg.x0, cfg.theta_hat0, *[g.lambda0 for g in groups]])
+
+    def solve(times):
+        sol = integrate.solve_ivp(field, (0.0, times[-1]), z0, method="DOP853",
+                                  t_eval=times, rtol=1e-12, atol=1e-12)
+        assert sol.success, sol.message
+        return sol.y.T
+
+    return solve
+
+
+def _error(cfg, solve) -> float:
+    """Largest absolute deviation of the logged x, theta_hat and multipliers
+    from the oracle at the logged times."""
+    log = run_scenario(cfg)
+    logged = np.hstack([log.block("x"), log.block("theta_hat"), log.multipliers()])
+    return float(np.abs(logged - solve(log.column("t"))).max())
+
+
+def _case(name, mode="none"):
+    cfg = load_config(name)
+    return replace(cfg, t_final=HORIZON, stack=replace(cfg.stack, mode=mode))
+
+
+@pytest.mark.parametrize("name, bound", [("sec5a", 5e-6), ("sec5c", 5e-6)])
+def test_rk4_converges_to_oracle_at_fourth_order(name, bound):
+    cfg = _case(name)
+    solve = _oracle(cfg)
+    coarse = _error(cfg, solve)
+    # the same logged times at half the step
+    fine = _error(replace(cfg, dt=cfg.dt / 2, log_every=2 * cfg.log_every), solve)
+    assert coarse < bound
+    # halving the step divides a fourth-order error by about 16
+    assert coarse / fine > 12.0
+
+
+@pytest.mark.parametrize("name, mode, bound", [
+    ("sec5b", "none", 1e-8),
+    ("sec5a", "offline", 5e-6),
+])
+def test_rk4_matches_oracle(name, mode, bound):
+    cfg = _case(name, mode)
+    assert _error(cfg, _oracle(cfg)) < bound

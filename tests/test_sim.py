@@ -14,7 +14,7 @@ from baradapt.errors import (
     NumericalDivergence,
     SingularGradient,
 )
-from baradapt.history import fill_with_exact_model_data
+from baradapt.history import estimate_state_derivative, fill_with_exact_model_data
 from baradapt.sim import (
     CompositeState,
     GroupConfig,
@@ -261,6 +261,29 @@ def test_offline_stack_prefilled_and_law_steady():
     assert ctx.active_law is UpdateLaw.BARRIER_CONSTRAINED
     log = run_scenario(cfg)
     assert set(log.column("law_code")) == {2.0}
+
+
+def test_online_stack_samples_hold_logged_states():
+    # with a sample and a log row every step, entry j is the sample at step
+    # k = j + 1, built from the logged states at steps k - 1, k and k + 1
+    from baradapt.cli import load_config
+
+    cfg = replace(load_config("sec5b"), t_final=0.05, log_every=1,
+                  stack=StackConfig(mode="online", size=1000, record_every=1))
+    log = run_scenario(cfg)
+    ctx = log.meta["context"]
+    entries = ctx.stack.entries
+    assert len(entries) == 49
+    t, x, th = log.column("t"), log.block("x"), log.block("theta_hat")
+    for j, entry in enumerate(entries):
+        k = j + 1
+        Y = ctx.plant.eval_regressor(x[k])
+        x_d, xdot_d = ctx.traj.eval(t[k])
+        assert np.array_equal(entry.Y, Y)
+        assert np.array_equal(entry.u, control_input(x[k], x_d, xdot_d, th[k], Y,
+                                                     ctx.cfg.control_gain))
+        assert np.array_equal(entry.xdot_hat,
+                              estimate_state_derivative(t[k - 1: k + 2], x[k - 1: k + 2]))
 
 
 def test_rk4_step_advances_and_keeps_multipliers_nonnegative():
