@@ -186,13 +186,11 @@ def _estimate_flow(law: UpdateLaw, P: Array, k_cl: Array, sigma2: float, e: Arra
     return out
 
 
-def theta_hat_dot(cfg: UpdateLawConfig, e, Y, stack, groups, lambdas,
-                  theta_hat, u_current=None) -> Array:
+def theta_hat_dot(cfg: UpdateLawConfig, e, Y, stack, groups, lambdas, theta_hat) -> Array:
     """Estimate flow for the configured law.
 
     groups / lambdas are parallel sequences of ConstraintGroup and
-    MultiplierState; both may be empty for unconstrained laws.  u_current is
-    reserved for laws that need the applied input and is unused here.
+    MultiplierState; both may be empty for unconstrained laws.
     """
     e = np.asarray(e, dtype=float)
     Y = np.asarray(Y, dtype=float)

@@ -59,8 +59,6 @@ class UubConstants:
     beta1: float
     beta2: float
     lambda_star: tuple[float, ...]
-    alpha1: float
-    alpha2: float
     assumption_met: bool
 
     def envelope(self, t, z0_sq: float) -> Array:
@@ -72,11 +70,12 @@ class UubConstants:
 
 
 def uub_constants(control_gain, learning_rate, k_cl, gamma, alpha,
-                  sigma_bar1, lambda_star=(), alpha1=None, alpha2=None) -> UubConstants:
+                  sigma_bar1, lambda_star=()) -> UubConstants:
     """Assemble the decay constants from gain diagonals.
 
     gamma is the concatenated diagonal of Gamma over all constraint groups
-    (empty when unconstrained), alpha the multiplier decay rate.  A
+    (empty when unconstrained), alpha the multiplier decay rate, split
+    evenly between the decay term of beta1 and the bias term beta2.  A
     non-positive sigma_bar1 marks the recorded-data excitation assumption as
     unmet; its term drops out of beta1 instead of zeroing it.
     """
@@ -91,10 +90,6 @@ def uub_constants(control_gain, learning_rate, k_cl, gamma, alpha,
         raise ValueError("gamma diagonal must be positive")
     if sigma_bar1 < 0.0:
         raise ValueError("sigma_bar1 must be non-negative")
-    if alpha1 is None:
-        alpha1 = 0.5 * alpha
-    if alpha2 is None:
-        alpha2 = 0.5 * alpha
 
     mins = [0.5, 0.5 / float(np.max(P))]
     maxs = [0.5, 0.5 / float(np.min(P))]
@@ -108,23 +103,20 @@ def uub_constants(control_gain, learning_rate, k_cl, gamma, alpha,
     terms = [float(np.min(k))]
     if assumption_met:
         terms.append(float(np.min(kcl)) * sigma_bar1)
+    beta2 = 0.0
     if g.size:
-        if alpha1 <= 0.0 or alpha2 <= 0.0:
-            raise ValueError("alpha splits must be positive")
-        terms.append(alpha1 * float(np.min(g)))
+        if alpha <= 0.0:
+            raise ValueError("alpha must be positive")
+        half = 0.5 * alpha
+        terms.append(half * float(np.min(g)))
+        beta2 = alpha * alpha * float(np.min(g)) * float(lam_star @ lam_star) / (4.0 * half)
     beta1 = min(terms) / Lambda_min
-    if g.size:
-        beta2 = alpha * alpha * float(np.min(g)) * float(lam_star @ lam_star) / (4.0 * alpha2)
-    else:
-        beta2 = 0.0
     return UubConstants(
         Lambda_min=Lambda_min,
         Lambda_max=Lambda_max,
         beta1=beta1,
         beta2=beta2,
         lambda_star=tuple(lam_star),
-        alpha1=float(alpha1),
-        alpha2=float(alpha2),
         assumption_met=assumption_met,
     )
 
@@ -172,7 +164,8 @@ def envelope_check(log, consts: UubConstants) -> EnvelopeReport:
     for col in (*log.block("e").T, *log.block("theta_err").T, *lam_tilde.T):
         zsq += col ** 2
     env = consts.envelope(t - t[0], float(zsq[0]))
-    ratio = zsq / np.maximum(env, 1e-300)
+    with np.errstate(over="ignore"):  # a ratio past the largest double reads inf
+        ratio = zsq / np.maximum(env, 1e-300)
     violations = int(np.sum(ratio > 1.0))
     return EnvelopeReport(
         n_points=len(t),
@@ -207,12 +200,12 @@ def kkt_residuals(cfg: UpdateLawConfig, e, Y, stack, groups, lambdas,
     return KktResiduals(stationarity=stationarity, complementary_slackness=comp)
 
 
-def steady_state_rms(times, values, t_start: float = 20.0, t_end: float = 30.0) -> float:
-    """RMS of values over the window [t_start, t_end]; if the log ends before
-    t_start the last third of the samples is used instead."""
+def steady_state_rms(times, values) -> float:
+    """RMS of values over the steady-state window [20, 30] s; if the log
+    ends before 20 s the last third of the samples is used instead."""
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
-    mask = (t >= t_start) & (t <= t_end)
+    mask = (t >= 20.0) & (t <= 30.0)
     if not np.any(mask):
         mask = t >= t[max(0, int(2 * len(t) / 3))]
     return float(math.sqrt(float(np.mean(v[mask] ** 2))))

@@ -37,7 +37,14 @@ from .sim import (
 
 log = logging.getLogger("baradapt")
 
-SWEEP_KEYS = ("control_gain", "k_cl_scale", "learning_rate_scale", "alpha")
+#: sweep key -> how a value of it changes the base config
+SWEEPS = {
+    "control_gain": lambda cfg, v: replace(cfg, control_gain=v),
+    "k_cl_scale": lambda cfg, v: replace(cfg, k_cl=tuple(x * v for x in cfg.k_cl)),
+    "learning_rate_scale":
+        lambda cfg, v: replace(cfg, learning_rate=tuple(x * v for x in cfg.learning_rate)),
+    "alpha": lambda cfg, v: replace(cfg, groups=tuple(replace(g, alpha=v) for g in cfg.groups)),
+}
 
 _JSON_NAMES = {float: "a number", int: "an integer", str: "a string",
                bool: "true or false", type(None): "null"}
@@ -64,7 +71,8 @@ def _from_json(tp, value, key: str):
     """Strict conversion of a parsed JSON value to a config field type:
     objects to config dataclasses (unknown keys rejected, missing ones
     defaulted or reported as required), lists to tuples, and numbers to
-    floats; a bool is never a number.  Errors name the dotted key path."""
+    floats, or unchanged for an int field; a bool is never a number.
+    Errors name the dotted key path."""
     if is_dataclass(tp):
         if not isinstance(value, dict):
             raise ConfigError(f"{key or 'config'} must be a JSON object")
@@ -91,10 +99,11 @@ def _from_json(tp, value, key: str):
             item_tp = typing.get_args(tp)[0]
             return tuple(_from_json(item_tp, v, f"{key}[{i}]")
                          for i, v in enumerate(value, start=1))
-    elif tp is float:
-        # the bound also rejects NaN, the infinities and ints beyond a double
+    elif tp in (float, int):
+        # the bound also rejects NaN, the infinities and ints beyond a double;
+        # a count passes as written, and its config decides if it is whole
         if type(value) in (int, float) and abs(value) <= sys.float_info.max:
-            return float(value)
+            return float(value) if tp is float else value
     elif type(value) is tp:
         return value
     raise ConfigError(f"{key} must be {_describe(tp)}, got {json.dumps(value)}")
@@ -147,8 +156,7 @@ def bundled_config_names() -> list[str]:
 # reporting
 
 
-def scenario_summary(trajectory: TrajectoryLog,
-                     runtime_seconds: float | None = None) -> str:
+def scenario_summary(trajectory: TrajectoryLog, runtime_seconds: float) -> str:
     """Flat key-value block: final errors, margins, decay constants, KKT
     residuals and the envelope report, all read off the run's own
     context in trajectory.meta."""
@@ -163,6 +171,7 @@ def scenario_summary(trajectory: TrajectoryLog,
         f"law: {cfg.law}",
         f"dt: {cfg.dt:g}",
         f"t_final: {cfg.t_final:g}",
+        f"runtime_seconds: {runtime_seconds:.3f}",
         f"final_e_norm: {e_norm:.10g}",
         f"final_theta_err_norm: {tilde_norm:.10g}",
         f"min_margin: {min_margin(trajectory):.10g}",
@@ -170,8 +179,6 @@ def scenario_summary(trajectory: TrajectoryLog,
         f"excitation_final: {excitation:.10g}",
         f"assumption_met: {str(stack.assumption_met).lower()}",
     ]
-    if runtime_seconds is not None:
-        lines.insert(4, f"runtime_seconds: {runtime_seconds:.3f}")
 
     consts = ctx.uub_constants(excitation, trajectory.meta.get("lambda_star"))
     lines += [
@@ -263,15 +270,9 @@ def cmd_compare(args) -> int:
 
 
 def _apply_sweep(cfg: ScenarioConfig, key: str, value: float) -> ScenarioConfig:
-    if key == "control_gain":
-        return replace(cfg, control_gain=value)
-    if key == "k_cl_scale":
-        return replace(cfg, k_cl=tuple(v * value for v in cfg.k_cl))
-    if key == "learning_rate_scale":
-        return replace(cfg, learning_rate=tuple(v * value for v in cfg.learning_rate))
-    if key == "alpha":
-        return replace(cfg, groups=tuple(replace(g, alpha=value) for g in cfg.groups))
-    raise ConfigError(f"unknown sweep key '{key}' (choose from {SWEEP_KEYS})")
+    if key not in SWEEPS:
+        raise ConfigError(f"unknown sweep key '{key}' (choose from {tuple(SWEEPS)})")
+    return SWEEPS[key](cfg, value)
 
 
 def cmd_sweep(args) -> int:
@@ -316,36 +317,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="Barrier-constrained adaptive tracking simulations",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", required=True,
+                        help="path to a JSON scenario or a bundled name")
+    shared.add_argument("--out", required=True, help="output directory")
+    shared.add_argument("--dt", type=float, help="override step size")
+    shared.add_argument("--t-final", type=float, help="override horizon")
 
-    run_p = sub.add_parser("run", help="integrate one scenario")
-    run_p.add_argument("--config", required=True,
-                       help="path to a JSON scenario or a bundled name")
-    run_p.add_argument("--out", required=True, help="output directory")
-    run_p.add_argument("--dt", type=float, default=None, help="override step size")
-    run_p.add_argument("--t-final", type=float, default=None, help="override horizon")
+    run_p = sub.add_parser("run", parents=[shared], help="integrate one scenario")
     run_p.set_defaults(func=cmd_run)
 
-    cmp_p = sub.add_parser("compare", help="run several update laws on one scenario")
-    cmp_p.add_argument("--config", required=True)
-    cmp_p.add_argument("--out", required=True)
+    cmp_p = sub.add_parser("compare", parents=[shared],
+                           help="run several update laws on one scenario")
     cmp_p.add_argument(
         "--laws",
         default="gradient,concurrent_learning,barrier_constrained",
         help="comma-separated law names",
     )
-    cmp_p.add_argument("--dt", type=float, default=None)
-    cmp_p.add_argument("--t-final", type=float, default=None)
     cmp_p.set_defaults(func=cmd_compare)
 
-    swp_p = sub.add_parser("sweep", help="rerun a scenario across gain values")
-    swp_p.add_argument("--config", required=True)
-    swp_p.add_argument("--out", required=True)
-    swp_p.add_argument("--sweep-key", required=True,
-                       help=f"one of {', '.join(SWEEP_KEYS)}")
+    swp_p = sub.add_parser("sweep", parents=[shared],
+                           help="rerun a scenario across gain values")
+    swp_p.add_argument("--sweep-key", required=True, help=f"one of {', '.join(SWEEPS)}")
     swp_p.add_argument("--sweep-values", required=True,
                        help="comma-separated numbers")
-    swp_p.add_argument("--dt", type=float, default=None)
-    swp_p.add_argument("--t-final", type=float, default=None)
     swp_p.set_defaults(func=cmd_sweep)
     return parser
 

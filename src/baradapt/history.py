@@ -190,18 +190,15 @@ def write_csv(path_or_buf, header, rows) -> None:
         ) + "\n")
 
 
-def fill_with_exact_model_data(stack: HistoryStack, plant: PlantModel,
-                               states, inputs=None) -> int:
-    """Prefill from exact model evaluations (offline collection with a
-    perfect derivative sensor): xdot_hat = Y(x) theta + u identically.
-    Returns the number of accepted insertions."""
-    states = [np.asarray(x, dtype=float) for x in states]
-    if inputs is None:
-        inputs = [np.zeros(plant.dim_state) for _ in states]
+def fill_with_exact_model_data(stack: HistoryStack, plant: PlantModel, states) -> int:
+    """Prefill from exact model evaluations at zero input (offline
+    collection with a perfect derivative sensor): xdot_hat = Y(x) theta
+    identically.  Returns the number of accepted insertions."""
     accepted = 0
-    for x, u in zip(states, inputs):
+    for x in states:
         Y = plant.eval_regressor(x)
-        xdot = Y @ plant.theta + np.asarray(u, dtype=float)
-        if stack.try_insert(Y, u, xdot):
+        # each entry gets its own input array; no two entries share one
+        u = np.zeros(plant.dim_state)
+        if stack.try_insert(Y, u, Y @ plant.theta + u):
             accepted += 1
     return accepted

@@ -439,7 +439,18 @@ def rk4(f: Callable[[float, Array], Array], t: float, y: Array, dt: float) -> Ar
 
 
 def _attempt(ctx: RunContext, t: float, y: Array, dt: float) -> Array:
-    out = rk4(ctx.rhs_flat, t, y, dt)
+    try:
+        out = rk4(ctx.rhs_flat, t, y, dt)
+    except (ArithmeticError, ValueError):
+        # a callback may raise on a non-finite stage (math.sin(inf)): replay
+        # with each stage checked; an error on a finite stage propagates
+        def finite_stages(ts: float, ys: Array) -> Array:
+            if not np.isfinite(ys).all():
+                raise _NonFinite
+            return ctx.rhs_flat(ts, ys)
+
+        rk4(finite_stages, t, y, dt)
+        raise
     if not np.isfinite(out).all():
         raise _NonFinite
     n, p = ctx.n, ctx.p
@@ -542,9 +553,10 @@ def run_scenario(cfg: ScenarioConfig) -> TrajectoryLog:
     what it cannot recompute: per logged step its index, state, stack
     excitation and active law.  The log is built from those records after
     the run (_trajectory_log).  log.meta holds the run's RunContext
-    ("context"), its canonical config, the final state and, when
-    multipliers run, "lambda_star".  Step errors (BarrierBreach,
-    NumericalDivergence) propagate with the failure time attached.
+    ("context", whose cfg is the canonical config), the final state and,
+    when multipliers run, "lambda_star".  Step errors (BarrierBreach,
+    NumericalDivergence) propagate with the failure time attached; a
+    logged value that is not finite is a NumericalDivergence too.
     """
     ctx = build_context(cfg)
     cfg = ctx.cfg
@@ -556,17 +568,22 @@ def run_scenario(cfg: ScenarioConfig) -> TrajectoryLog:
     y_prev, y = None, ctx.pack(ctx.initial_state())
     ctx.refresh_active_law()
     records = [(0, y, ctx.stack.excitation_level(), ctx.active_law)]
-    for k in range(n_steps):
-        ctx.refresh_active_law()
-        y_next = _step_flat(ctx, k * dt, y, dt)
-        if ctx.online and y_prev is not None and (k + 1) % cfg.stack.record_every == 0:
-            _record_sample(ctx, k, y_prev, y, y_next)
-        y_prev, y = y, y_next
-        if (k + 1) % cfg.log_every == 0 or k + 1 == n_steps:
-            records.append((k + 1, y, ctx.stack.excitation_level(), ctx.active_law))
-
-    log = _trajectory_log(ctx, records)
-    log.meta["config"] = cfg
+    # the finiteness checks decide divergence, not numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            ctx.refresh_active_law()
+            y_next = _step_flat(ctx, k * dt, y, dt)
+            if ctx.online and y_prev is not None and (k + 1) % cfg.stack.record_every == 0:
+                _record_sample(ctx, k, y_prev, y, y_next)
+            y_prev, y = y, y_next
+            if (k + 1) % cfg.log_every == 0 or k + 1 == n_steps:
+                records.append((k + 1, y, ctx.stack.excitation_level(), ctx.active_law))
+        log = _trajectory_log(ctx, records)
+    # a finite state can still be too large for its norms and energy
+    bad = ~np.isfinite(log.data).all(axis=1)
+    if bad.any():
+        t = float(log.data[bad.argmax(), 0])
+        raise NumericalDivergence(f"non-finite logged value at t={t:.6g}", time=t)
     log.meta["context"] = ctx
     log.meta["final_state"] = ctx.unpack(n_steps * dt, y)
     return log
@@ -639,11 +656,9 @@ def _trajectory_log(ctx: RunContext, records) -> TrajectoryLog:
 # derived metrics
 
 
-def steady_state_rms(log: TrajectoryLog, t_start: float = 20.0,
-                     t_end: float = 30.0) -> float:
+def steady_state_rms(log: TrajectoryLog) -> float:
     """RMS of the tracking error norm over the steady-state window."""
-    return analysis.steady_state_rms(log.column("t"), log.column("e_norm"),
-                                     t_start, t_end)
+    return analysis.steady_state_rms(log.column("t"), log.column("e_norm"))
 
 
 def min_margin(log: TrajectoryLog) -> float:

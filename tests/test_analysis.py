@@ -46,10 +46,9 @@ def test_uub_constants_frozen_algebra():
     # Lambda_min = min(1/2, 1/(2*0.075), min(gamma)/2) with min(gamma) = 10/9
     assert consts.Lambda_min == pytest.approx(0.5)
     assert consts.Lambda_max == pytest.approx(0.5 / 0.075)
-    # beta1 = min(k, min(k_cl)*sigma, alpha1*min(gamma)) / Lambda_min
-    assert consts.alpha1 == pytest.approx(0.05)
+    # beta1 = min(k, min(k_cl)*sigma, (alpha/2)*min(gamma)) / Lambda_min
     assert consts.beta1 == pytest.approx((0.05 * 10.0 / 9.0) / 0.5, rel=1e-12)
-    # beta2 = alpha^2 * min(gamma) * ||lambda*||^2 / (4 alpha2)
+    # beta2 = alpha^2 * min(gamma) * ||lambda*||^2 / (4 (alpha/2))
     assert consts.beta2 == pytest.approx(0.01 * (10.0 / 9.0) * 8.0 / 0.2, rel=1e-12)
     assert consts.assumption_met
 
@@ -98,7 +97,7 @@ def make_log(t, e1, theta_err1, lam=None):
 def test_envelope_check_pure_decay():
     consts = analysis.UubConstants(
         Lambda_min=0.5, Lambda_max=2.0, beta1=1.0, beta2=0.0,
-        lambda_star=(), alpha1=0.5, alpha2=0.5, assumption_met=True,
+        lambda_star=(), assumption_met=True,
     )
     t = np.linspace(0.0, 5.0, 51)
     # ||z||^2 decays exactly at the envelope rate, from 1/4 of the allowance
@@ -113,7 +112,7 @@ def test_envelope_check_pure_decay():
 def test_envelope_check_flags_violations():
     consts = analysis.UubConstants(
         Lambda_min=1.0, Lambda_max=1.0, beta1=10.0, beta2=0.0,
-        lambda_star=(), alpha1=0.5, alpha2=0.5, assumption_met=True,
+        lambda_star=(), assumption_met=True,
     )
     t = np.linspace(0.0, 1.0, 11)
     log = make_log(t, np.ones_like(t), np.zeros_like(t))  # does not decay
@@ -125,7 +124,7 @@ def test_envelope_check_flags_violations():
 def test_envelope_check_multiplier_distance():
     consts = analysis.UubConstants(
         Lambda_min=0.5, Lambda_max=2.0, beta1=1.0, beta2=5.0,
-        lambda_star=(3.0,), alpha1=0.5, alpha2=0.5, assumption_met=True,
+        lambda_star=(3.0,), assumption_met=True,
     )
     t = np.linspace(0.0, 2.0, 21)
     lam = np.full_like(t, 3.0)  # parked at lambda*, contributes nothing
@@ -134,7 +133,7 @@ def test_envelope_check_multiplier_distance():
     assert report.n_violations == 0
     bad = analysis.UubConstants(
         Lambda_min=0.5, Lambda_max=2.0, beta1=1.0, beta2=5.0,
-        lambda_star=(3.0, 1.0), alpha1=0.5, alpha2=0.5, assumption_met=True,
+        lambda_star=(3.0, 1.0), assumption_met=True,
     )
     with pytest.raises(ValueError):
         analysis.envelope_check(log, bad)

@@ -1,5 +1,6 @@
 import json
 import logging
+import warnings
 from collections import Counter
 from dataclasses import replace
 
@@ -121,6 +122,21 @@ def test_run_rejects_badly_typed_value_by_key(tmp_path, capsys, key, value):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("key", ["log_every", "stack.size", "stack.record_every"])
+def test_parse_reads_whole_number_counts_as_int(key):
+    raw = cli.config_to_dict(cli.load_config("sec5a"))
+    owner, name = (raw["stack"], key.split(".", 1)[1]) if key.startswith("stack.") else (raw, key)
+    owner[name] = 7
+    as_int = cli.parse_config(json.dumps(raw))
+    owner[name] = 7.0
+    text = json.dumps(raw)
+    assert f'"{name}": 7.0' in text
+    cfg = cli.parse_config(text)
+    stored = getattr(cfg.stack, name) if owner is raw["stack"] else getattr(cfg, name)
+    assert type(stored) is int and stored == 7
+    assert cli.config_to_dict(cfg) == cli.config_to_dict(as_int)
+
+
 def test_parse_applies_gain_promotion():
     cfg = cli.load_config("sec5a")
     assert len(cfg.control_gain) == 2
@@ -168,6 +184,23 @@ def test_run_reports_breach_on_coarse_step(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("BarrierBreach at t=")
+
+
+def test_run_reports_divergence_without_traceback(tmp_path, capsys):
+    # an RK4 stage overflows to inf and the plant's regressor raises on it
+    raw = cli.config_to_dict(replace(cli.load_config("sec5a"), law="gradient", dt=0.02,
+                                     t_final=2.0, control_gain=200.0))
+    path = tmp_path / "diverging.json"
+    path.write_text(json.dumps(raw))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("NumericalDivergence at t=")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_run_rejects_infeasible_start(tmp_path, capsys):

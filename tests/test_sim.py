@@ -361,6 +361,35 @@ def test_lambda_star_only_for_barrier_laws():
     assert "lambda_star" not in log_g.meta
 
 
+@pytest.mark.parametrize("law", ["gradient", "barrier_constrained"])
+def test_callback_error_on_a_finite_state_propagates(monkeypatch, law):
+    # the divergence check replays a failed step; an error that a plant
+    # raises on a finite state must still come out as itself
+    from baradapt import model
+
+    base = model.benchmark_plant()
+
+    def picky(x):
+        if x[0] < 9.5:
+            raise ValueError("picky regressor")
+        return base.regressor(x)
+
+    monkeypatch.setitem(model.PLANTS, "picky", lambda: replace(base, regressor=picky))
+    with pytest.raises(ValueError, match="picky regressor"):
+        run_scenario(barrier_cfg(plant="picky", law=law, t_final=0.1))
+
+
+def test_log_value_past_the_finite_range_is_divergence():
+    # RK4 is unstable at k dt = 15: |e| grows about 1600x per step and passes
+    # 1e154, where its norm overflows, long before the state itself does
+    cfg = barrier_cfg(plant="zero_regressor", law="gradient", groups=(),
+                      stack=StackConfig(mode="none"), control_gain=300.0,
+                      dt=0.05, t_final=3.0)
+    with pytest.raises(NumericalDivergence, match="non-finite logged value") as err:
+        run_scenario(cfg)
+    assert 0.0 < err.value.time <= 3.0
+
+
 def test_final_state_meta():
     cfg = barrier_cfg(t_final=0.3)
     log = run_scenario(cfg)
@@ -369,8 +398,7 @@ def test_final_state_meta():
     assert final.x.shape == (2,)
     assert final.theta_hat.shape == (4,)
     assert len(final.lambdas) == 1
-    assert log.meta["config"] == canonical_config(cfg)
-    assert log.meta["context"].cfg is log.meta["config"]
+    assert log.meta["context"].cfg == canonical_config(cfg)
 
 
 def test_final_step_logged_when_log_every_does_not_divide():
