@@ -20,6 +20,7 @@ primal-dual pair.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,8 +64,8 @@ class MultiplierState:
             raise ValueError("multipliers must be non-negative")
         if any(v <= 0.0 for v in gi):
             raise ValueError("gamma_inv entries must be positive")
-        if self.alpha <= 0.0:
-            raise ValueError("alpha must be positive")
+        if not 0.0 < self.alpha < math.inf:  # NaN fails too
+            raise ValueError("alpha must be positive and finite")
 
     @property
     def n_constraints(self) -> int:
@@ -112,10 +113,10 @@ class UpdateLawConfig:
         try:
             law = UpdateLaw(self.law)
         except ValueError:
-            raise ValueError(f"law must be one of {[v.value for v in UpdateLaw]}, "
-                             f"got '{self.law}'") from None
-        if self.sigma2 < 0.0:
-            raise ValueError("sigma2 must be non-negative")
+            raise ValueError(f"unknown law '{self.law}' "
+                             f"(choose from {[v.value for v in UpdateLaw]})") from None
+        if not 0.0 <= self.sigma2 < math.inf:  # NaN fails too
+            raise ValueError("sigma2 must be non-negative and finite")
         object.__setattr__(self, "law", law)
         object.__setattr__(self, "learning_rate",
                            _diagonal(self.learning_rate, self.dim_param, "learning_rate"))

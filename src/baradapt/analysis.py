@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .adaptation import UpdateLawConfig, lagrangian_gradient
+from .adaptation import UpdateLawConfig, _lambda_dot, lagrangian_gradient
 
 Array = np.ndarray
 
@@ -185,16 +185,15 @@ class KktResiduals(NamedTuple):
 def kkt_residuals(cfg: UpdateLawConfig, e, Y, stack, groups, lambdas,
                   theta_hat, theta_true) -> KktResiduals:
     """Stationarity ||grad_theta L|| and the largest complementary-slackness
-    defect |lambda_i * (-alpha lambda_i + (Gamma^{-1} c)_i)| over all
-    constraints."""
+    defect |lambda_i * lambda_dot_i| over all constraints; where lambda_i > 0
+    the projection passes -alpha lambda_i + (Gamma^{-1} c)_i through."""
     grad = lagrangian_gradient(cfg, e, Y, stack, groups, lambdas, theta_hat, theta_true)
     stationarity = float(np.linalg.norm(grad))
     comp = 0.0
     th = np.asarray(theta_hat, dtype=float)
     for group, ms in zip(groups, lambdas):
         lam = ms.lam_array
-        c = group.values(th)
-        defect = lam * (-ms.alpha * lam + ms.gamma_inv_array * c)
+        defect = lam * _lambda_dot(lam, ms.alpha, ms.gamma_inv_array, group.values(th))
         if defect.size:
             comp = max(comp, float(np.max(np.abs(defect))))
     return KktResiduals(stationarity=stationarity, complementary_slackness=comp)

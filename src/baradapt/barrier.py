@@ -84,15 +84,15 @@ class ConstraintGroup:
                     f"component bounds must have length {self.dim_param}, "
                     f"got {len(lo)} and {len(hi)}"
                 )
-            if not all(a < b for a, b in zip(lo, hi)):
-                raise ValueError("component bounds require lower < upper elementwise")
+            if not all(-math.inf < a < b < math.inf for a, b in zip(lo, hi)):
+                raise ValueError("component bounds require finite lower < upper elementwise")
             object.__setattr__(self, "lower", lo)
             object.__setattr__(self, "upper", hi)
         else:
             lo = float(np.squeeze(self.lower))
             hi = float(np.squeeze(self.upper))
-            if not 0.0 < lo < hi:
-                raise ValueError("norm bounds require 0 < lower < upper")
+            if not 0.0 < lo < hi < math.inf:
+                raise ValueError("norm bounds require 0 < lower < upper < inf")
             if barrier is BarrierKind.LOG and not self.norm_log_ok:
                 raise ValueError(
                     "norm bounds with the log barrier are an extension; "

@@ -22,7 +22,6 @@ from importlib import resources
 from pathlib import Path
 
 from . import analysis
-from .adaptation import UpdateLaw
 from .errors import BarrierBreach, ConfigError, NumericalDivergence
 from .history import write_csv
 from .sim import (
@@ -135,11 +134,14 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
 
 
 def load_config(spec: str) -> ScenarioConfig:
-    """Load a scenario from a file path or a bundled config name
-    (sec5a, sec5b, sec5c, sanity)."""
+    """Load a scenario from a file path or, when spec names no file, a
+    bundled config name (sec5a, sec5b, sec5c, sanity)."""
     path = Path(spec)
-    if path.exists():
-        return parse_config(path.read_text())
+    if path.is_file():
+        try:
+            return parse_config(path.read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError) as err:
+            raise ConfigError(f"config '{spec}' could not be read: {err}") from None
     name = spec[:-5] if spec.endswith(".json") else spec
     res = resources.files("baradapt").joinpath("configs", f"{name}.json")
     if res.is_file():
@@ -211,11 +213,29 @@ def scenario_summary(trajectory: TrajectoryLog, runtime_seconds: float) -> str:
 
 
 def _load_with_overrides(args) -> ScenarioConfig:
-    """The loaded config with --dt / --t-final applied; whatever runs or
-    writes it next (run_scenario, config_to_dict) validates the result."""
+    """The loaded config with --dt / --t-final applied; each command
+    validates the result (config_to_dict, canonical_config) before it
+    writes anything."""
     changes = {key: getattr(args, key) for key in ("dt", "t_final")
                if getattr(args, key) is not None}
     return replace(load_config(args.config), **changes)
+
+
+def _run_lanes(out: Path, lanes) -> list[tuple[TrajectoryLog, float]]:
+    """Run (config, CSV path) lanes in order and write each trajectory;
+    returns (log, runtime_seconds) per lane.  Creates out; callers check
+    every config before this, so bad input leaves nothing behind."""
+    out.mkdir(parents=True, exist_ok=True)
+    results = []
+    for cfg, csv_path in lanes:
+        log.info("running %s into %s", cfg.name, csv_path)
+        started = time.perf_counter()
+        trajectory = run_scenario(cfg)
+        runtime = time.perf_counter() - started
+        csv_path.parent.mkdir(exist_ok=True)
+        trajectory.to_csv(csv_path)
+        results.append((trajectory, runtime))
+    return results
 
 
 def cmd_run(args) -> int:
@@ -226,11 +246,7 @@ def cmd_run(args) -> int:
     with open(out / "effective_config.json", "w") as fh:
         json.dump(effective, fh, indent=2)
         fh.write("\n")
-    log.info("running scenario %s", cfg.name)
-    started = time.perf_counter()
-    trajectory = run_scenario(cfg)
-    runtime = time.perf_counter() - started
-    trajectory.to_csv(out / "trajectory.csv")
+    [(trajectory, runtime)] = _run_lanes(out, [(cfg, out / "trajectory.csv")])
     summary = scenario_summary(trajectory, runtime_seconds=runtime)
     (out / "summary.txt").write_text(summary)
     print(f"run {cfg.name}: {trajectory.n_rows} rows in {runtime:.2f}s, "
@@ -241,25 +257,14 @@ def cmd_run(args) -> int:
 def cmd_compare(args) -> int:
     base = _load_with_overrides(args)
     laws = [token.strip() for token in args.laws.split(",") if token.strip()]
-    valid = [v.value for v in UpdateLaw]
-    for law_name in laws:
-        if law_name not in valid:
-            raise ConfigError(f"unknown law '{law_name}' (choose from {valid})")
     if not laws:
         raise ConfigError("no laws given")
+    cfgs = [canonical_config(replace(base, law=law_name)) for law_name in laws]
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for law_name in laws:
-        log.info("compare: running %s under %s", base.name, law_name)
-        trajectory = run_scenario(replace(base, law=law_name))
-        trajectory.to_csv(out / f"{law_name}.csv")
-        rows.append([
-            law_name,
-            steady_state_rms(trajectory),
-            min_margin(trajectory),
-            float(trajectory.column("theta_err_norm")[-1]),
-        ])
+    results = _run_lanes(out, [(cfg, out / f"{cfg.law}.csv") for cfg in cfgs])
+    rows = [[cfg.law, steady_state_rms(trajectory), min_margin(trajectory),
+             float(trajectory.column("theta_err_norm")[-1])]
+            for cfg, (trajectory, _) in zip(cfgs, results)]
     write_csv(out / "compare.csv",
                ["law", "steady_state_rms", "min_margin", "final_theta_err_norm"],
                rows)
@@ -269,14 +274,11 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _apply_sweep(cfg: ScenarioConfig, key: str, value: float) -> ScenarioConfig:
-    if key not in SWEEPS:
-        raise ConfigError(f"unknown sweep key '{key}' (choose from {tuple(SWEEPS)})")
-    return SWEEPS[key](cfg, value)
-
-
 def cmd_sweep(args) -> int:
     base = _load_with_overrides(args)
+    key = args.sweep_key
+    if key not in SWEEPS:
+        raise ConfigError(f"unknown sweep key '{key}' (choose from {tuple(SWEEPS)})")
     try:
         values = [float(token) for token in args.sweep_values.split(",") if token.strip()]
     except ValueError:
@@ -284,26 +286,14 @@ def cmd_sweep(args) -> int:
     if not values:
         raise ConfigError("no sweep values given")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for value in values:
-        cfg = _apply_sweep(base, args.sweep_key, value)
-        log.info("sweep: %s = %g", args.sweep_key, value)
-        trajectory = run_scenario(cfg)
-        run_dir = out / f"{args.sweep_key}_{value:g}"
-        run_dir.mkdir(parents=True, exist_ok=True)
-        trajectory.to_csv(run_dir / "trajectory.csv")
-        rows.append([
-            value,
-            steady_state_rms(trajectory),
-            float(trajectory.column("theta_err_norm")[-1]),
-        ])
-    write_csv(out / "sweep.csv",
-               [args.sweep_key, "steady_state_rms", "final_theta_err_norm"],
-               rows)
+    lanes = [(canonical_config(SWEEPS[key](base, value)),
+              out / f"{key}_{value:g}" / "trajectory.csv") for value in values]
+    results = _run_lanes(out, lanes)
+    rows = [[value, steady_state_rms(trajectory), float(trajectory.column("theta_err_norm")[-1])]
+            for value, (trajectory, _) in zip(values, results)]
+    write_csv(out / "sweep.csv", [key, "steady_state_rms", "final_theta_err_norm"], rows)
     for row in rows:
-        print(f"sweep {args.sweep_key}={row[0]:g}: rms={row[1]:.4e} "
-              f"theta_err={row[2]:.4e}")
+        print(f"sweep {key}={row[0]:g}: rms={row[1]:.4e} theta_err={row[2]:.4e}")
     return 0
 
 

@@ -50,8 +50,8 @@ def estimate_state_derivative(times, states) -> Array:
 class HistoryStack:
     """Bounded stack of recorded regressor data with cached gram matrix."""
 
-    def __init__(self, dim_state: int, dim_param: int, capacity: int = 20,
-                 min_eig_threshold: float = 1e-3):
+    def __init__(self, dim_state: int, dim_param: int, capacity: int,
+                 min_eig_threshold: float):
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
         if min_eig_threshold < 0:
@@ -104,9 +104,12 @@ class HistoryStack:
         self._min_eig = None
 
     def excitation_level(self) -> float:
-        """Minimum eigenvalue of the gram matrix (0 for an empty stack)."""
+        """Minimum eigenvalue of the gram matrix; 0 for an empty stack, and
+        for one at or below round-off (matrix_rank's tolerance)."""
         if self._min_eig is None:
-            self._min_eig = max(float(np.linalg.eigvalsh(self._gram)[0]), 0.0)
+            eigs = np.linalg.eigvalsh(self._gram)
+            tol = self.dim_param * np.finfo(float).eps * eigs[-1]
+            self._min_eig = float(eigs[0]) if eigs[0] > tol else 0.0
         return self._min_eig
 
     @property

@@ -47,12 +47,12 @@ def gradient_run():
 def gain_sweep_runs(sec5a_run):
     """Steady-state tracking RMS keyed by control gain; the k=10 member is
     the sec5a session run itself."""
-    from baradapt.cli import _apply_sweep
+    from baradapt.cli import SWEEPS
     from baradapt.sim import steady_state_rms
 
     base, base_log, _ = sec5a_run
     out = {10.0: steady_state_rms(base_log)}
     for k in (5.0, 20.0):
-        cfg = _apply_sweep(base, "control_gain", k)
+        cfg = SWEEPS["control_gain"](base, k)
         out[k] = steady_state_rms(run_scenario(cfg))
     return out

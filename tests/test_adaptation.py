@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ def make_stack(n_entries=6, seed=3):
     """Stack of exact model data, so cl_term(theta) vanishes at the truth."""
     rng = np.random.default_rng(seed)
     plant = benchmark_plant()
-    stack = HistoryStack(2, 4, capacity=20)
+    stack = HistoryStack(2, 4, capacity=20, min_eig_threshold=1e-3)
     for _ in range(n_entries):
         x = rng.uniform(-2.0, 2.0, size=2)
         u = rng.uniform(-1.0, 1.0, size=2)
@@ -66,6 +68,9 @@ def test_multiplier_state_validation():
         MultiplierState(lam=(1.0,), gamma_inv=(1.0,), alpha=0.0)
     with pytest.raises(ValueError):
         MultiplierState(lam=(1.0, 1.0), gamma_inv=(1.0,), alpha=0.1)
+    for alpha in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^alpha must be positive and finite"):
+            MultiplierState(lam=(1.0,), gamma_inv=(1.0,), alpha=alpha)
 
 
 def test_lambda_dot_hand_values():
@@ -91,6 +96,11 @@ def test_update_law_config_promotion():
         UpdateLawConfig(law="gradient", dim_param=4, learning_rate=(1.0, 1.0))
     with pytest.raises(ValueError):
         UpdateLawConfig(law="gradient", dim_param=4, learning_rate=1.0, sigma2=-1.0)
+    for sigma2 in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^sigma2 must be non-negative and finite"):
+            UpdateLawConfig(law="gradient", dim_param=4, learning_rate=1.0, sigma2=sigma2)
+    with pytest.raises(ValueError, match=r"^unknown law 'newton' \(choose from \['gradient'"):
+        UpdateLawConfig(law="newton", dim_param=4, learning_rate=1.0)
 
 
 def test_gradient_law_hand_value():
@@ -170,7 +180,7 @@ def test_law_terms_skipped_not_zeroed():
                              learning_rate=0.075)
     cfg_bar = UpdateLawConfig(law=UpdateLaw.BARRIER_CONSTRAINED, dim_param=4,
                               learning_rate=0.075)
-    empty = HistoryStack(2, 4, capacity=20)
+    empty = HistoryStack(2, 4, capacity=20, min_eig_threshold=1e-3)
     plant = benchmark_plant()
     e = np.array([0.3, -0.2])
     Y = plant.eval_regressor([0.7, -1.3])

@@ -158,6 +158,12 @@ def test_constructor_validation():
         norm_bounds(0.0, 28.0, dim_param=4)  # lower must be positive
     with pytest.raises(ValueError):
         norm_bounds(28.0, 25.0, dim_param=4)
+    with pytest.raises(ValueError, match="< inf"):
+        norm_bounds(25.0, math.inf, dim_param=4)
+    with pytest.raises(ValueError, match="finite"):
+        component_bounds(LO, HI[:3] + [math.inf])
+    with pytest.raises(ValueError, match="finite"):
+        component_bounds([-math.inf] + LO[1:], HI)
     with pytest.raises(ValueError):
         ConstraintGroup(kind="component", barrier="inverse",
                         lower=(0.0,), upper=(1.0,), dim_param=2)

@@ -52,6 +52,29 @@ def test_load_config_accepts_path_and_suffixed_name(tmp_path):
         cli.load_config("sec5z")
 
 
+def test_load_config_skips_a_directory_of_the_same_name(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sanity").mkdir()
+    assert cli.load_config("sanity") == cli.load_config("sanity.json")
+    # the first run's output directory shadows the bundled name for the second
+    for _ in range(2):
+        assert cli.main(["run", "--config", "sanity", "--out", "sanity",
+                         "--t-final", "0.05"]) == 0
+    assert (tmp_path / "sanity" / "summary.txt").is_file()
+
+
+def test_load_config_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"name": "caf\xe9"}')
+    with pytest.raises(ConfigError, match="latin1.json' could not be read"):
+        cli.load_config(str(path))
+    rc = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: config '") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_parse_rejects_malformed_text():
     with pytest.raises(ConfigError, match="invalid JSON"):
         cli.parse_config("{not json")
@@ -314,6 +337,29 @@ def test_sweep_rejects_bad_key_and_values(tmp_path, capsys):
     rc = cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "s"),
                    "--sweep-key", "alpha", "--sweep-values", ","])
     assert rc == 2
+
+
+BAD_LANES = [
+    (["sweep", "--sweep-key", "bogus", "--sweep-values", "1"], "unknown sweep key 'bogus'"),
+    (["sweep", "--sweep-key", "alpha", "--sweep-values", "0.1,-1"], "groups[1].alpha "),
+    (["sweep", "--sweep-key", "control_gain", "--sweep-values", "5,nan"],
+     "control_gain must be finite"),
+    (["sweep", "--sweep-key", "alpha", "--sweep-values", "nan"], "groups[1].alpha "),
+    (["sweep", "--sweep-key", "alpha", "--sweep-values", "inf"], "groups[1].alpha "),
+    (["compare", "--laws", "gradient,newton"], "unknown law 'newton'"),
+]
+
+
+@pytest.mark.parametrize("argv,message", BAD_LANES,
+                         ids=[" ".join(argv[1:]) for argv, _ in BAD_LANES])
+def test_bad_lane_writes_nothing(tmp_path, capsys, argv, message):
+    path, _ = short_config_file(tmp_path)
+    out = tmp_path / "out"
+    rc = cli.main([argv[0], "--config", str(path), "--out", str(out), *argv[1:]])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"config error: {message}")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

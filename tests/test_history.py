@@ -39,7 +39,7 @@ def test_derivative_window_validation():
 
 
 def test_append_until_capacity():
-    stack = HistoryStack(2, 4, capacity=3)
+    stack = HistoryStack(2, 4, capacity=3, min_eig_threshold=1e-3)
     Y = np.eye(2, 4)
     assert len(stack) == 0
     for k in range(3):
@@ -49,7 +49,7 @@ def test_append_until_capacity():
 
 def test_gram_and_cl_term_recomputed_from_entries():
     rng = np.random.default_rng(2)
-    stack = HistoryStack(2, 4, capacity=10)
+    stack = HistoryStack(2, 4, capacity=10, min_eig_threshold=1e-3)
     for _ in range(7):
         stack.try_insert(rng.normal(size=(2, 4)), rng.normal(size=2),
                          rng.normal(size=2))
@@ -65,14 +65,14 @@ def test_gram_and_cl_term_recomputed_from_entries():
 
 
 def test_cl_term_empty_stack_is_zero():
-    stack = HistoryStack(2, 4)
+    stack = HistoryStack(2, 4, capacity=20, min_eig_threshold=1e-3)
     assert np.array_equal(stack.cl_term(np.ones(4)), np.zeros(4))
     assert stack.excitation_level() == 0.0
     assert not stack.assumption_met
 
 
 def test_swap_accepts_only_improvements():
-    stack = HistoryStack(2, 2, capacity=2)
+    stack = HistoryStack(2, 2, capacity=2, min_eig_threshold=1e-3)
     # two aligned entries leave the second direction unexcited
     weak = np.array([[1.0, 0.0], [0.0, 0.0]])
     stack.try_insert(weak, np.zeros(2), np.zeros(2))
@@ -91,7 +91,7 @@ def test_swap_accepts_only_improvements():
 
 def test_excitation_never_decreases_under_random_inserts():
     rng = np.random.default_rng(23)
-    stack = HistoryStack(2, 4, capacity=5)
+    stack = HistoryStack(2, 4, capacity=5, min_eig_threshold=1e-3)
     prev = stack.excitation_level()
     for _ in range(300):
         scale = rng.choice([0.01, 1.0, 10.0])
@@ -112,7 +112,7 @@ def test_assumption_threshold():
 
 
 def test_entry_validation():
-    stack = HistoryStack(2, 4, capacity=2)
+    stack = HistoryStack(2, 4, capacity=2, min_eig_threshold=1e-3)
     with pytest.raises(ValueError):
         stack.try_insert(np.zeros((3, 4)), np.zeros(2), np.zeros(2))
     with pytest.raises(ValueError):
@@ -123,7 +123,7 @@ def test_entry_validation():
 
 
 def test_zero_capacity_accepts_nothing():
-    stack = HistoryStack(2, 4, capacity=0)
+    stack = HistoryStack(2, 4, capacity=0, min_eig_threshold=1e-3)
     assert not stack.try_insert(np.ones((2, 4)), np.zeros(2), np.zeros(2))
     assert len(stack) == 0
 
@@ -131,7 +131,7 @@ def test_zero_capacity_accepts_nothing():
 def test_fill_with_exact_model_data_consistency():
     plant = benchmark_plant()
     traj = benchmark_trajectory()
-    stack = HistoryStack(2, 4, capacity=20)
+    stack = HistoryStack(2, 4, capacity=20, min_eig_threshold=1e-3)
     states = [traj.at(float(t))[0] for t in np.linspace(1.0, 30.0, 20)]
     accepted = fill_with_exact_model_data(stack, plant, states)
     assert accepted == 20
@@ -143,7 +143,7 @@ def test_fill_with_exact_model_data_consistency():
 
 def test_to_csv_round_trip():
     rng = np.random.default_rng(9)
-    stack = HistoryStack(2, 4, capacity=3)
+    stack = HistoryStack(2, 4, capacity=3, min_eig_threshold=1e-3)
     for _ in range(3):
         stack.try_insert(rng.normal(size=(2, 4)), rng.normal(size=2),
                          rng.normal(size=2))
