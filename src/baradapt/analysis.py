@@ -45,9 +45,16 @@ def lyapunov_value(e, theta_tilde, lambda_tilde, learning_rate, gamma) -> float:
         raise ValueError("gamma must match lambda_tilde in length")
     if np.any(P <= 0.0) or np.any(g <= 0.0):
         raise ValueError("P and Gamma diagonals must be positive")
-    return float(
-        0.5 * e @ e + 0.5 * tilde @ (tilde / P) + 0.5 * lam_tilde @ (g * lam_tilde)
-    )
+    return float(_lyapunov(e, tilde, lam_tilde, P, g))
+
+
+def _lyapunov(e: Array, tilde: Array, lam_tilde: Array, P: Array, g: Array) -> Array:
+    """lyapunov_value of each row, without argument checks: e, tilde and
+    lam_tilde have shapes (..., n), (..., p) and (..., len(g)), and P and g
+    are positive.  np.vecdot takes the same dot products as @ does, so a
+    row's value is bitwise that of the row on its own."""
+    return (np.vecdot(0.5 * e, e) + np.vecdot(0.5 * tilde, tilde / P)
+            + np.vecdot(0.5 * lam_tilde, g * lam_tilde))
 
 
 @dataclass(frozen=True)

@@ -141,8 +141,18 @@ class ConstraintGroup:
     def feasibility(self, theta_hat) -> Feasibility:
         """Strict feasibility plus the worst-case slack.  Margin 0 (a bound
         hit exactly) counts as infeasible."""
-        margin = float(self.slacks(theta_hat).min())
+        margin = float(self._margin(self._check_theta(theta_hat)))
         return Feasibility(margin > 0.0, margin)
+
+    def _margin(self, th: Array) -> Array:
+        """Smallest slack of each row of th, without argument checks: th has
+        shape (..., dim_param).  Each row's value is bitwise that of
+        _slacks(row).min(); np.vecdot takes the same dot product as
+        th @ th."""
+        if self._component:
+            return np.minimum(th - self._lo, self._hi - th).min(axis=-1)
+        r = np.sqrt(np.vecdot(th, th))
+        return np.minimum(r - self._lo, self._hi - r)
 
     # -- barrier values and gradients --------------------------------------
 

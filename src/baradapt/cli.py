@@ -221,6 +221,19 @@ def _load_with_overrides(args) -> ScenarioConfig:
     return replace(load_config(args.config), **changes)
 
 
+def _reject_shared_paths(out: Path, labels, lanes) -> None:
+    """Lanes asked for under different labels (--laws or --sweep-values
+    tokens) must write different files, or the later one would silently
+    overwrite the earlier.  A repeated label is the same lane run again,
+    which writes the same bytes."""
+    first = {}
+    for label, (_, csv_path) in zip(labels, lanes):
+        other = first.setdefault(csv_path, label)
+        if other != label:
+            raise ConfigError(f"'{other}' and '{label}' both write "
+                              f"'{csv_path.relative_to(out)}'")
+
+
 def _run_lanes(out: Path, lanes) -> list[tuple[TrajectoryLog, float]]:
     """Run (config, CSV path) lanes in order and write each trajectory;
     returns (log, runtime_seconds) per lane.  Creates out; callers check
@@ -261,7 +274,9 @@ def cmd_compare(args) -> int:
         raise ConfigError("no laws given")
     cfgs = [canonical_config(replace(base, law=law_name)) for law_name in laws]
     out = Path(args.out)
-    results = _run_lanes(out, [(cfg, out / f"{cfg.law}.csv") for cfg in cfgs])
+    lanes = [(cfg, out / f"{cfg.law}.csv") for cfg in cfgs]
+    _reject_shared_paths(out, laws, lanes)
+    results = _run_lanes(out, lanes)
     rows = [[cfg.law, steady_state_rms(trajectory), min_margin(trajectory),
              float(trajectory.column("theta_err_norm")[-1])]
             for cfg, (trajectory, _) in zip(cfgs, results)]
@@ -279,8 +294,9 @@ def cmd_sweep(args) -> int:
     key = args.sweep_key
     if key not in SWEEPS:
         raise ConfigError(f"unknown sweep key '{key}' (choose from {tuple(SWEEPS)})")
+    tokens = [token.strip() for token in args.sweep_values.split(",") if token.strip()]
     try:
-        values = [float(token) for token in args.sweep_values.split(",") if token.strip()]
+        values = [float(token) for token in tokens]
     except ValueError:
         raise ConfigError(f"sweep values must be numbers, got '{args.sweep_values}'")
     if not values:
@@ -288,6 +304,7 @@ def cmd_sweep(args) -> int:
     out = Path(args.out)
     lanes = [(canonical_config(SWEEPS[key](base, value)),
               out / f"{key}_{value:g}" / "trajectory.csv") for value in values]
+    _reject_shared_paths(out, tokens, lanes)
     results = _run_lanes(out, lanes)
     rows = [[value, steady_state_rms(trajectory), float(trajectory.column("theta_err_norm")[-1])]
             for value, (trajectory, _) in zip(values, results)]

@@ -44,7 +44,14 @@ def estimate_state_derivative(times, states) -> Array:
     if h <= 0 or np.any(np.abs(steps - h) > 1e-6 * abs(h)):
         raise ValueError("samples must be equally spaced in time")
     mid = len(t) // 2
-    return (x[mid + 1] - x[mid - 1]) / (t[mid + 1] - t[mid - 1])
+    return _central_difference(x[mid - 1], x[mid + 1], t[mid - 1], t[mid + 1])
+
+
+def _central_difference(x_before: Array, x_after: Array, t_before: float,
+                        t_after: float) -> Array:
+    """estimate_state_derivative from the two outer samples, unchecked:
+    t_after > t_before and the states have equal shapes."""
+    return (x_after - x_before) / (t_after - t_before)
 
 
 class HistoryStack:
@@ -61,7 +68,9 @@ class HistoryStack:
         self.capacity = int(capacity)
         self.min_eig_threshold = float(min_eig_threshold)
         self._entries: list[StackEntry] = []
-        self._entry_grams: list[Array] = []  # Y_k^T Y_k, parallel to _entries
+        # Y_k^T Y_k of each entry, stacked in entry order, so a full-stack
+        # try_insert forms every trial gram in one subtraction
+        self._grams = np.empty((0, self.dim_param, self.dim_param))
         self._gram = np.zeros((self.dim_param, self.dim_param))
         # cached sum_k Y_k^T (xdot_hat_k - u_k); cl_term is this minus gram @ theta
         self._proj = np.zeros(self.dim_param)
@@ -96,7 +105,7 @@ class HistoryStack:
     def _recompute(self):
         gram = np.zeros((self.dim_param, self.dim_param))
         proj = np.zeros(self.dim_param)
-        for ent, ent_gram in zip(self._entries, self._entry_grams):
+        for ent, ent_gram in zip(self._entries, self._grams):
             gram += ent_gram
             proj += ent.Y.T @ (ent.xdot_hat - ent.u)
         self._gram = gram
@@ -127,23 +136,23 @@ class HistoryStack:
         cand_gram = cand.Y.T @ cand.Y
         if len(self._entries) < self.capacity:
             self._entries.append(cand)
-            self._entry_grams.append(cand_gram)
+            self._grams = np.concatenate([self._grams, cand_gram[None]])
             self._recompute()
             return True
         current = self.excitation_level()
         # every trial swap at once: one batched eigvalsh over the stacked
         # grams; argmax keeps the first of equally good swaps
-        trials = self._gram - np.array(self._entry_grams) + cand_gram
+        trials = self._gram - self._grams + cand_gram
         eigs = np.linalg.eigvalsh(trials)[:, 0]
         best_idx = int(np.argmax(eigs))
         if eigs[best_idx] <= current * (1.0 + 1e-12):
             return False
-        removed = self._entries[best_idx], self._entry_grams[best_idx]
-        self._entries[best_idx], self._entry_grams[best_idx] = cand, cand_gram
+        removed = self._entries[best_idx], self._grams[best_idx].copy()
+        self._entries[best_idx], self._grams[best_idx] = cand, cand_gram
         self._recompute()
         # guard against trial-vs-recomputed eigenvalue drift near the margin
         if self.excitation_level() <= current:
-            self._entries[best_idx], self._entry_grams[best_idx] = removed
+            self._entries[best_idx], self._grams[best_idx] = removed
             self._recompute()
             return False
         return True

@@ -15,6 +15,7 @@ logs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from enum import Enum
 from itertools import accumulate
 from numbers import Real
 from typing import Callable
@@ -43,7 +44,7 @@ from .errors import (
 )
 from .history import (
     HistoryStack,
-    estimate_state_derivative,
+    _central_difference,
     fill_with_exact_model_data,
     write_csv,
 )
@@ -150,6 +151,12 @@ def _as_tuple(value, length: int, key: str) -> tuple[float, ...]:
     return tuple(float(v) for v in arr)
 
 
+def _lowered(value) -> str:
+    """A law, kind or barrier field as lower-case text; an enum member
+    (UpdateLaw, ConstraintKind, BarrierKind) reads as its value."""
+    return str(value.value if isinstance(value, Enum) else value).lower()
+
+
 def _checked(key_prefix: str, build):
     """Call a constructor that validates its own arguments, re-raising its
     error as a ConfigError under the config key it was built from."""
@@ -176,7 +183,7 @@ def _compile(cfg: ScenarioConfig) -> tuple:
             f"trajectory '{cfg.trajectory}' has dimension {traj.dim}, plant needs {n}"
         )
     law_cfg = _checked("", lambda: UpdateLawConfig(
-        law=str(cfg.law).lower(), dim_param=p, learning_rate=cfg.learning_rate,
+        law=_lowered(cfg.law), dim_param=p, learning_rate=cfg.learning_rate,
         k_cl=cfg.k_cl, sigma2=cfg.sigma2,
     ))
     control_gain = _as_tuple(cfg.control_gain, n, "control_gain")
@@ -201,7 +208,7 @@ def _compile(cfg: ScenarioConfig) -> tuple:
     th = np.asarray(theta_hat0)
     for g_idx, grp in enumerate(cfg.groups, start=1):
         key = f"groups[{g_idx}]"
-        kind = str(grp.kind).lower()
+        kind = _lowered(grp.kind)
         if kind == ConstraintKind.COMPONENT.value:
             lower = _as_tuple(grp.lower, p, f"{key}.lower")
             upper = _as_tuple(grp.upper, p, f"{key}.upper")
@@ -210,7 +217,7 @@ def _compile(cfg: ScenarioConfig) -> tuple:
         else:
             raise ConfigError(f"{key}.kind must be component or norm, got '{grp.kind}'")
         group = _checked(f"{key}: ", lambda: ConstraintGroup(
-            kind=kind, barrier=str(grp.barrier).lower(), lower=lower, upper=upper,
+            kind=kind, barrier=_lowered(grp.barrier), lower=lower, upper=upper,
             dim_param=p, norm_log_ok=bool(grp.norm_log_ok),
         ))
         n_con = group.n_constraints
@@ -345,6 +352,10 @@ class RunContext:
             fill_with_exact_model_data(self.stack, self.plant, states)
         self.active_law = self.law
         self.refresh_active_law()
+        # the last two distinct reference times and values, newest first:
+        # RK4 stages 2 and 3 share t + dt/2, and stage 4's t + dt is
+        # usually the next step's t
+        self._ref_memo = (None, None, None, None)
 
     def uub_constants(self, sigma_bar1: float, lambda_star=None) -> analysis.UubConstants:
         """Decay constants of this run's gains over every constraint group
@@ -399,26 +410,36 @@ class RunContext:
     def rhs_flat(self, t: float, y: Array) -> Array:
         """The law kernel: closed-loop vector field at (t, y) under the
         active law.  Its inputs were validated when the context was
-        compiled, so it makes no per-call shape or sign checks."""
+        compiled, so it makes no per-call shape or sign checks.  The
+        reference is evaluated once per distinct t (traj.eval must be a
+        pure function of t, and its arrays are only read)."""
         n, p = self.n, self.p
         x = y[:n]
         th = y[n: n + p]
-        x_d, xdot_d = self.traj.eval(t)
+        t0, ref0, t1, ref1 = self._ref_memo
+        if t == t0:
+            x_d, xdot_d = ref0
+        elif t == t1:
+            x_d, xdot_d = ref1
+        else:
+            x_d, xdot_d = ref = self.traj.eval(t)
+            self._ref_memo = (t, ref, t0, ref0)
         Y = self.plant.regressor(x)
         e = x - x_d
-        yd = np.empty(self.state_size)
-        yd[:n] = Y @ self.theta + _control(xdot_d, Y, th, self.k, e)
-        forces = []
+        forces, lam_dots = [], []
         for grp, sl, alpha, gamma_inv in self._group_runtime:
             # floor stage multipliers at zero: RK stage combinations may dip
             # below the projection's domain even though accepted steps never do
             lam = np.maximum(y[sl], 0.0)
             values, force = grp._core(th, lam)
             forces.append(force)
-            yd[sl] = _lambda_dot(lam, alpha, gamma_inv, values)
-        yd[n: n + p] = _estimate_flow(self.active_law, self.P, self.kcl, self.cfg.sigma2,
-                                      e, Y, th, self.stack, forces)
-        return yd
+            lam_dots.append(_lambda_dot(lam, alpha, gamma_inv, values))
+        return np.concatenate([
+            Y @ self.theta + _control(xdot_d, Y, th, self.k, e),
+            _estimate_flow(self.active_law, self.P, self.kcl, self.cfg.sigma2,
+                           e, Y, th, self.stack, forces),
+            *lam_dots,
+        ])
 
 
 def build_context(cfg: ScenarioConfig) -> RunContext:
@@ -456,8 +477,9 @@ def _attempt(ctx: RunContext, t: float, y: Array, dt: float) -> Array:
     n, p = ctx.n, ctx.p
     th = out[n: n + p]
     for grp in ctx.groups if ctx.has_multipliers else ():
-        ok, margin = grp.feasibility(th)
-        if not ok:
+        # out is finite, so no slack is NaN and the list's min is theirs
+        margin = min(grp._slacks(th).tolist())
+        if margin <= 0.0:
             raise InfeasibleEvaluation(
                 f"step landed outside the feasible set (margin {margin:g})",
                 margin=margin,
@@ -594,8 +616,7 @@ def _record_sample(ctx: RunContext, k: int, y_prev: Array, y: Array, y_next: Arr
     at step k, and the central difference over steps k-1..k+1."""
     n, p, dt = ctx.n, ctx.p, ctx.cfg.dt
     x = y[:n]
-    xdot_hat = estimate_state_derivative([(k - 1) * dt, k * dt, (k + 1) * dt],
-                                         [y_prev[:n], x, y_next[:n]])
+    xdot_hat = _central_difference(y_prev[:n], y_next[:n], (k - 1) * dt, (k + 1) * dt)
     x_d, xdot_d = ctx.traj.eval(k * dt)
     Y = ctx.plant.regressor(x)
     u = _control(xdot_d, Y, y[n: n + p], ctx.k, x - x_d)
@@ -604,7 +625,10 @@ def _record_sample(ctx: RunContext, k: int, y_prev: Array, y: Array, y_next: Arr
 
 def _trajectory_log(ctx: RunContext, records) -> TrajectoryLog:
     """The log of (step, y, excitation, law) records.  Each column block is
-    named next to the values it holds.  The Lyapunov column uses the final
+    named next to the values it holds.  Derived columns are computed a whole
+    column at a time, by ConstraintGroup._margin, analysis._lyapunov and
+    np.vecdot; each value is bitwise what np.linalg.norm, feasibility or
+    lyapunov_value gives for its row.  The Lyapunov column uses the final
     logged multipliers as the stationary-multiplier estimate."""
     n, p = ctx.n, ctx.p
     steps, ys, excitation, laws = zip(*records)
@@ -634,16 +658,15 @@ def _trajectory_log(ctx: RunContext, records) -> TrajectoryLog:
         (numbered("x", n), x),
         (numbered("xd", n), x_d),
         (numbered("e", n), e),
-        (["e_norm"], [np.linalg.norm(row) for row in e]),
+        (["e_norm"], np.sqrt(np.vecdot(e, e))),
         (numbered("theta_hat", p), th),
         (numbered("theta_err", p), tilde),
-        (["theta_err_norm"], [np.linalg.norm(row) for row in tilde]),
+        (["theta_err_norm"], np.sqrt(np.vecdot(tilde, tilde))),
         (lam_names, lam),
         (numbered("margin", len(ctx.groups)),
-         [[grp.feasibility(row).margin for grp in ctx.groups] for row in th]),
+         np.transpose([grp._margin(th) for grp in ctx.groups])),
         (["excitation"], excitation),
-        (["lyapunov"], [analysis.lyapunov_value(e[i], tilde[i], lam_tilde[i], ctx.P, gamma)
-                        for i in range(len(ts))]),
+        (["lyapunov"], analysis._lyapunov(e, tilde, lam_tilde, ctx.P, gamma)),
         (["law_code"], [LAW_CODES[law] for law in laws]),
     ]
     columns = tuple(name for names, _ in blocks for name in names)

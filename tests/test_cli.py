@@ -347,6 +347,10 @@ BAD_LANES = [
     (["sweep", "--sweep-key", "alpha", "--sweep-values", "nan"], "groups[1].alpha "),
     (["sweep", "--sweep-key", "alpha", "--sweep-values", "inf"], "groups[1].alpha "),
     (["compare", "--laws", "gradient,newton"], "unknown law 'newton'"),
+    (["sweep", "--sweep-key", "control_gain", "--sweep-values", "5,5.0000001"],
+     "'5' and '5.0000001' both write 'control_gain_5"),
+    (["compare", "--laws", "gradient,GRADIENT"],
+     "'gradient' and 'GRADIENT' both write 'gradient.csv'"),
 ]
 
 

@@ -5,8 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from baradapt import sim
+from baradapt import analysis, sim
 from baradapt.adaptation import UpdateLaw, lambda_dot, theta_hat_dot
+from baradapt.barrier import BarrierKind, ConstraintKind
+from baradapt.cli import load_config
 from baradapt.errors import (
     BarrierBreach,
     ConfigError,
@@ -76,6 +78,20 @@ def test_canonical_promotes_scalars():
 def test_canonical_is_idempotent():
     cfg = canonical_config(barrier_cfg())
     assert canonical_config(cfg) == cfg
+
+
+def test_enum_members_canonicalise_as_their_values():
+    cases = [
+        (UpdateLaw.GRADIENT, SEC5A_GROUP, ConstraintKind.COMPONENT, BarrierKind.LOG),
+        (UpdateLaw.BARRIER_SIGMA_MOD, NORM_GROUP, ConstraintKind.NORM, BarrierKind.INVERSE),
+    ]
+    for law, group, kind, barrier in cases:
+        theta_hat0 = NORM_THETA if group is NORM_GROUP else (4.5, 8.0, 12.0, 15.0)
+        by_text = barrier_cfg(law=law.value, theta_hat0=theta_hat0,
+                              groups=(replace(group, barrier=barrier.value),))
+        by_enum = barrier_cfg(law=law, theta_hat0=theta_hat0,
+                              groups=(replace(group, kind=kind, barrier=barrier),))
+        assert canonical_config(by_enum) == canonical_config(by_text)
 
 
 def test_canonical_rejects_bad_values():
@@ -419,6 +435,44 @@ def test_to_csv_round_trip_exact():
     data = np.loadtxt(buf, delimiter=",")
     # %.17g preserves doubles exactly
     assert np.array_equal(data, log.data)
+
+
+@pytest.mark.parametrize("name", ["sec5a", "sec5b"])
+def test_derived_columns_match_their_row_helpers(name):
+    # sec5a has a component group, sec5b a norm group
+    log = run_scenario(replace(load_config(name), t_final=0.5))
+    ctx = log.meta["context"]
+    e, th, tilde = log.block("e"), log.block("theta_hat"), log.block("theta_err")
+    lam_tilde = log.multipliers() - np.asarray(log.meta["lambda_star"])
+    close = dict(rtol=1e-14, atol=0)
+    np.testing.assert_allclose(log.column("e_norm"), [np.linalg.norm(r) for r in e], **close)
+    np.testing.assert_allclose(log.column("theta_err_norm"),
+                               [np.linalg.norm(r) for r in tilde], **close)
+    for g, grp in enumerate(ctx.groups, start=1):
+        np.testing.assert_allclose(log.column(f"margin{g}"),
+                                   [grp.feasibility(r).margin for r in th], **close)
+    np.testing.assert_allclose(
+        log.column("lyapunov"),
+        [analysis.lyapunov_value(e[i], tilde[i], lam_tilde[i], ctx.P, ctx.gamma)
+         for i in range(log.n_rows)], **close)
+
+
+def test_reference_evaluated_once_per_distinct_stage_time(monkeypatch):
+    times = []
+    get_trajectory = sim.get_trajectory
+
+    def counted(name):
+        traj = get_trajectory(name)
+        return replace(traj, eval=lambda t: (times.append(t), traj.eval(t))[1])
+
+    monkeypatch.setattr(sim, "get_trajectory", counted)
+    cfg = replace(load_config("sec5a"), t_final=0.05)
+    log = run_scenario(cfg)
+    steps = 50
+    samples = steps // cfg.stack.record_every
+    # RK4's four stages have three distinct times; logged rows and stack
+    # samples read the reference once each
+    assert len(times) <= 3 * steps + log.n_rows + samples
 
 
 def test_lyapunov_column_decreases_overall():
