@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
+
 Array = np.ndarray
 
 
@@ -85,15 +87,18 @@ class MultiplierState:
         return 1.0 / self.gamma_inv_array
 
 
-def _diagonal(value, p: int, key: str) -> tuple[float, ...]:
-    """A positive finite gain diagonal of length p; a scalar fills it."""
+def _vector(value, length: int, key: str, positive: bool = False) -> tuple[float, ...]:
+    """value as a tuple of length finite floats, positive ones if asked; a
+    scalar fills every entry."""
     arr = np.atleast_1d(np.asarray(value, dtype=float))
     if arr.size == 1:
-        arr = np.full(p, arr[0])
-    if arr.shape != (p,):
-        raise ValueError(f"{key} must be a scalar or a vector of length {p}")
-    if not (np.all(arr > 0.0) and np.isfinite(arr).all()):
-        raise ValueError(f"{key} entries must be positive and finite")
+        arr = np.full(length, arr[0])
+    if arr.shape != (length,):
+        raise ConfigError(f"{key} must be a scalar or a vector of length {length}")
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"{key} must be finite")
+    if positive and not np.all(arr > 0.0):
+        raise ConfigError(f"{key} entries must be positive")
     return tuple(arr.tolist())
 
 
@@ -118,9 +123,9 @@ class UpdateLawConfig:
         if not 0.0 <= self.sigma2 < math.inf:  # NaN fails too
             raise ValueError("sigma2 must be non-negative and finite")
         object.__setattr__(self, "law", law)
-        object.__setattr__(self, "learning_rate",
-                           _diagonal(self.learning_rate, self.dim_param, "learning_rate"))
-        object.__setattr__(self, "k_cl", _diagonal(self.k_cl, self.dim_param, "k_cl"))
+        for key in ("learning_rate", "k_cl"):
+            object.__setattr__(self, key, _vector(getattr(self, key), self.dim_param, key,
+                                                  positive=True))
         object.__setattr__(self, "sigma2", float(self.sigma2))
 
     @property
@@ -150,21 +155,12 @@ def _project(a: Array, b: Array) -> Array:
 
 
 def _lambda_dot(lam: Array, alpha: float, gamma_inv: Array, c_values: Array) -> Array:
-    """Multiplier flow, unchecked: lam must be non-negative."""
+    """Multiplier flow proj(-alpha lam + Gamma^{-1} c, lam), unchecked: lam
+    must be non-negative."""
     a = -alpha * lam + gamma_inv * c_values
     # the projection passes a through when no multiplier is at 0; a list
     # test is several times cheaper than lam.all() on a few entries
     return a if 0.0 not in lam.tolist() else _project(a, lam)
-
-
-def lambda_dot(ms: MultiplierState, c_values) -> Array:
-    """Multiplier flow proj(-alpha lam + Gamma^{-1} c, lam)."""
-    c = np.asarray(c_values, dtype=float)
-    if c.shape != (ms.n_constraints,):
-        raise ValueError(
-            f"constraint values have shape {c.shape}, expected ({ms.n_constraints},)"
-        )
-    return _lambda_dot(ms.lam_array, ms.alpha, ms.gamma_inv_array, c)
 
 
 def _control(xdot_d: Array, Y: Array, theta_hat: Array, k: Array, e: Array) -> Array:

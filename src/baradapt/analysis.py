@@ -66,7 +66,6 @@ class UubConstants:
     beta1: float
     beta2: float
     lambda_star: tuple[float, ...]
-    assumption_met: bool
 
     def envelope(self, t, z0_sq: float) -> Array:
         """Bound on ||z(t)||^2 given ||z(0)||^2."""
@@ -106,9 +105,8 @@ def uub_constants(control_gain, learning_rate, k_cl, gamma, alpha,
     Lambda_min = min(mins)
     Lambda_max = max(maxs)
 
-    assumption_met = sigma_bar1 > 0.0
     terms = [float(np.min(k))]
-    if assumption_met:
+    if sigma_bar1 > 0.0:
         terms.append(float(np.min(kcl)) * sigma_bar1)
     beta2 = 0.0
     if g.size:
@@ -124,7 +122,6 @@ def uub_constants(control_gain, learning_rate, k_cl, gamma, alpha,
         beta1=beta1,
         beta2=beta2,
         lambda_star=tuple(lam_star),
-        assumption_met=assumption_met,
     )
 
 

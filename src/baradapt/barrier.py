@@ -129,14 +129,12 @@ class ConstraintGroup:
         return th
 
     def _slacks(self, th: Array) -> Array:
+        """Distances to each bound, unchecked; positive iff the constraint
+        holds strictly."""
         if self._component:
             return np.concatenate([th - self._lo, self._hi - th])
         r = math.sqrt(th @ th)
         return np.array([r - self._lo, self._hi - r])
-
-    def slacks(self, theta_hat) -> Array:
-        """Distances to each bound; positive iff the constraint holds strictly."""
-        return self._slacks(self._check_theta(theta_hat))
 
     def feasibility(self, theta_hat) -> Feasibility:
         """Strict feasibility plus the worst-case slack.  Margin 0 (a bound
@@ -160,15 +158,11 @@ class ConstraintGroup:
         """Per-constraint barrier values, ordered lower block then upper."""
         return self._core(self._check_theta(theta_hat), 0.0)[0]
 
-    def gradients(self, theta_hat) -> Array:
-        """d(values)/d(theta_hat), one row per constraint."""
-        # weighting by the identity gives back the gradient rows themselves
-        return self._core(self._check_theta(theta_hat), self._eye)[1]
-
     def evaluate(self, theta_hat, lam) -> BarrierEval:
         """Values, gradients and sum_i lam_i * grad_i in one pass."""
         th = self._check_theta(theta_hat)
         lam = self._check_lam(lam)
+        # weighting by the identity gives back the gradient rows themselves
         values, rows = self._core(th, np.vstack([self._eye, lam]))
         return BarrierEval(values, rows[:-1], rows[-1])
 
@@ -193,13 +187,14 @@ class ConstraintGroup:
         (a scalar weights every constraint alike).
         Raises SingularGradient at theta_hat = 0 for a norm group, then
         InfeasibleEvaluation for a margin <= 0."""
-        s = self._slacks(th)
-        ds = self._jac
-        if not self._component:
+        if self._component:
+            s, ds = self._slacks(th), self._jac
+        else:
+            # one radius serves the slacks and the radial direction
             r = math.sqrt(th @ th)
             if r == 0.0:
                 raise SingularGradient("norm-constraint gradient undefined at theta_hat = 0")
-            ds = ds * (th / r)
+            s, ds = np.array([r - self._lo, self._hi - r]), self._jac * (th / r)
         margin = min(s.tolist())  # faster than s.min() on a few entries
         if margin <= 0.0:
             raise InfeasibleEvaluation(

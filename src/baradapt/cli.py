@@ -160,11 +160,11 @@ def bundled_config_names() -> list[str]:
 
 def scenario_summary(trajectory: TrajectoryLog, runtime_seconds: float) -> str:
     """Flat key-value block: final errors, margins, decay constants, KKT
-    residuals and the envelope report, all read off the run's own
-    context in trajectory.meta."""
+    residuals and the envelope report, all read off the log: its last row
+    is the final state, and its context in trajectory.meta the run's
+    gains and stack."""
     ctx = trajectory.meta["context"]
     cfg, stack = ctx.cfg, ctx.stack
-    final = trajectory.meta["final_state"]
     e_norm = float(trajectory.column("e_norm")[-1])
     tilde_norm = float(trajectory.column("theta_err_norm")[-1])
     excitation = float(trajectory.column("excitation")[-1])
@@ -182,7 +182,7 @@ def scenario_summary(trajectory: TrajectoryLog, runtime_seconds: float) -> str:
         f"assumption_met: {str(stack.assumption_met).lower()}",
     ]
 
-    consts = ctx.uub_constants(excitation, trajectory.meta.get("lambda_star"))
+    consts = ctx.uub_constants(excitation, trajectory.multipliers()[-1])
     lines += [
         f"uub_Lambda_min: {consts.Lambda_min:.10g}",
         f"uub_Lambda_max: {consts.Lambda_max:.10g}",
@@ -192,14 +192,14 @@ def scenario_summary(trajectory: TrajectoryLog, runtime_seconds: float) -> str:
     report = analysis.envelope_check(trajectory, consts)
     lines.append(report.as_text())
 
-    x_d, _ = ctx.traj.at(final.t)
-    Y = ctx.plant.eval_regressor(final.x)
-    lambdas = tuple(replace(ms, lam=tuple(lam))
-                    for lam, ms in zip(final.lambdas, ctx.multipliers))
-    groups = ctx.groups[: len(lambdas)]
+    e, x, theta_hat = (trajectory.block(name)[-1] for name in ("e", "x", "theta_hat"))
+    # groups without multipliers (laws without a barrier) add no KKT terms
+    lambdas = () if not ctx.has_multipliers else tuple(
+        replace(ms, lam=tuple(trajectory.block(f"lambda{g}_")[-1]))
+        for g, ms in enumerate(ctx.multipliers, start=1))
     kkt = analysis.kkt_residuals(
-        ctx.law_cfg, final.x - x_d, Y, stack, groups, lambdas,
-        final.theta_hat, ctx.plant.theta,
+        ctx.law_cfg, e, ctx.plant.eval_regressor(x), stack, ctx.groups[: len(lambdas)],
+        lambdas, theta_hat, ctx.plant.theta,
     )
     lines += [
         f"kkt_stationarity: {kkt.stationarity:.10g}",

@@ -21,10 +21,6 @@ class SingularGradient(Exception):
     radial direction is undefined."""
 
 
-class InsufficientWindow(ValueError):
-    """Derivative estimation asked for with fewer than three samples."""
-
-
 class BarrierBreach(Exception):
     """Step-size halving was exhausted while a barrier stayed infeasible."""
 

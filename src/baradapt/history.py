@@ -18,7 +18,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InsufficientWindow
 from .model import PlantModel
 
 Array = np.ndarray
@@ -30,27 +29,11 @@ class StackEntry(NamedTuple):
     xdot_hat: Array
 
 
-def estimate_state_derivative(times, states) -> Array:
-    """Central difference at the window midpoint:
-    (x(t+h) - x(t-h)) / (2h) from >= 3 equally spaced samples."""
-    t = np.asarray(times, dtype=float)
-    x = np.asarray(states, dtype=float)
-    if t.ndim != 1 or len(t) < 3:
-        raise InsufficientWindow("derivative estimation needs at least 3 samples")
-    if x.shape[0] != len(t):
-        raise ValueError("times and states disagree in length")
-    steps = np.diff(t)
-    h = steps[0]
-    if h <= 0 or np.any(np.abs(steps - h) > 1e-6 * abs(h)):
-        raise ValueError("samples must be equally spaced in time")
-    mid = len(t) // 2
-    return _central_difference(x[mid - 1], x[mid + 1], t[mid - 1], t[mid + 1])
-
-
 def _central_difference(x_before: Array, x_after: Array, t_before: float,
                         t_after: float) -> Array:
-    """estimate_state_derivative from the two outer samples, unchecked:
-    t_after > t_before and the states have equal shapes."""
+    """State derivative at the midpoint of two samples,
+    (x(t+h) - x(t-h)) / (2h), unchecked: t_after > t_before and the states
+    have equal shapes."""
     return (x_after - x_before) / (t_after - t_before)
 
 
@@ -68,11 +51,13 @@ class HistoryStack:
         self.capacity = int(capacity)
         self.min_eig_threshold = float(min_eig_threshold)
         self._entries: list[StackEntry] = []
-        # Y_k^T Y_k of each entry, stacked in entry order, so a full-stack
-        # try_insert forms every trial gram in one subtraction
+        # Y_k^T Y_k and Y_k^T (xdot_hat_k - u_k) of each entry, stacked in
+        # entry order, so a full-stack try_insert forms every trial gram in
+        # one subtraction; gram and proj are their sums, and cl_term is
+        # proj - gram @ theta
         self._grams = np.empty((0, self.dim_param, self.dim_param))
+        self._projs = np.empty((0, self.dim_param))
         self._gram = np.zeros((self.dim_param, self.dim_param))
-        # cached sum_k Y_k^T (xdot_hat_k - u_k); cl_term is this minus gram @ theta
         self._proj = np.zeros(self.dim_param)
         self._min_eig: float | None = 0.0
 
@@ -103,13 +88,9 @@ class HistoryStack:
         return StackEntry(Y, u, xd)
 
     def _recompute(self):
-        gram = np.zeros((self.dim_param, self.dim_param))
-        proj = np.zeros(self.dim_param)
-        for ent, ent_gram in zip(self._entries, self._grams):
-            gram += ent_gram
-            proj += ent.Y.T @ (ent.xdot_hat - ent.u)
-        self._gram = gram
-        self._proj = proj
+        # a sum along axis 0 adds the entries in order, as a loop would
+        self._gram = self._grams.sum(axis=0)
+        self._proj = self._projs.sum(axis=0)
         self._min_eig = None
 
     def excitation_level(self) -> float:
@@ -134,9 +115,11 @@ class HistoryStack:
         if self.capacity == 0:
             return False
         cand_gram = cand.Y.T @ cand.Y
+        cand_proj = cand.Y.T @ (cand.xdot_hat - cand.u)
         if len(self._entries) < self.capacity:
             self._entries.append(cand)
             self._grams = np.concatenate([self._grams, cand_gram[None]])
+            self._projs = np.concatenate([self._projs, cand_proj[None]])
             self._recompute()
             return True
         current = self.excitation_level()
@@ -147,12 +130,14 @@ class HistoryStack:
         best_idx = int(np.argmax(eigs))
         if eigs[best_idx] <= current * (1.0 + 1e-12):
             return False
-        removed = self._entries[best_idx], self._grams[best_idx].copy()
-        self._entries[best_idx], self._grams[best_idx] = cand, cand_gram
+        removed = (self._entries[best_idx], self._grams[best_idx].copy(),
+                   self._projs[best_idx].copy())
+        self._entries[best_idx], self._grams[best_idx], self._projs[best_idx] = (
+            cand, cand_gram, cand_proj)
         self._recompute()
         # guard against trial-vs-recomputed eigenvalue drift near the margin
         if self.excitation_level() <= current:
-            self._entries[best_idx], self._grams[best_idx] = removed
+            self._entries[best_idx], self._grams[best_idx], self._projs[best_idx] = removed
             self._recompute()
             return False
         return True
@@ -172,19 +157,6 @@ class HistoryStack:
         """cl_term from the cached sums, unchecked: th must have length
         dim_param and the stack must be non-empty."""
         return self._proj - self._gram @ th
-
-    def to_csv(self, path_or_buf) -> None:
-        """Dump entries as rows: index, Y flattened row-major, u, xdot_hat."""
-        n, p = self.dim_state, self.dim_param
-        header = (
-            ["k"]
-            + [f"Y{i + 1}{j + 1}" for i in range(n) for j in range(p)]
-            + [f"u{i + 1}" for i in range(n)]
-            + [f"xdot_hat{i + 1}" for i in range(n)]
-        )
-        rows = [np.concatenate([[float(k)], ent.Y.ravel(), ent.u, ent.xdot_hat])
-                for k, ent in enumerate(self._entries)]
-        write_csv(path_or_buf, header, rows)
 
 
 def write_csv(path_or_buf, header, rows) -> None:

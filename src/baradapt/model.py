@@ -56,13 +56,6 @@ class PlantModel:
             )
         return Y
 
-    def derivative(self, x, u) -> Array:
-        """True plant derivative Y(x) theta + u."""
-        u = np.asarray(u, dtype=float)
-        if u.shape != (self.dim_state,):
-            raise ValueError(f"input has shape {u.shape}, expected ({self.dim_state},)")
-        return self.eval_regressor(x) @ self.theta + u
-
 
 @dataclass(frozen=True)
 class DesiredTrajectory:
@@ -75,12 +68,6 @@ class DesiredTrajectory:
     name: str
     dim: int
     eval: Callable[[float], tuple[Array, Array]] = field(repr=False)
-
-    def at(self, t: float) -> tuple[Array, Array]:
-        if t < 0:
-            raise ValueError("trajectory time must be non-negative")
-        x_d, xdot_d = self.eval(t)
-        return np.asarray(x_d, dtype=float), np.asarray(xdot_d, dtype=float)
 
 
 BENCHMARK_THETA = (5.0, 10.0, 15.0, 20.0)

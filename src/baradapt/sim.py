@@ -32,6 +32,7 @@ from .adaptation import (
     _control,
     _estimate_flow,
     _lambda_dot,
+    _vector,
     projection,  # noqa: F401  bench/tracing.py wraps it as sim.projection
 )
 from .barrier import ConstraintGroup, ConstraintKind
@@ -140,17 +141,6 @@ class ScenarioConfig:
     stack: StackConfig = field(default_factory=StackConfig)
 
 
-def _as_tuple(value, length: int, key: str) -> tuple[float, ...]:
-    arr = np.atleast_1d(np.asarray(value, dtype=float))
-    if arr.size == 1 and length != 1:
-        arr = np.full(length, float(arr[0]))
-    if arr.shape != (length,):
-        raise ConfigError(f"{key} must be a scalar or a vector of length {length}")
-    if not np.isfinite(arr).all():
-        raise ConfigError(f"{key} must be finite")
-    return tuple(float(v) for v in arr)
-
-
 def _lowered(value) -> str:
     """A law, kind or barrier field as lower-case text; an enum member
     (UpdateLaw, ConstraintKind, BarrierKind) reads as its value."""
@@ -186,13 +176,11 @@ def _compile(cfg: ScenarioConfig) -> tuple:
         law=_lowered(cfg.law), dim_param=p, learning_rate=cfg.learning_rate,
         k_cl=cfg.k_cl, sigma2=cfg.sigma2,
     ))
-    control_gain = _as_tuple(cfg.control_gain, n, "control_gain")
-    if any(v <= 0 for v in control_gain):
-        raise ConfigError("control_gain entries must be positive")
-    x0 = _as_tuple(cfg.x0, n, "x0")
+    control_gain = _vector(cfg.control_gain, n, "control_gain", positive=True)
+    x0 = _vector(cfg.x0, n, "x0")
     _checked(f"plant '{cfg.plant}': ", lambda: plant.eval_regressor(x0))
-    theta_hat0 = _as_tuple(cfg.theta_hat0, p, "theta_hat0")
-    theta_true = None if cfg.theta_true is None else _as_tuple(cfg.theta_true, p, "theta_true")
+    theta_hat0 = _vector(cfg.theta_hat0, p, "theta_hat0")
+    theta_true = None if cfg.theta_true is None else _vector(cfg.theta_true, p, "theta_true")
     if cfg.dt <= 0:
         raise ConfigError("dt must be positive")
     if cfg.t_final < cfg.dt:
@@ -210,8 +198,8 @@ def _compile(cfg: ScenarioConfig) -> tuple:
         key = f"groups[{g_idx}]"
         kind = _lowered(grp.kind)
         if kind == ConstraintKind.COMPONENT.value:
-            lower = _as_tuple(grp.lower, p, f"{key}.lower")
-            upper = _as_tuple(grp.upper, p, f"{key}.upper")
+            lower = _vector(grp.lower, p, f"{key}.lower")
+            upper = _vector(grp.upper, p, f"{key}.upper")
         elif kind == ConstraintKind.NORM.value:
             lower, upper = grp.lower, grp.upper
         else:
@@ -222,14 +210,11 @@ def _compile(cfg: ScenarioConfig) -> tuple:
         ))
         n_con = group.n_constraints
         # a length-p gamma_inv applies to the lower and upper family alike
-        gi_raw = np.atleast_1d(np.asarray(grp.gamma_inv, dtype=float))
-        if group.kind is ConstraintKind.COMPONENT and gi_raw.size == p:
-            gamma_inv = tuple(float(v) for v in np.tile(gi_raw, 2))
-        else:
-            gamma_inv = _as_tuple(grp.gamma_inv, n_con, f"{key}.gamma_inv")
-        lambda0 = _as_tuple(grp.lambda0, n_con, f"{key}.lambda0")
-        if any(v <= 0 for v in lambda0):
-            raise ConfigError(f"{key}.lambda0 entries must be positive")
+        gamma_inv = np.atleast_1d(np.asarray(grp.gamma_inv, dtype=float))
+        if group.kind is ConstraintKind.COMPONENT and gamma_inv.size == p:
+            gamma_inv = np.tile(gamma_inv, 2)
+        gamma_inv = _vector(gamma_inv, n_con, f"{key}.gamma_inv")
+        lambda0 = _vector(grp.lambda0, n_con, f"{key}.lambda0", positive=True)
         ms = _checked(f"{key}.", lambda: MultiplierState(
             lam=lambda0, gamma_inv=gamma_inv, alpha=grp.alpha))
         _check_initial_feasibility(group, th, key)
@@ -271,7 +256,7 @@ def _check_initial_feasibility(group: ConstraintGroup, th: Array, key: str):
         return
     if group.kind is ConstraintKind.COMPONENT:
         p = group.dim_param
-        worst = int(np.argmin(group.slacks(th)))
+        worst = int(np.argmin(group._slacks(th)))
         if worst < p:
             bound, side, comp = group.lower[worst], "lower", worst + 1
         else:
@@ -298,14 +283,6 @@ class CompositeState:
     x: Array
     theta_hat: Array
     lambdas: tuple[Array, ...] = ()
-
-
-def control_input(x, x_d, xdot_d, theta_hat, Y, control_gain) -> Array:
-    """Certainty-equivalence input xdot_d - Y theta_hat - k (x - x_d)."""
-    e = np.asarray(x, dtype=float) - np.asarray(x_d, dtype=float)
-    return _control(np.asarray(xdot_d, dtype=float), np.asarray(Y, dtype=float),
-                    np.asarray(theta_hat, dtype=float),
-                    np.asarray(control_gain, dtype=float), e)
 
 
 class _NonFinite(Exception):
@@ -357,12 +334,10 @@ class RunContext:
         # usually the next step's t
         self._ref_memo = (None, None, None, None)
 
-    def uub_constants(self, sigma_bar1: float, lambda_star=None) -> analysis.UubConstants:
+    def uub_constants(self, sigma_bar1: float, lambda_star) -> analysis.UubConstants:
         """Decay constants of this run's gains over every constraint group
-        (with or without multipliers); lambda_star defaults to zero."""
+        (with or without multipliers)."""
         alpha = min((ms.alpha for ms in self.multipliers), default=0.0)
-        if lambda_star is None:
-            lambda_star = np.zeros(self.gamma.size)
         return analysis.uub_constants(self.cfg.control_gain, self.cfg.learning_rate,
                                       self.cfg.k_cl, self.gamma, alpha, sigma_bar1, lambda_star)
 
@@ -574,11 +549,11 @@ def run_scenario(cfg: ScenarioConfig) -> TrajectoryLog:
     when log_every does not divide the step count.  The loop records only
     what it cannot recompute: per logged step its index, state, stack
     excitation and active law.  The log is built from those records after
-    the run (_trajectory_log).  log.meta holds the run's RunContext
-    ("context", whose cfg is the canonical config), the final state and,
-    when multipliers run, "lambda_star".  Step errors (BarrierBreach,
-    NumericalDivergence) propagate with the failure time attached; a
-    logged value that is not finite is a NumericalDivergence too.
+    the run (_trajectory_log).  log.meta holds only the run's RunContext
+    ("context", whose cfg is the canonical config); the final state is the
+    last logged row.  Step errors (BarrierBreach, NumericalDivergence)
+    propagate with the failure time attached; a logged value that is not
+    finite is a NumericalDivergence too.
     """
     ctx = build_context(cfg)
     cfg = ctx.cfg
@@ -607,7 +582,6 @@ def run_scenario(cfg: ScenarioConfig) -> TrajectoryLog:
         t = float(log.data[bad.argmax(), 0])
         raise NumericalDivergence(f"non-finite logged value at t={t:.6g}", time=t)
     log.meta["context"] = ctx
-    log.meta["final_state"] = ctx.unpack(n_steps * dt, y)
     return log
 
 
@@ -640,15 +614,9 @@ def _trajectory_log(ctx: RunContext, records) -> TrajectoryLog:
     tilde = ctx.theta - th
     lam_names = [f"lambda{g}_{i + 1}" for g, grp in enumerate(ctx.groups, start=1)
                  for i in range(grp.n_constraints)]
-    meta = {}
-    if ctx.has_multipliers:
-        # the multiplier slices run, in group order, to the end of y
-        lam = ys[:, n + p:]
-        meta["lambda_star"] = tuple(lam[-1])
-        gamma, lam_tilde = ctx.gamma, lam - lam[-1]
-    else:
-        lam = np.zeros((len(ts), len(lam_names)))
-        gamma, lam_tilde = np.empty(0), np.empty((len(ts), 0))
+    # the multiplier slices run, in group order, to the end of y; laws
+    # without multipliers log zeros, whose lam_tilde adds 0.0 to lyapunov
+    lam = ys[:, n + p:] if ctx.has_multipliers else np.zeros((len(ts), len(lam_names)))
 
     def numbered(prefix: str, count: int) -> list[str]:
         return [f"{prefix}{i + 1}" for i in range(count)]
@@ -666,13 +634,13 @@ def _trajectory_log(ctx: RunContext, records) -> TrajectoryLog:
         (numbered("margin", len(ctx.groups)),
          np.transpose([grp._margin(th) for grp in ctx.groups])),
         (["excitation"], excitation),
-        (["lyapunov"], analysis._lyapunov(e, tilde, lam_tilde, ctx.P, gamma)),
+        (["lyapunov"], analysis._lyapunov(e, tilde, lam - lam[-1], ctx.P, ctx.gamma)),
         (["law_code"], [LAW_CODES[law] for law in laws]),
     ]
     columns = tuple(name for names, _ in blocks for name in names)
     data = np.hstack([np.asarray(values, dtype=float).reshape(len(ts), len(names))
                       for names, values in blocks])
-    return TrajectoryLog(columns=columns, data=data, meta=meta)
+    return TrajectoryLog(columns=columns, data=data)
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,6 @@ def test_uub_constants_frozen_algebra():
     assert consts.beta1 == pytest.approx((0.05 * 10.0 / 9.0) / 0.5, rel=1e-12)
     # beta2 = alpha^2 * min(gamma) * ||lambda*||^2 / (4 (alpha/2))
     assert consts.beta2 == pytest.approx(0.01 * (10.0 / 9.0) * 8.0 / 0.2, rel=1e-12)
-    assert consts.assumption_met
 
 
 def test_uub_constants_drop_terms():
@@ -60,7 +59,6 @@ def test_uub_constants_drop_terms():
         control_gain=1.0, learning_rate=1.0, k_cl=1.0,
         gamma=np.empty(0), alpha=0.0, sigma_bar1=0.0,
     )
-    assert not consts.assumption_met
     assert consts.beta1 == pytest.approx(2.0)
     assert consts.beta2 == 0.0
     with pytest.raises(ValueError):
@@ -97,7 +95,7 @@ def make_log(t, e1, theta_err1, lam=None):
 def test_envelope_check_pure_decay():
     consts = analysis.UubConstants(
         Lambda_min=0.5, Lambda_max=2.0, beta1=1.0, beta2=0.0,
-        lambda_star=(), assumption_met=True,
+        lambda_star=(),
     )
     t = np.linspace(0.0, 5.0, 51)
     # ||z||^2 decays exactly at the envelope rate, from 1/4 of the allowance
@@ -112,7 +110,7 @@ def test_envelope_check_pure_decay():
 def test_envelope_check_flags_violations():
     consts = analysis.UubConstants(
         Lambda_min=1.0, Lambda_max=1.0, beta1=10.0, beta2=0.0,
-        lambda_star=(), assumption_met=True,
+        lambda_star=(),
     )
     t = np.linspace(0.0, 1.0, 11)
     log = make_log(t, np.ones_like(t), np.zeros_like(t))  # does not decay
@@ -124,7 +122,7 @@ def test_envelope_check_flags_violations():
 def test_envelope_check_multiplier_distance():
     consts = analysis.UubConstants(
         Lambda_min=0.5, Lambda_max=2.0, beta1=1.0, beta2=5.0,
-        lambda_star=(3.0,), assumption_met=True,
+        lambda_star=(3.0,),
     )
     t = np.linspace(0.0, 2.0, 21)
     lam = np.full_like(t, 3.0)  # parked at lambda*, contributes nothing
@@ -133,7 +131,7 @@ def test_envelope_check_multiplier_distance():
     assert report.n_violations == 0
     bad = analysis.UubConstants(
         Lambda_min=0.5, Lambda_max=2.0, beta1=1.0, beta2=5.0,
-        lambda_star=(3.0, 1.0), assumption_met=True,
+        lambda_star=(3.0, 1.0),
     )
     with pytest.raises(ValueError):
         analysis.envelope_check(log, bad)
@@ -159,7 +157,7 @@ def test_kkt_residuals_hand_values():
     e = np.array([1.0, -1.0])
     Y = plant.eval_regressor([1.0, 2.0])
     res = analysis.kkt_residuals(cfg, e, Y, None, (group,), (ms,), th, plant.theta)
-    grad = -(Y.T @ e) + group.gradients(th).T @ lam
+    grad = -(Y.T @ e) + group.evaluate(th, np.zeros(8)).gradients.T @ lam
     assert res.stationarity == pytest.approx(float(np.linalg.norm(grad)), rel=1e-12)
     c = group.values(th)
     defect = np.abs(lam * (-0.1 * lam + 0.5 * c))

@@ -30,7 +30,7 @@ def fd_gradients(group, th, h=1e-6):
 
 def test_component_slacks_and_feasibility():
     group = component_bounds(LO, HI)
-    s = group.slacks(TH)
+    s = group._slacks(TH)
     assert np.array_equal(s, [1.5, 2.0, 2.0, 3.0, 1.5, 4.0, 5.0, 7.0])
     ok, margin = group.feasibility(TH)
     assert ok and margin == 1.5
@@ -48,7 +48,7 @@ def test_component_inverse_values_and_gradients():
     for i in range(4):
         expected[i, i] = -1.0 / s[i] ** 2
         expected[4 + i, i] = 1.0 / s[4 + i] ** 2
-    assert np.allclose(group.gradients(TH), expected, rtol=0, atol=0)
+    assert np.allclose(group.evaluate(TH, np.zeros(8)).gradients, expected, rtol=0, atol=0)
 
 
 def test_component_log_values_and_gradients():
@@ -59,7 +59,7 @@ def test_component_log_values_and_gradients():
     for i in range(4):
         expected[i, i] = -1.0 / s[i]
         expected[4 + i, i] = 1.0 / s[4 + i]
-    assert np.allclose(group.gradients(TH), expected, rtol=0, atol=0)
+    assert np.allclose(group.evaluate(TH, np.zeros(8)).gradients, expected, rtol=0, atol=0)
 
 
 def test_norm_inverse_values_and_gradients():
@@ -70,7 +70,7 @@ def test_norm_inverse_values_and_gradients():
     assert np.allclose(group.values(th), 1.0 / s, rtol=1e-15, atol=0)
     radial = th / r
     expected = np.stack([(-1.0 / s[0] ** 2) * radial, (1.0 / s[1] ** 2) * radial])
-    assert np.allclose(group.gradients(th), expected, rtol=1e-14, atol=0)
+    assert np.allclose(group.evaluate(th, np.zeros(2)).gradients, expected, rtol=1e-14, atol=0)
 
 
 def test_gradients_match_finite_differences():
@@ -89,7 +89,7 @@ def test_gradients_match_finite_differences():
                 direction = rng.normal(size=4)
                 direction /= np.linalg.norm(direction)
                 th = direction * rng.uniform(25.2, 27.8)
-            analytic = group.gradients(th)
+            analytic = group.evaluate(th, np.zeros(group.n_constraints)).gradients
             numeric = fd_gradients(group, th)
             denom = np.maximum(np.abs(analytic), np.abs(numeric))
             rel = np.where(denom > 0, np.abs(analytic - numeric) / np.maximum(denom, 1e-300), 0.0)
@@ -102,8 +102,6 @@ def test_infeasible_evaluation_raises_with_margin():
     with pytest.raises(InfeasibleEvaluation) as err:
         group.values(bad)
     assert err.value.margin == -1.0
-    with pytest.raises(InfeasibleEvaluation):
-        group.gradients(bad)
     with pytest.raises(InfeasibleEvaluation):
         group.evaluate(bad, np.zeros(8))
 
@@ -119,7 +117,7 @@ def test_norm_gradient_singular_at_origin():
     # the radial direction is undefined before feasibility is even decidable
     group = norm_bounds(25.0, 28.0, dim_param=4)
     with pytest.raises(SingularGradient):
-        group.gradients(np.zeros(4))
+        group.evaluate(np.zeros(4), np.zeros(2))
 
 
 def test_norm_log_requires_opt_in():
@@ -137,8 +135,7 @@ def test_evaluate_consistency():
     lam = rng.uniform(0.0, 4.0, size=8)
     ev = group.evaluate(th, lam)
     assert np.array_equal(ev.values, group.values(th))
-    assert np.array_equal(ev.gradients, group.gradients(th))
-    assert np.allclose(ev.weighted_gradient, group.gradients(th).T @ lam,
+    assert np.allclose(ev.weighted_gradient, ev.gradients.T @ lam,
                        rtol=1e-15, atol=0)
     assert np.array_equal(group.weighted_gradient_sum(th, lam), ev.weighted_gradient)
 
@@ -172,7 +169,7 @@ def test_constructor_validation():
 def test_constraint_ordering_lower_block_first():
     group = component_bounds(LO, HI)
     th = np.array([3.1, 8.0, 12.0, 15.0])
-    s = group.slacks(th)
+    s = group._slacks(th)
     # index 0 is the first lower constraint, index 4 the first upper
     assert s[0] == pytest.approx(0.1)
     assert s[4] == pytest.approx(2.9)

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from baradapt import cli, history, sim
+from baradapt import analysis, cli, history, sim
 from baradapt.errors import ConfigError
 from baradapt.sim import canonical_config, run_scenario, steady_state_rms
 
@@ -243,6 +243,48 @@ def test_run_rejects_missing_config(tmp_path, capsys):
                    "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "config error:" in capsys.readouterr().err
+
+
+def test_summary_reads_the_last_logged_row(tmp_path, monkeypatch):
+    # the final state and lambda* are the log's last row, and meta holds
+    # nothing but the run's context
+    logs = []
+
+    def kept(cfg):
+        logs.append(run_scenario(cfg))
+        return logs[-1]
+
+    monkeypatch.setattr(cli, "run_scenario", kept)
+    for law in ("barrier_constrained", "gradient"):
+        cfg = canonical_config(replace(cli.load_config("sec5a"), law=law, t_final=0.3))
+        path, out = tmp_path / f"{law}.json", tmp_path / law
+        path.write_text(json.dumps(cli.config_to_dict(cfg)))
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+        summary = parse_summary((out / "summary.txt").read_text())
+        log = logs[-1]
+        assert list(log.meta) == ["context"]
+        ctx = log.meta["context"]
+        assert ctx.cfg == cfg
+
+        t, x, th = log.column("t")[-1], log.block("x")[-1], log.block("theta_hat")[-1]
+        lam_star = log.multipliers()[-1]
+        ms = ctx.multipliers[0]
+        groups, lambdas = ((), ()) if law == "gradient" else (
+            ctx.groups, (replace(ms, lam=tuple(lam_star)),))
+        kkt = analysis.kkt_residuals(ctx.law_cfg, x - ctx.traj.eval(t)[0],
+                                     ctx.plant.eval_regressor(x), ctx.stack, groups,
+                                     lambdas, th, ctx.plant.theta)
+        assert summary["kkt_stationarity"] == f"{kkt.stationarity:.10g}"
+        assert summary["kkt_complementary_slackness"] == f"{kkt.complementary_slackness:.10g}"
+
+        consts = analysis.uub_constants(cfg.control_gain, cfg.learning_rate, cfg.k_cl,
+                                        ms.gamma_array, ms.alpha,
+                                        float(summary["excitation_final"]), lam_star)
+        assert summary["uub_beta2"] == f"{consts.beta2:.10g}"
+        if law == "gradient":
+            assert not lam_star.any() and summary["uub_beta2"] == "0"
+        else:
+            assert lam_star.all() and float(summary["uub_beta2"]) > 0.0
 
 
 def test_run_compiles_and_prefills_no_more_than_needed(tmp_path, monkeypatch):

