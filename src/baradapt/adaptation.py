@@ -62,16 +62,12 @@ class MultiplierState:
         object.__setattr__(self, "gamma_inv", gi)
         if len(lam) != len(gi):
             raise ValueError("lam and gamma_inv must have the same length")
-        if any(v < 0.0 for v in lam):
-            raise ValueError("multipliers must be non-negative")
-        if any(v <= 0.0 for v in gi):
-            raise ValueError("gamma_inv entries must be positive")
+        if not all(0.0 <= v < math.inf for v in lam):  # NaN fails too
+            raise ValueError("multipliers must be non-negative and finite")
+        if not all(0.0 < v < math.inf for v in gi):  # NaN fails too
+            raise ValueError("gamma_inv entries must be positive and finite")
         if not 0.0 < self.alpha < math.inf:  # NaN fails too
             raise ValueError("alpha must be positive and finite")
-
-    @property
-    def n_constraints(self) -> int:
-        return len(self.lam)
 
     @property
     def lam_array(self) -> Array:

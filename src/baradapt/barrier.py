@@ -116,7 +116,7 @@ class ConstraintGroup:
 
     @property
     def n_constraints(self) -> int:
-        return 2 * self.dim_param if self.kind is ConstraintKind.COMPONENT else 2
+        return len(self._jac)
 
     # -- geometry ----------------------------------------------------------
 
@@ -129,28 +129,20 @@ class ConstraintGroup:
         return th
 
     def _slacks(self, th: Array) -> Array:
-        """Distances to each bound, unchecked; positive iff the constraint
-        holds strictly."""
+        """Distances to each bound of each row of th, unchecked: th has shape
+        (..., dim_param) and the result (..., n_constraints), positive iff
+        the constraint holds strictly.  np.vecdot takes the same dot product
+        as th @ th."""
         if self._component:
-            return np.concatenate([th - self._lo, self._hi - th])
-        r = math.sqrt(th @ th)
-        return np.array([r - self._lo, self._hi - r])
+            return np.concatenate([th - self._lo, self._hi - th], axis=-1)
+        r = np.sqrt(np.vecdot(th, th))[..., None]
+        return np.concatenate([r - self._lo, self._hi - r], axis=-1)
 
     def feasibility(self, theta_hat) -> Feasibility:
         """Strict feasibility plus the worst-case slack.  Margin 0 (a bound
         hit exactly) counts as infeasible."""
-        margin = float(self._margin(self._check_theta(theta_hat)))
+        margin = float(self._slacks(self._check_theta(theta_hat)).min())
         return Feasibility(margin > 0.0, margin)
-
-    def _margin(self, th: Array) -> Array:
-        """Smallest slack of each row of th, without argument checks: th has
-        shape (..., dim_param).  Each row's value is bitwise that of
-        _slacks(row).min(); np.vecdot takes the same dot product as
-        th @ th."""
-        if self._component:
-            return np.minimum(th - self._lo, self._hi - th).min(axis=-1)
-        r = np.sqrt(np.vecdot(th, th))
-        return np.minimum(r - self._lo, self._hi - r)
 
     # -- barrier values and gradients --------------------------------------
 

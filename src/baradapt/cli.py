@@ -194,7 +194,7 @@ def scenario_summary(trajectory: TrajectoryLog, runtime_seconds: float) -> str:
 
     e, x, theta_hat = (trajectory.block(name)[-1] for name in ("e", "x", "theta_hat"))
     # groups without multipliers (laws without a barrier) add no KKT terms
-    lambdas = () if not ctx.has_multipliers else tuple(
+    lambdas = () if not ctx.lam_slices else tuple(
         replace(ms, lam=tuple(trajectory.block(f"lambda{g}_")[-1]))
         for g, ms in enumerate(ctx.multipliers, start=1))
     kkt = analysis.kkt_residuals(

@@ -42,9 +42,9 @@ class HistoryStack:
 
     def __init__(self, dim_state: int, dim_param: int, capacity: int,
                  min_eig_threshold: float):
-        if capacity < 0:
-            raise ValueError("capacity must be non-negative")
-        if min_eig_threshold < 0:
+        if not (capacity >= 0 and capacity % 1 == 0):  # NaN, inf and 2.5 fail
+            raise ValueError("capacity must be a non-negative integer")
+        if not min_eig_threshold >= 0:  # NaN fails too
             raise ValueError("min_eig_threshold must be non-negative")
         self.dim_state = int(dim_state)
         self.dim_param = int(dim_param)

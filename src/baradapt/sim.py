@@ -55,12 +55,8 @@ Array = np.ndarray
 
 MAX_HALVINGS = 20
 
-LAW_CODES = {
-    UpdateLaw.GRADIENT: 0,
-    UpdateLaw.CONCURRENT_LEARNING: 1,
-    UpdateLaw.BARRIER_CONSTRAINED: 2,
-    UpdateLaw.BARRIER_SIGMA_MOD: 3,
-}
+#: the logged law_code of each law: its position in UpdateLaw
+LAW_CODES = {law: code for code, law in enumerate(UpdateLaw)}
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +93,8 @@ class StackConfig:
             raise ConfigError("stack.size must be non-negative")
         if record_every < 1:
             raise ConfigError("stack.record_every must be at least 1")
-        if not self.min_excitation >= 0:  # NaN fails too
-            raise ConfigError("stack.min_excitation must be non-negative")
+        if not 0 <= self.min_excitation < np.inf:  # NaN fails too
+            raise ConfigError("stack.min_excitation must be non-negative and finite")
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "record_every", record_every)
         object.__setattr__(self, "min_excitation", float(self.min_excitation))
@@ -163,11 +159,13 @@ def _compile(cfg: ScenarioConfig) -> tuple:
     by the object that owns it; only facts about the config as a whole are
     checked here."""
     try:
-        plant = get_plant(cfg.plant, cfg.theta_true)
+        plant = get_plant(cfg.plant)
         traj = get_trajectory(cfg.trajectory)
     except ValueError as err:
         raise ConfigError(str(err)) from None
     n, p = plant.dim_state, plant.dim_param
+    theta_true = None if cfg.theta_true is None else _vector(cfg.theta_true, p, "theta_true")
+    plant = replace(plant, theta_true=theta_true or plant.theta_true)
     if traj.dim != n:
         raise ConfigError(
             f"trajectory '{cfg.trajectory}' has dimension {traj.dim}, plant needs {n}"
@@ -180,9 +178,10 @@ def _compile(cfg: ScenarioConfig) -> tuple:
     x0 = _vector(cfg.x0, n, "x0")
     _checked(f"plant '{cfg.plant}': ", lambda: plant.eval_regressor(x0))
     theta_hat0 = _vector(cfg.theta_hat0, p, "theta_hat0")
-    theta_true = None if cfg.theta_true is None else _vector(cfg.theta_true, p, "theta_true")
-    if cfg.dt <= 0:
-        raise ConfigError("dt must be positive")
+    if not 0.0 < cfg.dt < np.inf:  # NaN fails too
+        raise ConfigError("dt must be positive and finite")
+    if not -np.inf < cfg.t_final < np.inf:
+        raise ConfigError("t_final must be finite")
     if cfg.t_final < cfg.dt:
         raise ConfigError("t_final must be at least dt")
     steps = cfg.t_final / cfg.dt
@@ -251,22 +250,21 @@ def canonical_config(cfg: ScenarioConfig) -> ScenarioConfig:
 
 
 def _check_initial_feasibility(group: ConstraintGroup, th: Array, key: str):
-    ok, margin = group.feasibility(th)
-    if ok:
+    slacks = group._slacks(th)
+    worst = int(np.argmin(slacks))
+    margin = float(slacks[worst])
+    if margin > 0.0:
         return
+    # the lower block of slacks comes first, then the upper one
+    upper, comp = divmod(worst, len(slacks) // 2)
+    side, bound = ("upper", group.upper) if upper else ("lower", group.lower)
     if group.kind is ConstraintKind.COMPONENT:
-        p = group.dim_param
-        worst = int(np.argmin(group._slacks(th)))
-        if worst < p:
-            bound, side, comp = group.lower[worst], "lower", worst + 1
-        else:
-            bound, side, comp = group.upper[worst - p], "upper", worst - p + 1
         raise ConfigError(
-            f"theta_hat0 violates {side} bound {bound:g} on component {comp} "
+            f"theta_hat0 violates {side} bound {bound[comp]:g} on component {comp + 1} "
             f"of {key} (margin {margin:g})"
         )
-    r = float(np.linalg.norm(th))
-    side, bound = ("lower", group.lower) if r <= group.lower else ("upper", group.upper)
+    # the violated slack, r - lower or upper - r, gives the radius back
+    r = bound - margin if upper else bound + margin
     raise ConfigError(
         f"theta_hat0 violates {side} norm bound {bound:g} of {key} "
         f"(norm {r:g}, margin {margin:g})"
@@ -307,10 +305,9 @@ class RunContext:
         # diagonal of Gamma over every group, for the Lyapunov bookkeeping
         self.gamma = np.concatenate([ms.gamma_array for ms in self.multipliers]
                                     or [np.empty(0)])
-        # multipliers are integrated only for barrier laws; other laws still
-        # log the constraint margins of any configured groups
-        self.has_multipliers = self.law in LAWS_WITH_BARRIER and bool(self.groups)
-        widths = [grp.n_constraints for grp in self.groups] if self.has_multipliers else []
+        # multipliers are integrated only for barrier laws (lam_slices is
+        # then not empty); other laws still log the groups' margins
+        widths = [grp.n_constraints for grp in self.groups if self.law in LAWS_WITH_BARRIER]
         ends = list(accumulate(widths, initial=self.n + self.p))
         self.lam_slices = tuple(map(slice, ends[:-1], ends[1:]))
         self.state_size = ends[-1]
@@ -377,7 +374,7 @@ class RunContext:
             x=np.asarray(self.cfg.x0),
             theta_hat=np.asarray(self.cfg.theta_hat0),
             lambdas=tuple(ms.lam_array for ms in self.multipliers)
-            if self.has_multipliers else (),
+            if self.lam_slices else (),
         )
 
     # -- dynamics ----------------------------------------------------------
@@ -449,9 +446,8 @@ def _attempt(ctx: RunContext, t: float, y: Array, dt: float) -> Array:
         raise
     if not np.isfinite(out).all():
         raise _NonFinite
-    n, p = ctx.n, ctx.p
-    th = out[n: n + p]
-    for grp in ctx.groups if ctx.has_multipliers else ():
+    th = out[ctx.n: ctx.n + ctx.p]
+    for grp, sl, _, _ in ctx._group_runtime:
         # out is finite, so no slack is NaN and the list's min is theirs
         margin = min(grp._slacks(th).tolist())
         if margin <= 0.0:
@@ -459,7 +455,6 @@ def _attempt(ctx: RunContext, t: float, y: Array, dt: float) -> Array:
                 f"step landed outside the feasible set (margin {margin:g})",
                 margin=margin,
             )
-    for sl in ctx.lam_slices:
         np.maximum(out[sl], 0.0, out=out[sl])
     return out
 
@@ -473,7 +468,7 @@ def _step_flat(ctx: RunContext, t: float, y: Array, dt: float,
     try:
         return _attempt(ctx, t, y, dt)
     except (InfeasibleEvaluation, SingularGradient, _NonFinite) as err:
-        if not ctx.has_multipliers:
+        if not ctx.lam_slices:
             raise NumericalDivergence(
                 f"non-finite state while integrating at t={t:.6g}", time=t
             ) from None
@@ -600,7 +595,7 @@ def _record_sample(ctx: RunContext, k: int, y_prev: Array, y: Array, y_next: Arr
 def _trajectory_log(ctx: RunContext, records) -> TrajectoryLog:
     """The log of (step, y, excitation, law) records.  Each column block is
     named next to the values it holds.  Derived columns are computed a whole
-    column at a time, by ConstraintGroup._margin, analysis._lyapunov and
+    column at a time, by ConstraintGroup._slacks, analysis._lyapunov and
     np.vecdot; each value is bitwise what np.linalg.norm, feasibility or
     lyapunov_value gives for its row.  The Lyapunov column uses the final
     logged multipliers as the stationary-multiplier estimate."""
@@ -616,7 +611,7 @@ def _trajectory_log(ctx: RunContext, records) -> TrajectoryLog:
                  for i in range(grp.n_constraints)]
     # the multiplier slices run, in group order, to the end of y; laws
     # without multipliers log zeros, whose lam_tilde adds 0.0 to lyapunov
-    lam = ys[:, n + p:] if ctx.has_multipliers else np.zeros((len(ts), len(lam_names)))
+    lam = ys[:, n + p:] if ctx.lam_slices else np.zeros((len(ts), len(lam_names)))
 
     def numbered(prefix: str, count: int) -> list[str]:
         return [f"{prefix}{i + 1}" for i in range(count)]
@@ -632,7 +627,7 @@ def _trajectory_log(ctx: RunContext, records) -> TrajectoryLog:
         (["theta_err_norm"], np.sqrt(np.vecdot(tilde, tilde))),
         (lam_names, lam),
         (numbered("margin", len(ctx.groups)),
-         np.transpose([grp._margin(th) for grp in ctx.groups])),
+         np.transpose([grp._slacks(th).min(axis=-1) for grp in ctx.groups])),
         (["excitation"], excitation),
         (["lyapunov"], analysis._lyapunov(e, tilde, lam - lam[-1], ctx.P, ctx.gamma)),
         (["law_code"], [LAW_CODES[law] for law in laws]),

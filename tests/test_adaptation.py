@@ -59,11 +59,17 @@ def test_projection_mixed_and_negative_base():
 def test_multiplier_state_validation():
     ms = MultiplierState(lam=(1.0, 2.0), gamma_inv=(0.5, 0.25), alpha=0.1)
     assert np.array_equal(ms.gamma_array, [2.0, 4.0])
-    assert ms.n_constraints == 2
+    assert len(ms.lam) == 2
     with pytest.raises(ValueError):
         MultiplierState(lam=(-0.1,), gamma_inv=(1.0,), alpha=0.1)
     with pytest.raises(ValueError):
         MultiplierState(lam=(1.0,), gamma_inv=(0.0,), alpha=0.1)
+    # NaN fails every sign test, and no gain may be infinite
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^multipliers must be non-negative and finite"):
+            MultiplierState(lam=(1.0, bad), gamma_inv=(1.0, 1.0), alpha=0.1)
+        with pytest.raises(ValueError, match="^gamma_inv entries must be positive and finite"):
+            MultiplierState(lam=(1.0, 1.0), gamma_inv=(bad, 1.0), alpha=0.1)
     with pytest.raises(ValueError):
         MultiplierState(lam=(1.0,), gamma_inv=(1.0,), alpha=0.0)
     with pytest.raises(ValueError):

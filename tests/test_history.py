@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,16 @@ def test_entry_validation():
     with pytest.raises(ValueError):
         stack.try_insert(np.full((2, 4), np.nan), np.zeros(2), np.zeros(2))
     assert len(stack) == 0
+
+
+def test_constructor_rejects_fractional_capacity_and_nan_threshold():
+    for capacity in (2.5, -1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^capacity must be a non-negative integer"):
+            HistoryStack(2, 4, capacity=capacity, min_eig_threshold=1e-3)
+    for threshold in (math.nan, -1e-3):
+        with pytest.raises(ValueError, match="^min_eig_threshold must be non-negative"):
+            HistoryStack(2, 4, capacity=2, min_eig_threshold=threshold)
+    assert HistoryStack(2, 4, capacity=2.0, min_eig_threshold=0).capacity == 2
 
 
 def test_zero_capacity_accepts_nothing():

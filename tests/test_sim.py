@@ -156,16 +156,57 @@ def test_stack_config_validation():
         StackConfig(min_excitation=-1.0)
 
 
+def with_field(name: str, key: str, value) -> ScenarioConfig:
+    """canonical_config of a bundled scenario with the field at a dotted key
+    (a top-level field, stack.<field> or groups[1].<field>) replaced."""
+    cfg = load_config(name)
+    head, _, field = key.partition(".")
+    if head == "stack":
+        cfg = replace(cfg, stack=replace(cfg.stack, **{field: value}))
+    elif head == "groups[1]":
+        cfg = replace(cfg, groups=(replace(cfg.groups[0], **{field: value}),))
+    else:
+        cfg = replace(cfg, **{key: value})
+    return canonical_config(cfg)
+
+
+NUMERIC_KEYS = ["control_gain", "learning_rate", "k_cl", "sigma2", "dt", "t_final", "x0",
+                "theta_hat0", "theta_true", "stack.min_excitation"]
+GROUP_KEYS = [f"groups[1].{field}" for field in
+              ("lower", "upper", "gamma_inv", "alpha", "lambda0")]
+# (scenario, dotted key, the key its message starts with): a norm group's
+# bounds are checked together, under the group's key
+NON_FINITE_CASES = (
+    [("sec5a", key, key) for key in NUMERIC_KEYS + GROUP_KEYS]
+    + [("sec5b", key, "groups[1]" if key.endswith(("lower", "upper")) else key)
+       for key in GROUP_KEYS]
+)
+
+
 @pytest.mark.parametrize("build, key", [
     (lambda: canonical_config(barrier_cfg(log_every=2.5)), "log_every"),
     (lambda: StackConfig(size=2.7), "stack.size"),
     (lambda: StackConfig(record_every=1.5), "stack.record_every"),
     (lambda: StackConfig(min_excitation=float("nan")), "stack.min_excitation"),
-], ids=["log_every", "stack_size", "record_every", "nan_min_excitation"])
+] + [
+    (lambda name=name, key=key, value=value: with_field(name, key, value), match)
+    for name, key, match in NON_FINITE_CASES for value in (np.nan, np.inf)
+], ids=["log_every", "stack_size", "record_every", "nan_min_excitation"] + [
+    f"{name}-{key}-{value}" for name, key, _ in NON_FINITE_CASES for value in ("nan", "inf")
+])
 def test_config_rejects_non_integral_counts_and_nan(build, key):
-    # int() would truncate these counts, and NaN fails no `< 0` check
-    with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must"):
+    # int() would truncate these counts, and NaN fails no `< 0` check; a
+    # group field may be named under the group's key alone
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)}[ .:]"):
         build()
+
+
+def test_scalar_theta_true_is_promoted_like_x0():
+    cfg = with_field("sec5a", "theta_true", 5.0)
+    assert cfg.theta_true == (5.0,) * 4
+    assert np.array_equal(build_context(cfg).theta, np.full(4, 5.0))
+    with pytest.raises(ConfigError, match=r"^theta_true must be a scalar or a vector of length 4"):
+        with_field("sec5a", "theta_true", (5.0, 10.0))
 
 
 def test_stack_config_normalises_its_fields():

@@ -1,15 +1,20 @@
 """Leftovers that no linter catches here: an import that its module never
-uses, and a private function or method that nothing calls.
+uses, a private function or method that nothing calls, and a name in
+README.md that the code no longer has.
 
-Both checks read the syntax trees only.  An import counts as used when its
-name appears anywhere in its module (or in the module's __all__); lines
-marked ``# noqa`` and ``from __future__`` imports are exempt.  A private
-function counts as referenced when its name appears, outside its own body,
-as a name, an attribute or a string in src/, bench/*.py or tests/ (the
-benchmark patches some functions by their name as a string)."""
+The first two checks read the syntax trees only.  An import counts as
+used when its name appears anywhere in its module (or in the module's
+__all__); lines marked ``# noqa`` and ``from __future__`` imports are
+exempt.  A private function counts as referenced when its name appears,
+outside its own body, as a name, an attribute or a string in src/,
+bench/*.py or tests/ (the benchmark patches some functions by their name
+as a string)."""
 
 import ast
+import importlib
+import re
 from collections import Counter
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -79,3 +84,26 @@ def test_every_private_function_is_referenced():
             if everywhere[name] - names_in(node)[name] <= 0:
                 unreferenced.append(f"{path.name}:{node.lineno} {name}")
     assert not unreferenced, f"private functions nothing references: {unreferenced}"
+
+
+def test_readme_names_resolve():
+    """Every backticked dotted name in README.md whose head is a baradapt
+    module or a class defined in src/ (`sim._compile`,
+    `ConstraintGroup._slacks`) resolves by getattr."""
+    heads = {}
+    for path in MODULES:
+        name = "baradapt" if path.stem == "__init__" else f"baradapt.{path.stem}"
+        module = importlib.import_module(name)
+        heads[name.rpartition(".")[2]] = module
+        heads.update((node.name, getattr(module, node.name))
+                     for node in parse(path).body if isinstance(node, ast.ClassDef))
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    missing = []
+    for name in sorted(set(re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)", text))):
+        head, *attrs = name.split(".")
+        if head in heads:
+            try:
+                reduce(getattr, attrs, heads[head])
+            except AttributeError:
+                missing.append(name)
+    assert not missing, f"README.md names what the code does not have: {missing}"
