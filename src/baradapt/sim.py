@@ -158,14 +158,16 @@ def _compile(cfg: ScenarioConfig) -> tuple:
     MultiplierStates, plant and reference trajectory.  Each gain is checked
     by the object that owns it; only facts about the config as a whole are
     checked here."""
+    theta_true = cfg.theta_true
+    if theta_true is not None:
+        # checked at its own length: the plant checks it or takes p from it
+        theta_true = _vector(theta_true, np.size(theta_true), "theta_true")
     try:
-        plant = get_plant(cfg.plant)
+        plant = get_plant(cfg.plant, theta_true)
         traj = get_trajectory(cfg.trajectory)
     except ValueError as err:
         raise ConfigError(str(err)) from None
     n, p = plant.dim_state, plant.dim_param
-    theta_true = None if cfg.theta_true is None else _vector(cfg.theta_true, p, "theta_true")
-    plant = replace(plant, theta_true=theta_true or plant.theta_true)
     if traj.dim != n:
         raise ConfigError(
             f"trajectory '{cfg.trajectory}' has dimension {traj.dim}, plant needs {n}"
@@ -263,8 +265,7 @@ def _check_initial_feasibility(group: ConstraintGroup, th: Array, key: str):
             f"theta_hat0 violates {side} bound {bound[comp]:g} on component {comp + 1} "
             f"of {key} (margin {margin:g})"
         )
-    # the violated slack, r - lower or upper - r, gives the radius back
-    r = bound - margin if upper else bound + margin
+    r = float(np.linalg.norm(th))
     raise ConfigError(
         f"theta_hat0 violates {side} norm bound {bound:g} of {key} "
         f"(norm {r:g}, margin {margin:g})"

@@ -174,39 +174,41 @@ NUMERIC_KEYS = ["control_gain", "learning_rate", "k_cl", "sigma2", "dt", "t_fina
                 "theta_hat0", "theta_true", "stack.min_excitation"]
 GROUP_KEYS = [f"groups[1].{field}" for field in
               ("lower", "upper", "gamma_inv", "alpha", "lambda0")]
-# (scenario, dotted key, the key its message starts with): a norm group's
-# bounds are checked together, under the group's key
+# (scenario, dotted key, the pattern its message matches): a norm group's
+# bounds are checked together by ConstraintGroup, under the group's key
 NON_FINITE_CASES = (
-    [("sec5a", key, key) for key in NUMERIC_KEYS + GROUP_KEYS]
-    + [("sec5b", key, "groups[1]" if key.endswith(("lower", "upper")) else key)
-       for key in GROUP_KEYS]
+    [("sec5a", key, rf"^{re.escape(key)} must") for key in NUMERIC_KEYS + GROUP_KEYS]
+    + [("sec5b", key, r"^groups\[1\]: " if key.endswith(("lower", "upper"))
+        else rf"^{re.escape(key)} must") for key in GROUP_KEYS]
 )
 
 
-@pytest.mark.parametrize("build, key", [
-    (lambda: canonical_config(barrier_cfg(log_every=2.5)), "log_every"),
-    (lambda: StackConfig(size=2.7), "stack.size"),
-    (lambda: StackConfig(record_every=1.5), "stack.record_every"),
-    (lambda: StackConfig(min_excitation=float("nan")), "stack.min_excitation"),
+@pytest.mark.parametrize("build, pattern", [
+    (lambda: canonical_config(barrier_cfg(log_every=2.5)), r"^log_every must"),
+    (lambda: StackConfig(size=2.7), r"^stack\.size must"),
+    (lambda: StackConfig(record_every=1.5), r"^stack\.record_every must"),
+    (lambda: StackConfig(min_excitation=float("nan")), r"^stack\.min_excitation must"),
+    # a scalar is one value: the plant takes theta_true's length as given
+    (lambda: with_field("sec5a", "theta_true", 5.0), r"^theta_true has length 1, expected 4"),
 ] + [
-    (lambda name=name, key=key, value=value: with_field(name, key, value), match)
-    for name, key, match in NON_FINITE_CASES for value in (np.nan, np.inf)
-], ids=["log_every", "stack_size", "record_every", "nan_min_excitation"] + [
+    (lambda name=name, key=key, value=value: with_field(name, key, value), pattern)
+    for name, key, pattern in NON_FINITE_CASES for value in (np.nan, np.inf)
+], ids=["log_every", "stack_size", "record_every", "nan_min_excitation", "scalar_theta_true"] + [
     f"{name}-{key}-{value}" for name, key, _ in NON_FINITE_CASES for value in ("nan", "inf")
 ])
-def test_config_rejects_non_integral_counts_and_nan(build, key):
-    # int() would truncate these counts, and NaN fails no `< 0` check; a
-    # group field may be named under the group's key alone
-    with pytest.raises(ConfigError, match=rf"^{re.escape(key)}[ .:]"):
+def test_config_rejects_non_integral_counts_and_nan(build, pattern):
+    # int() would truncate these counts, and NaN fails no `< 0` check
+    with pytest.raises(ConfigError, match=pattern):
         build()
 
 
-def test_scalar_theta_true_is_promoted_like_x0():
-    cfg = with_field("sec5a", "theta_true", 5.0)
-    assert cfg.theta_true == (5.0,) * 4
-    assert np.array_equal(build_context(cfg).theta, np.full(4, 5.0))
-    with pytest.raises(ConfigError, match=r"^theta_true must be a scalar or a vector of length 4"):
-        with_field("sec5a", "theta_true", (5.0, 10.0))
+def test_theta_true_sets_a_zero_regressor_plants_parameter_count():
+    # zero_regressor takes its parameter count from theta_true's length
+    cfg = replace(load_config("sanity"), theta_true=(1.0, 2.0), theta_hat0=(0.0, 0.0),
+                  learning_rate=0.075, k_cl=1.0, t_final=0.1)
+    assert canonical_config(cfg).theta_true == (1.0, 2.0)
+    assert build_context(cfg).p == 2
+    assert run_scenario(cfg).block("theta_hat").shape[1] == 2
 
 
 def test_stack_config_normalises_its_fields():
