@@ -14,7 +14,10 @@ so multipliers can never flow negative.  The sigma-mod variant replaces the
 recorded-data term with -sigma2 * theta_hat for use while the history stack
 is not yet exciting.  theta_hat_dot equals -P times the gradient of the
 Lagrangian assembled in lagrangian_value, which is what makes the flow a
-primal-dual pair.
+primal-dual pair.  _estimate_flow writes it in reduced form: the memory term
+is b - A theta_hat, with A = diag(P K_cl) gram and b = P K_cl proj formed
+once per stack change (_memory_terms), and each force multiplies the barrier
+slopes by a slack Jacobian with P folded in (ConstraintGroup._core).
 """
 
 from __future__ import annotations
@@ -164,19 +167,30 @@ def _control(xdot_d: Array, Y: Array, theta_hat: Array, k: Array, e: Array) -> A
     return xdot_d - Y @ theta_hat - k * e
 
 
-def _estimate_flow(law: UpdateLaw, P: Array, k_cl: Array, sigma2: float, e: Array,
-                   Y: Array, th: Array, stack, forces) -> Array:
-    """theta_hat_dot from arrays of matching shapes, unchecked.  forces are
-    the groups' multiplier-weighted barrier gradients, empty when the law
-    has no constraint force.  Conditional terms are skipped, not added as
-    zeros, so degenerate configurations reduce bitwise to simpler laws."""
+def _memory_terms(P: Array, k_cl: Array, stack) -> tuple[Array, Array] | None:
+    """(A, b) = (diag(P K_cl) gram, P K_cl proj), so that the memory term
+    P K_cl sum_k Y_k^T (xdot_hat_k - u_k - Y_k th) is b - A @ th; None for
+    a missing or empty stack.  A run forms them once per stack change."""
+    if stack is None or len(stack) == 0:
+        return None
+    return (P * k_cl)[:, None] * stack.gram, P * k_cl * stack._proj
+
+
+def _estimate_flow(law: UpdateLaw, P: Array, memory, sigma2: float, e: Array,
+                   Y: Array, th: Array, forces) -> Array:
+    """theta_hat_dot from arrays of matching shapes, unchecked.  memory is
+    _memory_terms' (A, b) or None; forces are the groups' P-scaled
+    multiplier-weighted barrier gradients, empty when the law has no
+    constraint force.  Conditional terms are skipped, not added as zeros,
+    so degenerate configurations reduce bitwise to simpler laws."""
     out = P * (Y.T @ e)
-    if law in LAWS_WITH_MEMORY and stack is not None and len(stack) > 0:
-        out = out + P * (k_cl * stack._cl_term(th))
+    if law in LAWS_WITH_MEMORY and memory is not None:
+        A, b = memory
+        out = out + (b - A @ th)
     if law is UpdateLaw.BARRIER_SIGMA_MOD and sigma2 != 0.0:
         out = out - sigma2 * th
     for force in forces:
-        out = out - P * force
+        out = out - force
     return out
 
 
@@ -189,12 +203,13 @@ def theta_hat_dot(cfg: UpdateLawConfig, e, Y, stack, groups, lambdas, theta_hat)
     e = np.asarray(e, dtype=float)
     Y = np.asarray(Y, dtype=float)
     th = np.asarray(theta_hat, dtype=float)
+    P = cfg.learning_rate_array
     forces = ()
     if cfg.law in LAWS_WITH_BARRIER and groups:
-        forces = [group.weighted_gradient_sum(th, ms.lam_array)
+        forces = [group.weighted_gradient_sum(th, ms.lam_array, P)
                   for group, ms in zip(groups, lambdas)]
-    return _estimate_flow(cfg.law, cfg.learning_rate_array, cfg.k_cl_array,
-                          cfg.sigma2, e, Y, th, stack, forces)
+    return _estimate_flow(cfg.law, P, _memory_terms(P, cfg.k_cl_array, stack),
+                          cfg.sigma2, e, Y, th, forces)
 
 
 def lagrangian_value(cfg: UpdateLawConfig, e, Y, stack, groups, lambdas,

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InfeasibleEvaluation, SingularGradient
+from .errors import InfeasibleEvaluation, SingularGradient, _integral
 
 Array = np.ndarray
 
@@ -72,22 +72,24 @@ class ConstraintGroup:
     def __post_init__(self):
         kind = ConstraintKind(self.kind)
         barrier = BarrierKind(self.barrier)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "barrier", barrier)
-        if self.dim_param < 1:
+        dim_param = _integral(self.dim_param, "dim_param")
+        if dim_param < 1:
             raise ValueError("dim_param must be positive")
-        if kind is ConstraintKind.COMPONENT:
+        # the unchecked core's slacks are s = z @ jac.T + off, with z =
+        # theta_hat (jac rows +I then -I) or, for a norm group, z = its norm
+        # (jac the signs +1, -1 of the radial direction); off = (-lower, upper)
+        component = kind is ConstraintKind.COMPONENT
+        if component:
             lo = tuple(float(v) for v in np.atleast_1d(self.lower))
             hi = tuple(float(v) for v in np.atleast_1d(self.upper))
-            if len(lo) != self.dim_param or len(hi) != self.dim_param:
+            if len(lo) != dim_param or len(hi) != dim_param:
                 raise ValueError(
-                    f"component bounds must have length {self.dim_param}, "
+                    f"component bounds must have length {dim_param}, "
                     f"got {len(lo)} and {len(hi)}"
                 )
             if not all(-math.inf < a < b < math.inf for a, b in zip(lo, hi)):
                 raise ValueError("component bounds require finite lower < upper elementwise")
-            object.__setattr__(self, "lower", lo)
-            object.__setattr__(self, "upper", hi)
+            jac = np.concatenate([np.eye(dim_param), -np.eye(dim_param)])
         else:
             lo = float(np.squeeze(self.lower))
             hi = float(np.squeeze(self.upper))
@@ -98,20 +100,12 @@ class ConstraintGroup:
                     "norm bounds with the log barrier are an extension; "
                     "pass norm_log_ok=True to enable"
                 )
-            object.__setattr__(self, "lower", lo)
-            object.__setattr__(self, "upper", hi)
-        # static arrays of the unchecked core: the bounds, and the signed
-        # slack Jacobian ds/d(theta_hat): rows +I then -I, or for a norm
-        # group the signs +1, -1 that multiply the radial direction
-        component = kind is ConstraintKind.COMPONENT
-        if component:
-            eye = np.eye(self.dim_param)
-            lo, hi, jac = np.asarray(lo), np.asarray(hi), np.concatenate([eye, -eye])
-        else:
             jac = np.array([[1.0], [-1.0]])
-        for name, value in (("_component", component), ("_lo", lo), ("_hi", hi),
+        for name, value in (("kind", kind), ("barrier", barrier), ("dim_param", dim_param),
+                            ("lower", lo), ("upper", hi), ("_component", component),
                             ("_inverse", barrier is BarrierKind.INVERSE),
-                            ("_jac", jac), ("_eye", np.eye(len(jac)))):
+                            ("_jac", jac), ("_jac_t", jac.T.copy()), ("_eye", np.eye(len(jac))),
+                            ("_off", np.hstack([np.negative(lo), hi]))):
             object.__setattr__(self, name, value)
 
     @property
@@ -131,12 +125,11 @@ class ConstraintGroup:
     def _slacks(self, th: Array) -> Array:
         """Distances to each bound of each row of th, unchecked: th has shape
         (..., dim_param) and the result (..., n_constraints), positive iff
-        the constraint holds strictly.  np.vecdot takes the same dot product
-        as th @ th."""
-        if self._component:
-            return np.concatenate([th - self._lo, self._hi - th], axis=-1)
-        r = np.sqrt(np.vecdot(th, th))[..., None]
-        return np.concatenate([r - self._lo, self._hi - r], axis=-1)
+        the constraint holds strictly.  Every entry of the Jacobian is 0 or
+        +-1, so z @ jac.T + off is bitwise z - lower, upper - z; np.vecdot
+        takes the same dot product as th @ th."""
+        z = th if self._component else np.sqrt(np.vecdot(th, th))[..., None]
+        return z @ self._jac_t + self._off
 
     def feasibility(self, theta_hat) -> Feasibility:
         """Strict feasibility plus the worst-case slack.  Margin 0 (a bound
@@ -148,19 +141,20 @@ class ConstraintGroup:
 
     def values(self, theta_hat) -> Array:
         """Per-constraint barrier values, ordered lower block then upper."""
-        return self._core(self._check_theta(theta_hat), 0.0)[0]
+        return self._core(self._check_theta(theta_hat), 0.0, self._jac)[0]
 
     def evaluate(self, theta_hat, lam) -> BarrierEval:
         """Values, gradients and sum_i lam_i * grad_i in one pass."""
         th = self._check_theta(theta_hat)
         lam = self._check_lam(lam)
         # weighting by the identity gives back the gradient rows themselves
-        values, rows = self._core(th, np.vstack([self._eye, lam]))
+        values, rows = self._core(th, np.vstack([self._eye, lam]), self._jac)
         return BarrierEval(values, rows[:-1], rows[-1])
 
-    def weighted_gradient_sum(self, theta_hat, lam) -> Array:
-        """sum_i lam_i * gradient_i, the constraint force in the update law."""
-        return self._core(self._check_theta(theta_hat), self._check_lam(lam))[1]
+    def weighted_gradient_sum(self, theta_hat, lam, scale=1.0) -> Array:
+        """scale * sum_i lam_i * gradient_i, the constraint force (scale = P)."""
+        th, lam = self._check_theta(theta_hat), self._check_lam(lam)
+        return self._core(th, lam, scale * self._jac)[1]
 
     def _check_lam(self, lam) -> Array:
         lam = np.asarray(lam, dtype=float)
@@ -172,21 +166,21 @@ class ConstraintGroup:
             raise ValueError("multipliers must be non-negative")
         return lam
 
-    def _core(self, th: Array, lam: Array) -> tuple[Array, Array]:
-        """Barrier values at th and lam @ (their gradient rows), without
-        argument checks: th has shape (dim_param,) and lam shape
-        (n_constraints,), or (k, n_constraints) for k weightings at once
-        (a scalar weights every constraint alike).
+    def _core(self, th: Array, lam: Array, jac: Array) -> tuple[Array, Array]:
+        """Barrier values at th and lam @ (their gradient rows, with columns
+        scaled as jac scales _jac), without argument checks: th has shape
+        (dim_param,) and lam shape (n_constraints,), or (k, n_constraints)
+        for k weightings at once (a scalar weights every constraint alike).
         Raises SingularGradient at theta_hat = 0 for a norm group, then
         InfeasibleEvaluation for a margin <= 0."""
         if self._component:
-            s, ds = self._slacks(th), self._jac
+            s, ds = self._slacks(th), jac
         else:
             # one radius serves the slacks and the radial direction
             r = math.sqrt(th @ th)
             if r == 0.0:
                 raise SingularGradient("norm-constraint gradient undefined at theta_hat = 0")
-            s, ds = np.array([r - self._lo, self._hi - r]), self._jac * (th / r)
+            s, ds = np.array([r - self.lower, self.upper - r]), jac * (th / r)
         margin = min(s.tolist())  # faster than s.min() on a few entries
         if margin <= 0.0:
             raise InfeasibleEvaluation(

@@ -1,9 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the integer check.
 
 Contract violations (bad shapes, non-positive gains, malformed configs) raise
 plain ValueError / ConfigError.  The classes below are signals with meaning to
 the integrator or the CLI.
 """
+
+from numbers import Real
 
 
 class InfeasibleEvaluation(Exception):
@@ -40,3 +42,11 @@ class NumericalDivergence(Exception):
 
 class ConfigError(ValueError):
     """Scenario configuration rejected; the message names the offending key."""
+
+
+def _integral(value, key: str) -> int:
+    """value as an int; a float passes only when it is integral."""
+    # value % 1 is NaN, so truthy, for NaN and the infinities
+    if isinstance(value, bool) or not isinstance(value, Real) or value % 1:
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)

@@ -18,6 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import _integral
 from .model import PlantModel
 
 Array = np.ndarray
@@ -46,8 +47,8 @@ class HistoryStack:
             raise ValueError("capacity must be a non-negative integer")
         if not min_eig_threshold >= 0:  # NaN fails too
             raise ValueError("min_eig_threshold must be non-negative")
-        self.dim_state = int(dim_state)
-        self.dim_param = int(dim_param)
+        self.dim_state = _integral(dim_state, "dim_state")
+        self.dim_param = _integral(dim_param, "dim_param")
         self.capacity = int(capacity)
         self.min_eig_threshold = float(min_eig_threshold)
         self._entries: list[StackEntry] = []
@@ -60,6 +61,7 @@ class HistoryStack:
         self._gram = np.zeros((self.dim_param, self.dim_param))
         self._proj = np.zeros(self.dim_param)
         self._min_eig: float | None = 0.0
+        self._revision = 0  # bumped by every stack change, a reverted swap too
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -92,6 +94,7 @@ class HistoryStack:
         self._gram = self._grams.sum(axis=0)
         self._proj = self._projs.sum(axis=0)
         self._min_eig = None
+        self._revision += 1
 
     def excitation_level(self) -> float:
         """Minimum eigenvalue of the gram matrix; 0 for an empty stack, and
@@ -151,11 +154,6 @@ class HistoryStack:
             )
         if not self._entries:
             return np.zeros(self.dim_param)
-        return self._cl_term(th)
-
-    def _cl_term(self, th: Array) -> Array:
-        """cl_term from the cached sums, unchecked: th must have length
-        dim_param and the stack must be non-empty."""
         return self._proj - self._gram @ th
 
 

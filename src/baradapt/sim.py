@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import accumulate
-from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -32,6 +31,7 @@ from .adaptation import (
     _control,
     _estimate_flow,
     _lambda_dot,
+    _memory_terms,
     _vector,
     projection,  # noqa: F401  bench/tracing.py wraps it as sim.projection
 )
@@ -42,6 +42,7 @@ from .errors import (
     InfeasibleEvaluation,
     NumericalDivergence,
     SingularGradient,
+    _integral,
 )
 from .history import (
     HistoryStack,
@@ -61,14 +62,6 @@ LAW_CODES = {law: code for code, law in enumerate(UpdateLaw)}
 
 # ---------------------------------------------------------------------------
 # configuration
-
-
-def _integral(value, key: str) -> int:
-    """value as an int; a float passes only when it is integral."""
-    # value % 1 is NaN, so truthy, for NaN and the infinities
-    if isinstance(value, bool) or not isinstance(value, Real) or value % 1:
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -313,7 +306,7 @@ class RunContext:
         self.lam_slices = tuple(map(slice, ends[:-1], ends[1:]))
         self.state_size = ends[-1]
         self._group_runtime = tuple(
-            (grp, sl, ms.alpha, ms.gamma_inv_array)
+            (grp, sl, ms.alpha, ms.gamma_inv_array, self.P * grp._jac)
             for grp, sl, ms in zip(self.groups, self.lam_slices, self.multipliers)
         )
         self.stack = HistoryStack(
@@ -331,6 +324,8 @@ class RunContext:
         # RK4 stages 2 and 3 share t + dt/2, and stage 4's t + dt is
         # usually the next step's t
         self._ref_memo = (None, None, None, None)
+        # the memory terms (A, b) and the stack revision they were formed at
+        self._memory = self._memory_rev = None
 
     def uub_constants(self, sigma_bar1: float, lambda_star) -> analysis.UubConstants:
         """Decay constants of this run's gains over every constraint group
@@ -385,7 +380,8 @@ class RunContext:
         active law.  Its inputs were validated when the context was
         compiled, so it makes no per-call shape or sign checks.  The
         reference is evaluated once per distinct t (traj.eval must be a
-        pure function of t, and its arrays are only read)."""
+        pure function of t, and its arrays are only read).  The memory
+        terms are formed again after every stack change (see _revision)."""
         n, p = self.n, self.p
         x = y[:n]
         th = y[n: n + p]
@@ -397,20 +393,24 @@ class RunContext:
         else:
             x_d, xdot_d = ref = self.traj.eval(t)
             self._ref_memo = (t, ref, t0, ref0)
+        if self._memory_rev != self.stack._revision:
+            self._memory_rev = self.stack._revision
+            self._memory = _memory_terms(self.P, self.kcl, self.stack)
         Y = self.plant.regressor(x)
         e = x - x_d
         forces, lam_dots = [], []
-        for grp, sl, alpha, gamma_inv in self._group_runtime:
+        for grp, sl, alpha, gamma_inv, jac in self._group_runtime:
             # floor stage multipliers at zero: RK stage combinations may dip
             # below the projection's domain even though accepted steps never do
             lam = np.maximum(y[sl], 0.0)
-            values, force = grp._core(th, lam)
+            values, force = grp._core(th, lam, jac)
             forces.append(force)
             lam_dots.append(_lambda_dot(lam, alpha, gamma_inv, values))
         return np.concatenate([
-            Y @ self.theta + _control(xdot_d, Y, th, self.k, e),
-            _estimate_flow(self.active_law, self.P, self.kcl, self.cfg.sigma2,
-                           e, Y, th, self.stack, forces),
+            # the plant Y theta plus the input xdot_d - Y th - k e
+            Y @ (self.theta - th) + (xdot_d - self.k * e),
+            _estimate_flow(self.active_law, self.P, self._memory, self.cfg.sigma2,
+                           e, Y, th, forces),
             *lam_dots,
         ])
 
@@ -448,7 +448,7 @@ def _attempt(ctx: RunContext, t: float, y: Array, dt: float) -> Array:
     if not np.isfinite(out).all():
         raise _NonFinite
     th = out[ctx.n: ctx.n + ctx.p]
-    for grp, sl, _, _ in ctx._group_runtime:
+    for grp, sl, *_ in ctx._group_runtime:
         # out is finite, so no slack is NaN and the list's min is theirs
         margin = min(grp._slacks(th).tolist())
         if margin <= 0.0:

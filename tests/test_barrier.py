@@ -38,6 +38,18 @@ def test_component_slacks_and_feasibility():
     assert not ok and margin == 0.0
 
 
+def test_slacks_are_bitwise_the_bound_differences():
+    # s = z @ jac.T + off adds only exact products with 0 and +-1
+    rng = np.random.default_rng(5)
+    rows = rng.uniform(-30.0, 30.0, size=(200, 4))
+    group = component_bounds(LO, HI)
+    lo, hi = np.asarray(LO), np.asarray(HI)
+    assert np.array_equal(group._slacks(rows), np.hstack([rows - lo, hi - rows]))
+    norm = norm_bounds(25.0, 28.0, dim_param=4)
+    r = np.sqrt(np.vecdot(rows, rows))[:, None]
+    assert np.array_equal(norm._slacks(rows), np.hstack([r - 25.0, 28.0 - r]))
+
+
 def test_component_inverse_values_and_gradients():
     group = component_bounds(LO, HI, barrier=BarrierKind.INVERSE)
     s = np.array([1.5, 2.0, 2.0, 3.0, 1.5, 4.0, 5.0, 7.0])
@@ -164,6 +176,19 @@ def test_constructor_validation():
     with pytest.raises(ValueError):
         ConstraintGroup(kind="component", barrier="inverse",
                         lower=(0.0,), upper=(1.0,), dim_param=2)
+
+
+def test_dim_param_must_be_integral():
+    bounds = {"component": ((0.0, 0.0), (1.0, 1.0)), "norm": (1.0, 2.0)}
+    for kind, (lower, upper) in bounds.items():
+        for bad in (2.5, math.nan, math.inf, True):
+            with pytest.raises(ValueError, match=r"^dim_param must be an integer, got"):
+                ConstraintGroup(kind=kind, barrier="inverse", lower=lower, upper=upper,
+                                dim_param=bad)
+        group = ConstraintGroup(kind=kind, barrier="inverse", lower=lower, upper=upper,
+                                dim_param=2.0)
+        assert type(group.dim_param) is int and group.dim_param == 2
+        assert group.feasibility([0.5, 0.9]).feasible
 
 
 def test_constraint_ordering_lower_block_first():

@@ -138,6 +138,17 @@ def test_constructor_rejects_fractional_capacity_and_nan_threshold():
     assert HistoryStack(2, 4, capacity=2.0, min_eig_threshold=0).capacity == 2
 
 
+def test_constructor_rejects_non_integral_dimensions():
+    for bad in (2.7, math.nan, math.inf, True):
+        with pytest.raises(ValueError, match=r"^dim_state must be an integer, got"):
+            HistoryStack(bad, 4, capacity=2, min_eig_threshold=1e-3)
+        with pytest.raises(ValueError, match=r"^dim_param must be an integer, got"):
+            HistoryStack(2, bad, capacity=2, min_eig_threshold=1e-3)
+    stack = HistoryStack(2.0, 4.0, capacity=2, min_eig_threshold=1e-3)
+    assert (stack.dim_state, stack.dim_param) == (2, 4)
+    assert type(stack.dim_state) is int and type(stack.dim_param) is int
+
+
 def test_zero_capacity_accepts_nothing():
     stack = HistoryStack(2, 4, capacity=0, min_eig_threshold=1e-3)
     assert not stack.try_insert(np.ones((2, 4)), np.zeros(2), np.zeros(2))

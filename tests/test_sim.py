@@ -279,6 +279,63 @@ def test_rhs_matches_module_pieces(kind, barrier):
         assert yd[sl.start] == 0.0
 
 
+def written_out_estimate_flow(ctx, t, y):
+    """The barrier-constrained estimate flow at (t, y), term by term."""
+    x, th = y[:2], y[2:6]
+    e = x - ctx.traj.eval(t)[0]
+    Y = ctx.plant.eval_regressor(x)
+    P, k_cl, stack = ctx.P, ctx.kcl, ctx.stack
+    flow = P * (Y.T @ e) + P * k_cl * (stack._proj - stack.gram @ th)
+    for grp, sl in zip(ctx.groups, ctx.lam_slices):
+        flow = flow - P * grp.weighted_gradient_sum(th, y[sl])
+    return flow
+
+
+def test_kernel_memory_terms_follow_every_stack_change(monkeypatch):
+    # the kernel forms its memory terms once per stack change; after an
+    # append, a swap and a reverted swap it must match the stack as it is
+    ctx = build_context(barrier_cfg(stack=StackConfig(mode="online", size=3)))
+    ctx.active_law = UpdateLaw.BARRIER_CONSTRAINED  # whatever the excitation
+    stack, t = ctx.stack, 0.5
+    y = ctx.pack(ctx.initial_state())
+    rng = np.random.default_rng(8)
+
+    def offer(scale=1.0):
+        return stack.try_insert(scale * rng.normal(size=(2, 4)), rng.normal(size=2),
+                                rng.normal(size=2))
+
+    def check():
+        assert np.allclose(ctx.rhs_flat(t, y)[2:6], written_out_estimate_flow(ctx, t, y),
+                           rtol=1e-14, atol=0)
+
+    ctx.rhs_flat(t, y)  # forms the terms of the empty stack
+    for _ in range(3):
+        assert offer()
+        check()
+    assert offer(scale=10.0) and len(stack) == 3  # a swap on the full stack
+    check()
+
+    before = (stack.entries, stack._grams.copy(), stack.gram, stack._proj,
+              stack.excitation_level())
+    level = stack.excitation_level
+    calls = []
+
+    def level_after_swap():
+        calls.append(ctx.rhs_flat(t, y))  # forms the terms of the swapped stack
+        return before[-1] if len(calls) == 2 else level()
+
+    monkeypatch.setattr(stack, "excitation_level", level_after_swap)
+    assert not offer(scale=10.0)
+    monkeypatch.undo()
+    assert len(calls) == 2  # the candidate passed the trial and was reverted
+    entries, grams, gram, proj, excitation = before
+    assert len(stack) == 3 and all(a is b for a, b in zip(stack.entries, entries))
+    assert np.array_equal(stack._grams, grams)
+    assert np.array_equal(stack.gram, gram) and np.array_equal(stack._proj, proj)
+    assert stack.excitation_level() == excitation
+    check()
+
+
 def test_rhs_raises_outside_a_group():
     ctx = build_context(barrier_cfg())
     y = ctx.pack(ctx.initial_state())
