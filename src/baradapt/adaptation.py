@@ -12,12 +12,13 @@ system:
 where proj(a, b) passes a through where b > 0 and clips a at 0 where b = 0,
 so multipliers can never flow negative.  The sigma-mod variant replaces the
 recorded-data term with -sigma2 * theta_hat for use while the history stack
-is not yet exciting.  theta_hat_dot equals -P times the gradient of the
-Lagrangian assembled in lagrangian_value, which is what makes the flow a
-primal-dual pair.  _estimate_flow writes it in reduced form: the memory term
-is b - A theta_hat, with A = diag(P K_cl) gram and b = P K_cl proj formed
-once per stack change (_memory_terms), and each force multiplies the barrier
-slopes by a slack Jacobian with P folded in (ConstraintGroup._core).
+is not yet exciting.  theta_hat_dot is -P times lagrangian_gradient, the
+theta_hat-gradient of the Lagrangian e^T Y theta_tilde + 1/2 theta_tilde^T
+K_cl (sum_k Y_k^T Y_k) theta_tilde + sum_j lambda_j^T c_j(theta_hat), so the
+flow is a primal-dual pair.  _estimate_flow writes it in reduced form: the
+memory term is b - A theta_hat, with A = diag(P K_cl) gram and b = P K_cl
+proj formed once per stack change (_memory_terms), and each force multiplies
+the barrier slopes by a slack Jacobian with P folded in (ConstraintGroup._core).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _integral
 
 Array = np.ndarray
 
@@ -69,8 +70,9 @@ class MultiplierState:
             raise ValueError("multipliers must be non-negative and finite")
         if not all(0.0 < v < math.inf for v in gi):  # NaN fails too
             raise ValueError("gamma_inv entries must be positive and finite")
-        if not 0.0 < self.alpha < math.inf:  # NaN fails too
+        if isinstance(self.alpha, bool) or not 0.0 < self.alpha < math.inf:  # NaN fails too
             raise ValueError("alpha must be positive and finite")
+        object.__setattr__(self, "alpha", float(self.alpha))
 
     @property
     def lam_array(self) -> Array:
@@ -121,6 +123,9 @@ class UpdateLawConfig:
                              f"(choose from {[v.value for v in UpdateLaw]})") from None
         if not 0.0 <= self.sigma2 < math.inf:  # NaN fails too
             raise ValueError("sigma2 must be non-negative and finite")
+        object.__setattr__(self, "dim_param", _integral(self.dim_param, "dim_param"))
+        if self.dim_param < 1:
+            raise ValueError("dim_param must be positive")
         object.__setattr__(self, "law", law)
         for key in ("learning_rate", "k_cl"):
             object.__setattr__(self, key, _vector(getattr(self, key), self.dim_param, key,
@@ -212,29 +217,11 @@ def theta_hat_dot(cfg: UpdateLawConfig, e, Y, stack, groups, lambdas, theta_hat)
                           cfg.sigma2, e, Y, th, forces)
 
 
-def lagrangian_value(cfg: UpdateLawConfig, e, Y, stack, groups, lambdas,
-                     theta_hat, theta_true) -> float:
-    """Instantaneous Lagrangian e^T Y theta_tilde
-    + 1/2 theta_tilde^T K_cl (sum_k Y_k^T Y_k) theta_tilde
-    + sum_j lambda_j^T c_j(theta_hat)."""
-    e = np.asarray(e, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    th = np.asarray(theta_hat, dtype=float)
-    tilde = np.asarray(theta_true, dtype=float) - th
-    val = float(e @ (Y @ tilde))
-    if stack is not None and len(stack) > 0:
-        val += 0.5 * float(tilde @ (cfg.k_cl_array * (stack.gram @ tilde)))
-    for group, ms in zip(groups, lambdas):
-        val += float(ms.lam_array @ group.values(th))
-    return val
-
-
 def lagrangian_gradient(cfg: UpdateLawConfig, e, Y, stack, groups, lambdas,
                         theta_hat, theta_true) -> Array:
-    """Gradient of the Lagrangian in theta_hat; theta_hat_dot for the
-    constrained law is -P times this.  The memory term is K_cl gram
-    theta_tilde, which for scalar K_cl is exactly the derivative of the
-    quadratic in lagrangian_value."""
+    """Gradient in theta_hat of the Lagrangian in the module docstring (for
+    scalar K_cl its memory term K_cl gram theta_tilde is exactly the
+    quadratic's derivative); the constrained law's theta_hat_dot is -P times this."""
     e = np.asarray(e, dtype=float)
     Y = np.asarray(Y, dtype=float)
     th = np.asarray(theta_hat, dtype=float)

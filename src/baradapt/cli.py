@@ -149,11 +149,6 @@ def load_config(spec: str) -> ScenarioConfig:
     raise ConfigError(f"config '{spec}' is neither a file nor a bundled scenario")
 
 
-def bundled_config_names() -> list[str]:
-    base = resources.files("baradapt").joinpath("configs")
-    return sorted(p.name[:-5] for p in base.iterdir() if p.name.endswith(".json"))
-
-
 # ---------------------------------------------------------------------------
 # reporting
 

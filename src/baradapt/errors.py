@@ -44,9 +44,12 @@ class ConfigError(ValueError):
     """Scenario configuration rejected; the message names the offending key."""
 
 
-def _integral(value, key: str) -> int:
-    """value as an int; a float passes only when it is integral."""
+def _integral(value, key: str, non_negative: bool = False) -> int:
+    """value as an int; a float passes only when it is integral, and a
+    negative value fails when non_negative is set."""
     # value % 1 is NaN, so truthy, for NaN and the infinities
-    if isinstance(value, bool) or not isinstance(value, Real) or value % 1:
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    if (isinstance(value, bool) or not isinstance(value, Real) or value % 1
+            or non_negative and value < 0):
+        kind = "a non-negative integer" if non_negative else "an integer"
+        raise ConfigError(f"{key} must be {kind}, got {value!r}")
     return int(value)

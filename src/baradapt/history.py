@@ -43,13 +43,11 @@ class HistoryStack:
 
     def __init__(self, dim_state: int, dim_param: int, capacity: int,
                  min_eig_threshold: float):
-        if not (capacity >= 0 and capacity % 1 == 0):  # NaN, inf and 2.5 fail
-            raise ValueError("capacity must be a non-negative integer")
-        if not min_eig_threshold >= 0:  # NaN fails too
-            raise ValueError("min_eig_threshold must be non-negative")
+        if not 0 <= min_eig_threshold < np.inf:  # NaN fails too
+            raise ValueError("min_eig_threshold must be non-negative and finite")
         self.dim_state = _integral(dim_state, "dim_state")
         self.dim_param = _integral(dim_param, "dim_param")
-        self.capacity = int(capacity)
+        self.capacity = _integral(capacity, "capacity", non_negative=True)
         self.min_eig_threshold = float(min_eig_threshold)
         self._entries: list[StackEntry] = []
         # Y_k^T Y_k and Y_k^T (xdot_hat_k - u_k) of each entry, stacked in

@@ -14,6 +14,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import _integral
+
 Array = np.ndarray
 
 
@@ -32,6 +34,8 @@ class PlantModel:
     theta_true: tuple[float, ...]
 
     def __post_init__(self):
+        for key in ("dim_state", "dim_param"):
+            object.__setattr__(self, key, _integral(getattr(self, key), key))
         if self.dim_state < 1 or self.dim_param < 1:
             raise ValueError("plant dimensions must be positive")
         if len(self.theta_true) != self.dim_param:

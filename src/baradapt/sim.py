@@ -320,10 +320,8 @@ class RunContext:
             fill_with_exact_model_data(self.stack, self.plant, states)
         self.active_law = self.law
         self.refresh_active_law()
-        # the last two distinct reference times and values, newest first:
-        # RK4 stages 2 and 3 share t + dt/2, and stage 4's t + dt is
-        # usually the next step's t
-        self._ref_memo = (None, None, None, None)
+        # last (t, reference): RK4 stages 2 and 3 share t; stage 4's is usually the next step's t
+        self._ref_t = self._ref = None
         # the memory terms (A, b) and the stack revision they were formed at
         self._memory = self._memory_rev = None
 
@@ -379,20 +377,15 @@ class RunContext:
         """The law kernel: closed-loop vector field at (t, y) under the
         active law.  Its inputs were validated when the context was
         compiled, so it makes no per-call shape or sign checks.  The
-        reference is evaluated once per distinct t (traj.eval must be a
-        pure function of t, and its arrays are only read).  The memory
+        reference is evaluated again only when t changes (traj.eval must be
+        a pure function of t, and its arrays are only read).  The memory
         terms are formed again after every stack change (see _revision)."""
         n, p = self.n, self.p
         x = y[:n]
         th = y[n: n + p]
-        t0, ref0, t1, ref1 = self._ref_memo
-        if t == t0:
-            x_d, xdot_d = ref0
-        elif t == t1:
-            x_d, xdot_d = ref1
-        else:
-            x_d, xdot_d = ref = self.traj.eval(t)
-            self._ref_memo = (t, ref, t0, ref0)
+        if t != self._ref_t:
+            self._ref_t, self._ref = t, self.traj.eval(t)
+        x_d, xdot_d = self._ref
         if self._memory_rev != self.stack._revision:
             self._memory_rev = self.stack._revision
             self._memory = _memory_terms(self.P, self.kcl, self.stack)

@@ -9,7 +9,6 @@ from baradapt.adaptation import (
     UpdateLawConfig,
     _lambda_dot,
     lagrangian_gradient,
-    lagrangian_value,
     projection,
     theta_hat_dot,
 )
@@ -74,9 +73,12 @@ def test_multiplier_state_validation():
         MultiplierState(lam=(1.0,), gamma_inv=(1.0,), alpha=0.0)
     with pytest.raises(ValueError):
         MultiplierState(lam=(1.0, 1.0), gamma_inv=(1.0,), alpha=0.1)
-    for alpha in (math.nan, math.inf):
+    # a bool is no gain, as in a JSON config
+    for alpha in (math.nan, math.inf, True):
         with pytest.raises(ValueError, match="^alpha must be positive and finite"):
             MultiplierState(lam=(1.0,), gamma_inv=(1.0,), alpha=alpha)
+    alpha = MultiplierState(lam=(1.0,), gamma_inv=(1.0,), alpha=2).alpha
+    assert alpha == 2.0 and type(alpha) is float
 
 
 def test_lambda_dot_hand_values():
@@ -105,6 +107,14 @@ def test_update_law_config_promotion():
             UpdateLawConfig(law="gradient", dim_param=4, learning_rate=1.0, sigma2=sigma2)
     with pytest.raises(ValueError, match=r"^unknown law 'newton' \(choose from \['gradient'"):
         UpdateLawConfig(law="newton", dim_param=4, learning_rate=1.0)
+    for dim_param in (2.5, True, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^dim_param must be an integer, got"):
+            UpdateLawConfig(law="gradient", dim_param=dim_param, learning_rate=1.0)
+    for dim_param in (0, -1):
+        with pytest.raises(ValueError, match="^dim_param must be positive"):
+            UpdateLawConfig(law="gradient", dim_param=dim_param, learning_rate=1.0)
+    cfg = UpdateLawConfig(law="gradient", dim_param=4.0, learning_rate=1.0)
+    assert cfg.dim_param == 4 and type(cfg.dim_param) is int
 
 
 def test_gradient_law_hand_value():
@@ -194,6 +204,23 @@ def test_law_terms_skipped_not_zeroed():
     c = theta_hat_dot(cfg_bar, e, Y, empty, (), (), th)
     assert np.array_equal(a, b)
     assert np.array_equal(b, c)
+
+
+def lagrangian_value(cfg, e, Y, stack, groups, lambdas, theta_hat, theta_true):
+    """The instantaneous Lagrangian e^T Y theta_tilde
+    + 1/2 theta_tilde^T K_cl (sum_k Y_k^T Y_k) theta_tilde
+    + sum_j lambda_j^T c_j(theta_hat): the reference whose finite-difference
+    gradient lagrangian_gradient must match."""
+    e = np.asarray(e, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    th = np.asarray(theta_hat, dtype=float)
+    tilde = np.asarray(theta_true, dtype=float) - th
+    val = float(e @ (Y @ tilde))
+    if stack is not None and len(stack) > 0:
+        val += 0.5 * float(tilde @ (cfg.k_cl_array * (stack.gram @ tilde)))
+    for group, ms in zip(groups, lambdas):
+        val += float(ms.lam_array @ group.values(th))
+    return val
 
 
 def test_lagrangian_gradient_matches_finite_difference():

@@ -3,6 +3,7 @@ import logging
 import warnings
 from collections import Counter
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -39,7 +40,13 @@ def test_config_round_trip(name):
 
 
 def test_bundled_names():
-    assert cli.bundled_config_names() == ["sanity", "sec5a", "sec5b", "sec5c"]
+    """The configs/ directory of the installed package holds exactly the
+    four scenarios, and each loads by its bare name."""
+    base = resources.files("baradapt").joinpath("configs")
+    names = sorted(p.name[:-5] for p in base.iterdir() if p.name.endswith(".json"))
+    assert names == ["sanity", "sec5a", "sec5b", "sec5c"]
+    for name in names:
+        assert cli.load_config(name).name == name
 
 
 def test_load_config_accepts_path_and_suffixed_name(tmp_path):
@@ -389,6 +396,8 @@ BAD_LANES = [
     (["sweep", "--sweep-key", "alpha", "--sweep-values", "nan"], "groups[1].alpha "),
     (["sweep", "--sweep-key", "alpha", "--sweep-values", "inf"], "groups[1].alpha "),
     (["compare", "--laws", "gradient,newton"], "unknown law 'newton'"),
+    (["compare", "--laws", ","], "no laws given"),
+    (["run", "--t-final", "0.0005"], "t_final must be at least dt"),
     (["sweep", "--sweep-key", "control_gain", "--sweep-values", "5,5.0000001"],
      "'5' and '5.0000001' both write 'control_gain_5"),
     (["compare", "--laws", "gradient,GRADIENT"],

@@ -2,6 +2,7 @@
 feasible configs, and ConfigError as the only failure under mutation."""
 
 import json
+from importlib import resources
 
 import pytest
 
@@ -14,6 +15,8 @@ from baradapt.errors import ConfigError  # noqa: E402
 from baradapt.sim import GroupConfig, ScenarioConfig, StackConfig, canonical_config  # noqa: E402
 
 N, P = 2, 4
+BUNDLED = sorted(p.name[:-5] for p in resources.files("baradapt").joinpath("configs").iterdir()
+                 if p.name.endswith(".json"))
 LAWS = ["gradient", "concurrent_learning", "barrier_constrained", "barrier_sigma_mod"]
 
 positive = st.floats(min_value=1e-3, max_value=1e3)
@@ -102,7 +105,7 @@ def _containers(raw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(cli.bundled_config_names()), st.data())
+@given(st.sampled_from(BUNDLED), st.data())
 def test_mutated_config_fails_only_with_config_error(name, data):
     raw = cli.config_to_dict(cli.load_config(name))
     for _ in range(data.draw(st.integers(1, 3))):

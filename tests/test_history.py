@@ -129,13 +129,15 @@ def test_entry_validation():
 
 
 def test_constructor_rejects_fractional_capacity_and_nan_threshold():
-    for capacity in (2.5, -1, math.nan, math.inf):
+    for capacity in (2.5, -1, math.nan, math.inf, True, "2"):
         with pytest.raises(ValueError, match="^capacity must be a non-negative integer"):
             HistoryStack(2, 4, capacity=capacity, min_eig_threshold=1e-3)
-    for threshold in (math.nan, -1e-3):
+    # StackConfig rejects an infinite min_excitation, so the stack does too
+    for threshold in (math.nan, -1e-3, math.inf):
         with pytest.raises(ValueError, match="^min_eig_threshold must be non-negative"):
             HistoryStack(2, 4, capacity=2, min_eig_threshold=threshold)
-    assert HistoryStack(2, 4, capacity=2.0, min_eig_threshold=0).capacity == 2
+    stack = HistoryStack(2, 4, capacity=2.0, min_eig_threshold=0)
+    assert stack.capacity == 2 and type(stack.capacity) is int
 
 
 def test_constructor_rejects_non_integral_dimensions():

@@ -5,6 +5,7 @@ import pytest
 
 from baradapt.model import (
     BENCHMARK_THETA,
+    PlantModel,
     benchmark_plant,
     benchmark_trajectory,
     get_plant,
@@ -57,6 +58,24 @@ def test_plant_shape_checks():
     plant = benchmark_plant()
     with pytest.raises(ValueError):
         plant.eval_regressor([1.0, 2.0, 3.0])
+
+
+def test_plant_dimensions_must_be_positive_integers():
+    def make(dim_state=2, dim_param=4):
+        return PlantModel(name="p", dim_state=dim_state, dim_param=dim_param,
+                          regressor=lambda x: np.zeros((2, 4)), theta_true=(0.0,) * 4)
+
+    for bad in (2.5, True, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^dim_state must be an integer, got"):
+            make(dim_state=bad)
+        with pytest.raises(ValueError, match="^dim_param must be an integer, got"):
+            make(dim_param=bad)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="^plant dimensions must be positive"):
+            make(dim_state=bad)
+    plant = make(dim_state=2.0, dim_param=4.0)
+    assert (plant.dim_state, plant.dim_param) == (2, 4)
+    assert type(plant.dim_state) is int and type(plant.dim_param) is int
 
 
 def test_zero_regressor_plant():

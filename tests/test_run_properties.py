@@ -9,6 +9,7 @@ import json
 import tempfile
 import warnings
 from dataclasses import replace
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,9 @@ from baradapt.adaptation import LAWS_WITH_BARRIER, UpdateLaw  # noqa: E402
 from baradapt.errors import BarrierBreach, NumericalDivergence  # noqa: E402
 from baradapt.sim import StackConfig, min_margin, run_scenario  # noqa: E402
 
-BUNDLED = {name: cli.load_config(name) for name in cli.bundled_config_names()}
+BUNDLED = {p.name[:-5]: cli.load_config(p.name[:-5])
+           for p in resources.files("baradapt").joinpath("configs").iterdir()
+           if p.name.endswith(".json")}
 
 
 @st.composite

@@ -154,6 +154,8 @@ def test_stack_config_validation():
         StackConfig(record_every=0)
     with pytest.raises(ConfigError):
         StackConfig(min_excitation=-1.0)
+    with pytest.raises(ConfigError, match=r"^stack\.size must be non-negative"):
+        StackConfig(size=-1)
 
 
 def with_field(name: str, key: str, value) -> ScenarioConfig:
@@ -482,22 +484,47 @@ def test_unconstrained_law_may_violate_logged_margins():
     assert min_margin(log) < 0.0
 
 
-@pytest.mark.parametrize("law", ["gradient", "barrier_constrained"])
-def test_callback_error_on_a_finite_state_propagates(monkeypatch, law):
+@pytest.mark.parametrize("law, once", [
+    ("gradient", False), ("barrier_constrained", False),
+    ("gradient", True), ("barrier_constrained", True),
+], ids=["gradient", "barrier_constrained", "gradient-once", "barrier_constrained-once"])
+def test_callback_error_on_a_finite_state_propagates(monkeypatch, law, once):
     # the divergence check replays a failed step; an error that a plant
-    # raises on a finite state must still come out as itself
+    # raises on a finite state must still come out as itself, both when the
+    # replay meets it again and when (raised once) the replay runs through
     from baradapt import model
 
     base = model.benchmark_plant()
+    raised = []
 
     def picky(x):
-        if x[0] < 9.5:
+        if x[0] < 9.5 and not (once and raised):
+            raised.append(x[0])
             raise ValueError("picky regressor")
         return base.regressor(x)
 
     monkeypatch.setitem(model.PLANTS, "picky", lambda: replace(base, regressor=picky))
     with pytest.raises(ValueError, match="picky regressor"):
         run_scenario(barrier_cfg(plant="picky", law=law, t_final=0.1))
+
+
+def test_non_finite_stage_with_multipliers_ends_as_divergence(monkeypatch):
+    # a run with multipliers halves on a non-finite stage as on a breach;
+    # a regressor that turns infinite near x0 keeps every halving
+    # non-finite, so the budget runs out as a divergence, not a breach
+    from baradapt import model
+
+    base = model.benchmark_plant()
+
+    def blowup(x):
+        return base.regressor(x) * (np.inf if x[0] < 9.9 else 1.0)
+
+    monkeypatch.setitem(model.PLANTS, "blowup", lambda: replace(base, regressor=blowup))
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericalDivergence,
+                           match=r"^non-finite state at t=\S+ with step \S+$") as err:
+            run_scenario(barrier_cfg(plant="blowup"))
+    assert 0.0 < err.value.time < 0.01
 
 
 def test_log_value_past_the_finite_range_is_divergence():

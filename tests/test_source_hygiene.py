@@ -1,6 +1,6 @@
 """Leftovers that no linter catches here: an import that its module never
-uses, a private function or method that nothing calls, and a name in
-README.md that the code no longer has.
+uses, a private function or method that nothing calls, a public function
+that only tests call, and a name in README.md that the code no longer has.
 
 The first two checks read the syntax trees only.  An import counts as
 used when its name appears anywhere in its module (or in the module's
@@ -8,7 +8,8 @@ __all__); lines marked ``# noqa`` and ``from __future__`` imports are
 exempt.  A private function counts as referenced when its name appears,
 outside its own body, as a name, an attribute or a string in src/,
 bench/*.py or tests/ (the benchmark patches some functions by their name
-as a string)."""
+as a string).  A public top-level function must be named the same way in
+src/ or bench/*.py: one that only tests call lives in those tests."""
 
 import ast
 import importlib
@@ -66,24 +67,42 @@ def test_no_unused_imports(path):
     assert not unused, f"unused imports: {unused}"
 
 
+def name_counts(paths) -> Counter:
+    return sum((names_in(parse(path)) for path in paths), Counter())
+
+
+def unreferenced(functions, counts: Counter) -> list[str]:
+    """'file:line name' of each (path, def) pair whose name counts holds
+    nowhere outside the function's own body (a recursive call is no
+    reference from outside)."""
+    return [f"{path.name}:{node.lineno} {node.name}" for path, node in functions
+            if counts[node.name] - names_in(node)[node.name] <= 0]
+
+
 def test_every_private_function_is_referenced():
-    trees = {path: parse(path) for path in MODULES}
-    others = [*(ROOT / "bench").glob("*.py"), *(ROOT / "tests").glob("*.py")]
-    everywhere = sum((names_in(tree) for tree in trees.values()), Counter())
-    for path in others:
-        everywhere += names_in(parse(path))
-    unreferenced = []
-    for path, tree in trees.items():
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            name = node.name
-            if not name.startswith("_") or (name.startswith("__") and name.endswith("__")):
-                continue
-            # a recursive call is no reference from outside
-            if everywhere[name] - names_in(node)[name] <= 0:
-                unreferenced.append(f"{path.name}:{node.lineno} {name}")
-    assert not unreferenced, f"private functions nothing references: {unreferenced}"
+    functions = [
+        (path, node) for path in MODULES for node in ast.walk(parse(path))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_")
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+    counts = name_counts([*MODULES, *(ROOT / "bench").glob("*.py"),
+                          *(ROOT / "tests").glob("*.py")])
+    missing = unreferenced(functions, counts)
+    assert not missing, f"private functions nothing references: {missing}"
+
+
+def test_every_public_function_is_used_outside_the_tests():
+    """A public top-level function that only tests call belongs in those
+    tests.  Methods are out of scope."""
+    functions = [
+        (path, node) for path in MODULES for node in parse(path).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+    ]
+    counts = name_counts([*MODULES, *(ROOT / "bench").glob("*.py")])
+    missing = unreferenced(functions, counts)
+    assert not missing, f"public functions only tests use: {missing}"
 
 
 def test_readme_names_resolve():
