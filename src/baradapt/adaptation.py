@@ -90,7 +90,11 @@ class MultiplierState:
 
 def _vector(value, length: int, key: str, positive: bool = False) -> tuple[float, ...]:
     """value as a tuple of length finite floats, positive ones if asked; a
-    scalar fills every entry."""
+    scalar fills every entry; a bool is not a number."""
+    entries = value if isinstance(value, (list, tuple)) else (value,)
+    if (any(isinstance(v, (bool, np.bool_)) for v in entries)
+            or getattr(value, "dtype", None) == bool):
+        raise ConfigError(f"{key} must be numbers, got {value!r}")
     arr = np.atleast_1d(np.asarray(value, dtype=float))
     if arr.size == 1:
         arr = np.full(length, arr[0])
@@ -121,7 +125,7 @@ class UpdateLawConfig:
         except ValueError:
             raise ValueError(f"unknown law '{self.law}' "
                              f"(choose from {[v.value for v in UpdateLaw]})") from None
-        if not 0.0 <= self.sigma2 < math.inf:  # NaN fails too
+        if isinstance(self.sigma2, bool) or not 0.0 <= self.sigma2 < math.inf:  # NaN fails too
             raise ValueError("sigma2 must be non-negative and finite")
         object.__setattr__(self, "dim_param", _integral(self.dim_param, "dim_param"))
         if self.dim_param < 1:

@@ -9,7 +9,9 @@ pins down the parameter vector without persistent excitation.
 Insertion never lowers the minimum eigenvalue: appends add a positive
 semidefinite term, and once full a candidate only replaces the entry whose
 removal-and-substitution maximizes the minimum eigenvalue, and only if that
-strictly improves on the current value.
+strictly improves on the current value.  A full-stack candidate is first
+screened: a Rayleigh-quotient bound rules out the trial swaps that cannot
+beat the current value, and only the rest go to LAPACK.
 """
 
 from __future__ import annotations
@@ -43,10 +45,14 @@ class HistoryStack:
 
     def __init__(self, dim_state: int, dim_param: int, capacity: int,
                  min_eig_threshold: float):
-        if not 0 <= min_eig_threshold < np.inf:  # NaN fails too
+        # NaN fails too; a bool is not a threshold
+        if isinstance(min_eig_threshold, bool) or not 0 <= min_eig_threshold < np.inf:
             raise ValueError("min_eig_threshold must be non-negative and finite")
         self.dim_state = _integral(dim_state, "dim_state")
         self.dim_param = _integral(dim_param, "dim_param")
+        for key in ("dim_state", "dim_param"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be positive")
         self.capacity = _integral(capacity, "capacity", non_negative=True)
         self.min_eig_threshold = float(min_eig_threshold)
         self._entries: list[StackEntry] = []
@@ -59,6 +65,7 @@ class HistoryStack:
         self._gram = np.zeros((self.dim_param, self.dim_param))
         self._proj = np.zeros(self.dim_param)
         self._min_eig: float | None = 0.0
+        self._screen: tuple[Array, Array, float] | None = None  # see _swap_screen
         self._revision = 0  # bumped by every stack change, a reverted swap too
 
     def __len__(self) -> int:
@@ -92,6 +99,7 @@ class HistoryStack:
         self._gram = self._grams.sum(axis=0)
         self._proj = self._projs.sum(axis=0)
         self._min_eig = None
+        self._screen = None
         self._revision += 1
 
     def excitation_level(self) -> float:
@@ -108,6 +116,26 @@ class HistoryStack:
         level = self.excitation_level()
         return level > 0.0 and level >= self.min_eig_threshold
 
+    def _swap_screen(self) -> tuple[Array, Array, float]:
+        """(v, key, max(key)) for the full stack as it stands, formed on the
+        first full-stack candidate after a change.  v is the unit
+        eigenvector of the gram's smallest eigenvalue, and
+        key[i] = v'Gv - |Y_i v|^2 + 1e-9 trace(G).
+
+        Trial swap i has the gram T_i = G - G_i + C, with C = Y_c'Y_c the
+        candidate's.  By Courant-Fischer its smallest eigenvalue is at most
+        v'T_i v = v'Gv - |Y_i v|^2 + |Y_c v|^2, so
+        key[i] + |Y_c v|^2 + 1e-9 trace(C) bounds it from above.  The slack
+        1e-9 (trace(G) + trace(C)) is at least 1e-9 trace(T_i) >= 1e-9
+        |T_i|_2, about six orders of magnitude above the rounding of the
+        bound, of forming T_i and of eigvalsh's backward error; so
+        eigvalsh returns no more than the bound plus the slack for T_i."""
+        if self._screen is None:
+            v = np.linalg.eigh(self._gram)[1][:, 0]
+            key = v @ self._gram @ v - (self._grams @ v) @ v + 1e-9 * self._gram.trace()
+            self._screen = (v, key, float(key.max()))
+        return self._screen
+
     def try_insert(self, Y, u, xdot_hat) -> bool:
         """Insert if the stack has room, else swap against the entry whose
         replacement maximizes the minimum gram eigenvalue.  Returns whether
@@ -115,22 +143,33 @@ class HistoryStack:
         cand = self._validate(Y, u, xdot_hat)
         if self.capacity == 0:
             return False
-        cand_gram = cand.Y.T @ cand.Y
-        cand_proj = cand.Y.T @ (cand.xdot_hat - cand.u)
+        Y = cand.Y
         if len(self._entries) < self.capacity:
             self._entries.append(cand)
-            self._grams = np.concatenate([self._grams, cand_gram[None]])
-            self._projs = np.concatenate([self._projs, cand_proj[None]])
+            self._grams = np.concatenate([self._grams, (Y.T @ Y)[None]])
+            self._projs = np.concatenate([self._projs, (Y.T @ (cand.xdot_hat - cand.u))[None]])
             self._recompute()
             return True
         current = self.excitation_level()
-        # every trial swap at once: one batched eigvalsh over the stacked
-        # grams; argmax keeps the first of equally good swaps
-        trials = self._gram - self._grams + cand_gram
-        eigs = np.linalg.eigvalsh(trials)[:, 0]
-        best_idx = int(np.argmax(eigs))
-        if eigs[best_idx] <= current * (1.0 + 1e-12):
+        bar = current * (1.0 + 1e-12)
+        # a trial whose bound (see _swap_screen) is at most bar computes to
+        # at most bar, so it can neither win nor turn a rejection into a
+        # swap: only the live trials go to eigvalsh, which returns the same
+        # values for a matrix in any batch
+        v, key, key_max = self._swap_screen()
+        yv = Y @ v
+        reach = float(yv @ yv) + 1e-9 * float(np.vdot(Y, Y))
+        if key_max + reach <= bar:
             return False
+        live = (key + reach > bar).nonzero()[0]
+        cand_gram = Y.T @ Y
+        eigs = np.linalg.eigvalsh(self._gram - self._grams[live] + cand_gram)[:, 0]
+        # argmax keeps the first of equally good swaps, in entry order
+        best = int(np.argmax(eigs))
+        if eigs[best] <= bar:
+            return False
+        best_idx = int(live[best])
+        cand_proj = Y.T @ (cand.xdot_hat - cand.u)
         removed = (self._entries[best_idx], self._grams[best_idx].copy(),
                    self._projs[best_idx].copy())
         self._entries[best_idx], self._grams[best_idx], self._projs[best_idx] = (
@@ -158,16 +197,21 @@ class HistoryStack:
 def write_csv(path_or_buf, header, rows) -> None:
     """Write a header line and one line per row to a path or an open text
     file.  Numbers are printed with 17 significant digits, which reads back
-    as the same double; string cells are written as they are."""
+    as the same double; string cells are written as they are.  The line
+    format is built once, from the first row: %s where it holds a string,
+    %.17g elsewhere, which prints a float or an int as format(v, ".17g")
+    does; every row must have the length of the first and its strings in
+    the same places."""
     if not hasattr(path_or_buf, "write"):
         with open(path_or_buf, "w") as fh:
             write_csv(fh, header, rows)
         return
     path_or_buf.write(",".join(header) + "\n")
+    fmt = None
     for row in rows:
-        path_or_buf.write(",".join(
-            [v if isinstance(v, str) else format(v, ".17g") for v in row]
-        ) + "\n")
+        if fmt is None:
+            fmt = ",".join(["%s" if isinstance(v, str) else "%.17g" for v in row]) + "\n"
+        path_or_buf.write(fmt % tuple(row))
 
 
 def fill_with_exact_model_data(stack: HistoryStack, plant: PlantModel, states) -> int:

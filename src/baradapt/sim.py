@@ -86,7 +86,8 @@ class StackConfig:
             raise ConfigError("stack.size must be non-negative")
         if record_every < 1:
             raise ConfigError("stack.record_every must be at least 1")
-        if not 0 <= self.min_excitation < np.inf:  # NaN fails too
+        # NaN fails too; a bool is not a threshold
+        if isinstance(self.min_excitation, bool) or not 0 <= self.min_excitation < np.inf:
             raise ConfigError("stack.min_excitation must be non-negative and finite")
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "record_every", record_every)

@@ -8,6 +8,7 @@ from baradapt.adaptation import (
     UpdateLaw,
     UpdateLawConfig,
     _lambda_dot,
+    _vector,
     lagrangian_gradient,
     projection,
     theta_hat_dot,
@@ -102,7 +103,7 @@ def test_update_law_config_promotion():
         UpdateLawConfig(law="gradient", dim_param=4, learning_rate=(1.0, 1.0))
     with pytest.raises(ValueError):
         UpdateLawConfig(law="gradient", dim_param=4, learning_rate=1.0, sigma2=-1.0)
-    for sigma2 in (math.nan, math.inf):
+    for sigma2 in (math.nan, math.inf, True):
         with pytest.raises(ValueError, match="^sigma2 must be non-negative and finite"):
             UpdateLawConfig(law="gradient", dim_param=4, learning_rate=1.0, sigma2=sigma2)
     with pytest.raises(ValueError, match=r"^unknown law 'newton' \(choose from \['gradient'"):
@@ -115,6 +116,16 @@ def test_update_law_config_promotion():
             UpdateLawConfig(law="gradient", dim_param=dim_param, learning_rate=1.0)
     cfg = UpdateLawConfig(law="gradient", dim_param=4.0, learning_rate=1.0)
     assert cfg.dim_param == 4 and type(cfg.dim_param) is int
+    # a bool is no gain, alone or as an entry, as on the JSON path
+    for gain in (True, np.bool_(True), (True, 2.0, 1.0, 1.0), np.ones(4, dtype=bool)):
+        with pytest.raises(ValueError, match="^learning_rate must be numbers, got"):
+            UpdateLawConfig(law="gradient", dim_param=4, learning_rate=gain)
+        with pytest.raises(ValueError, match="^k_cl must be numbers, got"):
+            UpdateLawConfig(law="gradient", dim_param=4, learning_rate=1.0, k_cl=gain)
+    with pytest.raises(ValueError, match=r"^k must be numbers, got \[True, 2\.0\]"):
+        _vector([True, 2.0], 2, "k")
+    assert _vector((1, 2.0), 2, "k") == (1.0, 2.0)
+    assert _vector(np.float64(3.0), 2, "k") == (3.0, 3.0)
 
 
 def test_gradient_law_hand_value():

@@ -1,9 +1,15 @@
+import io
 import math
 
 import numpy as np
 import pytest
 
-from baradapt.history import HistoryStack, _central_difference, fill_with_exact_model_data
+from baradapt.history import (
+    HistoryStack,
+    _central_difference,
+    fill_with_exact_model_data,
+    write_csv,
+)
 from baradapt.model import benchmark_plant, benchmark_trajectory
 
 
@@ -70,6 +76,125 @@ def test_cached_sums_equal_an_entry_loop_through_swaps():
     assert changes > stack.capacity  # some candidates were swapped in
 
 
+def _unscreened_try_insert(stack, Y, u, xdot_hat):
+    """The swap rule with every trial gram in one batched eigvalsh and no
+    screen: try_insert as it was before the screen, the reference below."""
+    cand = stack._validate(Y, u, xdot_hat)
+    if stack.capacity == 0:
+        return False
+    cand_gram = cand.Y.T @ cand.Y
+    cand_proj = cand.Y.T @ (cand.xdot_hat - cand.u)
+    if len(stack._entries) < stack.capacity:
+        stack._entries.append(cand)
+        stack._grams = np.concatenate([stack._grams, cand_gram[None]])
+        stack._projs = np.concatenate([stack._projs, cand_proj[None]])
+        stack._recompute()
+        return True
+    current = stack.excitation_level()
+    trials = stack._gram - stack._grams + cand_gram
+    eigs = np.linalg.eigvalsh(trials)[:, 0]
+    best_idx = int(np.argmax(eigs))
+    if eigs[best_idx] <= current * (1.0 + 1e-12):
+        return False
+    removed = (stack._entries[best_idx], stack._grams[best_idx].copy(),
+               stack._projs[best_idx].copy())
+    stack._entries[best_idx], stack._grams[best_idx], stack._projs[best_idx] = (
+        cand, cand_gram, cand_proj)
+    stack._recompute()
+    if stack.excitation_level() <= current:
+        stack._entries[best_idx], stack._grams[best_idx], stack._projs[best_idx] = removed
+        stack._recompute()
+        return False
+    return True
+
+
+def _candidates(kind, rng, stack, scale):
+    """Candidate regressors of one stream kind; ties re-offers the stack's
+    own entries, exactly or within a few ulps to a few 1e-5 of them."""
+    n, p = stack.dim_state, stack.dim_param
+    if kind == "benchmark":
+        # the paper's regressor along its reference path: exact zeros
+        x = benchmark_trajectory().eval(float(rng.uniform(0.0, 30.0)))[0]
+        return scale * benchmark_plant().regressor(x + rng.choice([0.0, 0.1]) * rng.normal(size=2))
+    if kind == "ties" and len(stack) and rng.random() < 0.6:
+        Y = stack.entries[rng.integers(len(stack))].Y
+        return Y * rng.choice([1.0, 1.0, 1.0 - 1e-9, 1.0 + 1e-9, 1.0 + 1e-7, 1.0 + 1e-5])
+    if kind == "rank_deficient" and (not len(stack) or rng.random() < 0.3):
+        # a stack of zero samples offered another has a bound and a bar of
+        # exactly 0
+        return np.zeros((n, p))
+    Y = scale * 10.0 ** rng.uniform(-1.0, 1.0) * rng.normal(size=(n, p))
+    if kind == "rank_deficient" and rng.random() < 0.9:
+        # one parameter direction stays unexcited, so the level is 0
+        Y[:, 0] = 0.0
+    return Y
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "benchmark", "rank_deficient", "ties"])
+def test_screened_swaps_match_the_full_batched_rule(kind, monkeypatch):
+    # the screen only skips trials that cannot change the decision: every
+    # return value, entry, cached sum, level and revision is bitwise the
+    # unscreened rule's, and the screen both ends candidates without LAPACK
+    # and sends only part of the trials to it
+    eigvalsh, batches = np.linalg.eigvalsh, []
+
+    def counted(a):
+        if a.ndim == 3:
+            batches.append(len(a))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    rng = np.random.default_rng(["gaussian", "benchmark", "rank_deficient", "ties"].index(kind))
+    screened_out = partial = at_zero = 0
+    for capacity in range(1, 8):
+        for _ in range(3):
+            n, p = (2, 4) if kind == "benchmark" else (int(rng.integers(1, 4)), int(rng.integers(2, 5)))
+            scale = 10.0 ** rng.uniform(-4.0, 4.0)
+            stack, ref = (HistoryStack(n, p, capacity, 1e-3) for _ in range(2))
+            for _ in range(50):
+                Y = _candidates(kind, rng, ref, scale)
+                u, xd = rng.normal(size=n), rng.normal(size=n)
+                full = len(stack) == capacity
+                at_zero += full and ref.excitation_level() == 0.0
+                want = _unscreened_try_insert(ref, Y, u, xd)
+                del batches[:]
+                assert stack.try_insert(Y, u, xd) == want
+                if full:
+                    screened_out += not batches
+                    partial += bool(batches) and batches[0] < capacity
+                assert all(np.array_equal(a, b) for ea, eb in zip(stack.entries, ref.entries)
+                           for a, b in zip(ea, eb))
+                assert len(stack) == len(ref)
+                for name in ("_grams", "_projs", "_gram", "_proj"):
+                    assert np.array_equal(getattr(stack, name), getattr(ref, name))
+                assert stack.excitation_level() == ref.excitation_level()
+                # the run forms its memory terms again on every revision
+                assert stack._revision == ref._revision
+    assert screened_out > 0 and partial > 0
+    if kind == "rank_deficient":
+        assert at_zero > 0
+
+
+def test_write_csv_prints_each_cell_as_format_17g():
+    # the one line format per call gives every cell's format(v, ".17g"),
+    # strings as they are, for every kind of number a caller passes
+    rows = [
+        ["a", 1, 0.1, np.float64(1 / 3), math.inf, -math.inf, -0.0, 5e-324, 1e16],
+        ["barrier_sigma_mod", -7, 2.5e-310, np.float64(-1e300), math.nan, 0.0, 1e-5, 2**60, True],
+    ]
+    expected = "k,n,x,y,p,q,z,s,b\n" + "".join(
+        ",".join(v if isinstance(v, str) else format(v, ".17g") for v in row) + "\n"
+        for row in rows)
+    for given in (rows, iter(rows)):
+        buf = io.StringIO()
+        write_csv(buf, "k,n,x,y,p,q,z,s,b".split(","), given)
+        assert buf.getvalue() == expected
+    assert ",-0,4.9406564584124654e-324,10000000000000000\n" in expected
+    buf = io.StringIO()
+    write_csv(buf, ["t"], [])
+    assert buf.getvalue() == "t\n"
+
+
 def test_cl_term_empty_stack_is_zero():
     stack = HistoryStack(2, 4, capacity=20, min_eig_threshold=1e-3)
     assert np.array_equal(stack.cl_term(np.ones(4)), np.zeros(4))
@@ -133,7 +258,7 @@ def test_constructor_rejects_fractional_capacity_and_nan_threshold():
         with pytest.raises(ValueError, match="^capacity must be a non-negative integer"):
             HistoryStack(2, 4, capacity=capacity, min_eig_threshold=1e-3)
     # StackConfig rejects an infinite min_excitation, so the stack does too
-    for threshold in (math.nan, -1e-3, math.inf):
+    for threshold in (math.nan, -1e-3, math.inf, True):
         with pytest.raises(ValueError, match="^min_eig_threshold must be non-negative"):
             HistoryStack(2, 4, capacity=2, min_eig_threshold=threshold)
     stack = HistoryStack(2, 4, capacity=2.0, min_eig_threshold=0)
@@ -145,6 +270,12 @@ def test_constructor_rejects_non_integral_dimensions():
         with pytest.raises(ValueError, match=r"^dim_state must be an integer, got"):
             HistoryStack(bad, 4, capacity=2, min_eig_threshold=1e-3)
         with pytest.raises(ValueError, match=r"^dim_param must be an integer, got"):
+            HistoryStack(2, bad, capacity=2, min_eig_threshold=1e-3)
+    # as PlantModel and ConstraintGroup: a dimension is at least 1
+    for bad in (0, -1, 0.0):
+        with pytest.raises(ValueError, match=r"^dim_state must be positive$"):
+            HistoryStack(bad, 4, capacity=2, min_eig_threshold=1e-3)
+        with pytest.raises(ValueError, match=r"^dim_param must be positive$"):
             HistoryStack(2, bad, capacity=2, min_eig_threshold=1e-3)
     stack = HistoryStack(2.0, 4.0, capacity=2, min_eig_threshold=1e-3)
     assert (stack.dim_state, stack.dim_param) == (2, 4)

@@ -156,6 +156,9 @@ def test_stack_config_validation():
         StackConfig(min_excitation=-1.0)
     with pytest.raises(ConfigError, match=r"^stack\.size must be non-negative"):
         StackConfig(size=-1)
+    # a bool is not a threshold, as on the JSON path
+    with pytest.raises(ConfigError, match=r"^stack\.min_excitation must be non-negative"):
+        StackConfig(min_excitation=True)
 
 
 def with_field(name: str, key: str, value) -> ScenarioConfig:
@@ -568,6 +571,16 @@ def test_to_csv_round_trip_exact():
     data = np.loadtxt(buf, delimiter=",")
     # %.17g preserves doubles exactly
     assert np.array_equal(data, log.data)
+
+
+def test_to_csv_matches_the_per_cell_reference(sec5b_run):
+    # the logged sec5b run's CSV is byte for byte its header and every
+    # cell's format(v, ".17g")
+    _, log = sec5b_run
+    buf = io.StringIO()
+    log.to_csv(buf)
+    assert buf.getvalue() == ",".join(log.columns) + "\n" + "".join(
+        ",".join(format(v, ".17g") for v in row) + "\n" for row in log.data.tolist())
 
 
 @pytest.mark.parametrize("name", ["sec5a", "sec5b"])
