@@ -24,12 +24,11 @@ the barrier slopes by a slack Jacobian with P folded in (ConstraintGroup._core).
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, _integral
+from .errors import _integral, _real, _vector
 
 Array = np.ndarray
 
@@ -60,19 +59,13 @@ class MultiplierState:
     alpha: float
 
     def __post_init__(self):
-        lam = tuple(float(v) for v in np.atleast_1d(self.lam))
-        gi = tuple(float(v) for v in np.atleast_1d(self.gamma_inv))
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "gamma_inv", gi)
+        lam = _vector(self.lam, np.size(self.lam), "multipliers", "non-negative")
+        gi = _vector(self.gamma_inv, np.size(self.gamma_inv), "gamma_inv entries", "positive")
         if len(lam) != len(gi):
             raise ValueError("lam and gamma_inv must have the same length")
-        if not all(0.0 <= v < math.inf for v in lam):  # NaN fails too
-            raise ValueError("multipliers must be non-negative and finite")
-        if not all(0.0 < v < math.inf for v in gi):  # NaN fails too
-            raise ValueError("gamma_inv entries must be positive and finite")
-        if isinstance(self.alpha, bool) or not 0.0 < self.alpha < math.inf:  # NaN fails too
-            raise ValueError("alpha must be positive and finite")
-        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "gamma_inv", gi)
+        object.__setattr__(self, "alpha", _real(self.alpha, "alpha", "positive"))
 
     @property
     def lam_array(self) -> Array:
@@ -86,25 +79,6 @@ class MultiplierState:
     def gamma_array(self) -> Array:
         """Diagonal of Gamma itself, used by the Lyapunov function."""
         return 1.0 / self.gamma_inv_array
-
-
-def _vector(value, length: int, key: str, positive: bool = False) -> tuple[float, ...]:
-    """value as a tuple of length finite floats, positive ones if asked; a
-    scalar fills every entry; a bool is not a number."""
-    entries = value if isinstance(value, (list, tuple)) else (value,)
-    if (any(isinstance(v, (bool, np.bool_)) for v in entries)
-            or getattr(value, "dtype", None) == bool):
-        raise ConfigError(f"{key} must be numbers, got {value!r}")
-    arr = np.atleast_1d(np.asarray(value, dtype=float))
-    if arr.size == 1:
-        arr = np.full(length, arr[0])
-    if arr.shape != (length,):
-        raise ConfigError(f"{key} must be a scalar or a vector of length {length}")
-    if not np.isfinite(arr).all():
-        raise ConfigError(f"{key} must be finite")
-    if positive and not np.all(arr > 0.0):
-        raise ConfigError(f"{key} entries must be positive")
-    return tuple(arr.tolist())
 
 
 @dataclass(frozen=True)
@@ -125,16 +99,12 @@ class UpdateLawConfig:
         except ValueError:
             raise ValueError(f"unknown law '{self.law}' "
                              f"(choose from {[v.value for v in UpdateLaw]})") from None
-        if isinstance(self.sigma2, bool) or not 0.0 <= self.sigma2 < math.inf:  # NaN fails too
-            raise ValueError("sigma2 must be non-negative and finite")
-        object.__setattr__(self, "dim_param", _integral(self.dim_param, "dim_param"))
-        if self.dim_param < 1:
-            raise ValueError("dim_param must be positive")
+        object.__setattr__(self, "sigma2", _real(self.sigma2, "sigma2", "non-negative"))
+        object.__setattr__(self, "dim_param", _integral(self.dim_param, "dim_param", 1))
         object.__setattr__(self, "law", law)
         for key in ("learning_rate", "k_cl"):
             object.__setattr__(self, key, _vector(getattr(self, key), self.dim_param, key,
-                                                  positive=True))
-        object.__setattr__(self, "sigma2", float(self.sigma2))
+                                                  "positive"))
 
     @property
     def learning_rate_array(self) -> Array:

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InfeasibleEvaluation, SingularGradient, _integral
+from .errors import InfeasibleEvaluation, _integral, _vector
 
 Array = np.ndarray
 
@@ -72,29 +72,27 @@ class ConstraintGroup:
     def __post_init__(self):
         kind = ConstraintKind(self.kind)
         barrier = BarrierKind(self.barrier)
-        dim_param = _integral(self.dim_param, "dim_param")
-        if dim_param < 1:
-            raise ValueError("dim_param must be positive")
+        dim_param = _integral(self.dim_param, "dim_param", 1)
         # the unchecked core's slacks are s = z @ jac.T + off, with z =
         # theta_hat (jac rows +I then -I) or, for a norm group, z = its norm
         # (jac the signs +1, -1 of the radial direction); off = (-lower, upper)
         component = kind is ConstraintKind.COMPONENT
         if component:
-            lo = tuple(float(v) for v in np.atleast_1d(self.lower))
-            hi = tuple(float(v) for v in np.atleast_1d(self.upper))
+            lo = _vector(self.lower, np.size(self.lower), "lower")
+            hi = _vector(self.upper, np.size(self.upper), "upper")
             if len(lo) != dim_param or len(hi) != dim_param:
                 raise ValueError(
                     f"component bounds must have length {dim_param}, "
                     f"got {len(lo)} and {len(hi)}"
                 )
-            if not all(-math.inf < a < b < math.inf for a, b in zip(lo, hi)):
-                raise ValueError("component bounds require finite lower < upper elementwise")
+            if not all(a < b for a, b in zip(lo, hi)):
+                raise ValueError("component bounds require lower < upper elementwise")
             jac = np.concatenate([np.eye(dim_param), -np.eye(dim_param)])
         else:
-            lo = float(np.squeeze(self.lower))
-            hi = float(np.squeeze(self.upper))
-            if not 0.0 < lo < hi < math.inf:
-                raise ValueError("norm bounds require 0 < lower < upper < inf")
+            (lo,) = _vector(self.lower, 1, "lower", "positive")
+            (hi,) = _vector(self.upper, 1, "upper")
+            if not lo < hi:
+                raise ValueError("norm bounds require lower < upper")
             if barrier is BarrierKind.LOG and not self.norm_log_ok:
                 raise ValueError(
                     "norm bounds with the log barrier are an extension; "
@@ -171,34 +169,33 @@ class ConstraintGroup:
         scaled as jac scales _jac), without argument checks: th has shape
         (dim_param,) and lam shape (n_constraints,), or (k, n_constraints)
         for k weightings at once (a scalar weights every constraint alike).
-        Raises SingularGradient at theta_hat = 0 for a norm group, then
-        InfeasibleEvaluation for a margin <= 0."""
+        Raises InfeasibleEvaluation for a margin <= 0; for a norm group that
+        includes theta_hat = 0, where the radial direction is undefined."""
         if self._component:
             s, ds = self._slacks(th), jac
         else:
             # one radius serves the slacks and the radial direction
             r = math.sqrt(th @ th)
-            if r == 0.0:
-                raise SingularGradient("norm-constraint gradient undefined at theta_hat = 0")
-            s, ds = np.array([r - self.lower, self.upper - r]), jac * (th / r)
+            s = np.array([r - self.lower, self.upper - r])
         margin = min(s.tolist())  # faster than s.min() on a few entries
         if margin <= 0.0:
             raise InfeasibleEvaluation(
                 f"barrier evaluated outside the feasible set (margin {margin:g})",
                 margin=margin,
             )
+        if not self._component:
+            ds = jac * (th / r)  # r >= lower > 0 here
         if self._inverse:
             return 1.0 / s, (lam * (-1.0 / (s * s))) @ ds
         return -np.log(s), (lam * (-1.0 / s)) @ ds
 
 
 def component_bounds(lower, upper, barrier=BarrierKind.INVERSE) -> ConstraintGroup:
-    lower = tuple(float(v) for v in lower)
     return ConstraintGroup(
         kind=ConstraintKind.COMPONENT,
         barrier=barrier,
         lower=lower,
-        upper=tuple(float(v) for v in upper),
+        upper=upper,
         dim_param=len(lower),
     )
 
@@ -208,8 +205,8 @@ def norm_bounds(lower, upper, dim_param, barrier=BarrierKind.INVERSE,
     return ConstraintGroup(
         kind=ConstraintKind.NORM,
         barrier=barrier,
-        lower=float(lower),
-        upper=float(upper),
+        lower=lower,
+        upper=upper,
         dim_param=dim_param,
         norm_log_ok=norm_log_ok,
     )

@@ -16,11 +16,12 @@ beat the current value, and only the rest go to LAPACK.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import _integral
+from .errors import _integral, _real
 from .model import PlantModel
 
 Array = np.ndarray
@@ -45,16 +46,10 @@ class HistoryStack:
 
     def __init__(self, dim_state: int, dim_param: int, capacity: int,
                  min_eig_threshold: float):
-        # NaN fails too; a bool is not a threshold
-        if isinstance(min_eig_threshold, bool) or not 0 <= min_eig_threshold < np.inf:
-            raise ValueError("min_eig_threshold must be non-negative and finite")
-        self.dim_state = _integral(dim_state, "dim_state")
-        self.dim_param = _integral(dim_param, "dim_param")
-        for key in ("dim_state", "dim_param"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be positive")
-        self.capacity = _integral(capacity, "capacity", non_negative=True)
-        self.min_eig_threshold = float(min_eig_threshold)
+        self.min_eig_threshold = _real(min_eig_threshold, "min_eig_threshold", "non-negative")
+        self.dim_state = _integral(dim_state, "dim_state", 1)
+        self.dim_param = _integral(dim_param, "dim_param", 1)
+        self.capacity = _integral(capacity, "capacity", 0)
         self._entries: list[StackEntry] = []
         # Y_k^T Y_k and Y_k^T (xdot_hat_k - u_k) of each entry, stacked in
         # entry order, so a full-stack try_insert forms every trial gram in
@@ -90,7 +85,8 @@ class HistoryStack:
             )
         if u.shape != (self.dim_state,) or xd.shape != (self.dim_state,):
             raise ValueError("entry input and derivative must have state dimension")
-        if not (np.isfinite(Y).all() and np.isfinite(u).all() and np.isfinite(xd).all()):
+        # exact on Python floats, and cheaper than three numpy reductions
+        if not all(map(math.isfinite, Y.ravel().tolist() + u.tolist() + xd.tolist())):
             raise ValueError("stack entries must be finite")
         return StackEntry(Y, u, xd)
 

@@ -35,9 +35,7 @@ class PlantModel:
 
     def __post_init__(self):
         for key in ("dim_state", "dim_param"):
-            object.__setattr__(self, key, _integral(getattr(self, key), key))
-        if self.dim_state < 1 or self.dim_param < 1:
-            raise ValueError("plant dimensions must be positive")
+            object.__setattr__(self, key, _integral(getattr(self, key), key, 1))
         if len(self.theta_true) != self.dim_param:
             raise ValueError(
                 f"theta_true has length {len(self.theta_true)}, expected {self.dim_param}"

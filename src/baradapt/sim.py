@@ -32,7 +32,6 @@ from .adaptation import (
     _estimate_flow,
     _lambda_dot,
     _memory_terms,
-    _vector,
     projection,  # noqa: F401  bench/tracing.py wraps it as sim.projection
 )
 from .barrier import ConstraintGroup, ConstraintKind
@@ -41,8 +40,9 @@ from .errors import (
     ConfigError,
     InfeasibleEvaluation,
     NumericalDivergence,
-    SingularGradient,
     _integral,
+    _real,
+    _vector,
 )
 from .history import (
     HistoryStack,
@@ -80,18 +80,11 @@ class StackConfig:
     def __post_init__(self):
         if self.mode not in ("online", "offline", "none"):
             raise ConfigError(f"stack.mode must be online/offline/none, got '{self.mode}'")
-        size = _integral(self.size, "stack.size")
-        record_every = _integral(self.record_every, "stack.record_every")
-        if size < 0:
-            raise ConfigError("stack.size must be non-negative")
-        if record_every < 1:
-            raise ConfigError("stack.record_every must be at least 1")
-        # NaN fails too; a bool is not a threshold
-        if isinstance(self.min_excitation, bool) or not 0 <= self.min_excitation < np.inf:
-            raise ConfigError("stack.min_excitation must be non-negative and finite")
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "record_every", record_every)
-        object.__setattr__(self, "min_excitation", float(self.min_excitation))
+        object.__setattr__(self, "size", _integral(self.size, "stack.size", 0))
+        object.__setattr__(self, "record_every",
+                           _integral(self.record_every, "stack.record_every", 1))
+        object.__setattr__(self, "min_excitation",
+                           _real(self.min_excitation, "stack.min_excitation", "non-negative"))
 
 
 @dataclass(frozen=True)
@@ -170,22 +163,18 @@ def _compile(cfg: ScenarioConfig) -> tuple:
         law=_lowered(cfg.law), dim_param=p, learning_rate=cfg.learning_rate,
         k_cl=cfg.k_cl, sigma2=cfg.sigma2,
     ))
-    control_gain = _vector(cfg.control_gain, n, "control_gain", positive=True)
+    control_gain = _vector(cfg.control_gain, n, "control_gain", "positive")
     x0 = _vector(cfg.x0, n, "x0")
     _checked(f"plant '{cfg.plant}': ", lambda: plant.eval_regressor(x0))
     theta_hat0 = _vector(cfg.theta_hat0, p, "theta_hat0")
-    if not 0.0 < cfg.dt < np.inf:  # NaN fails too
-        raise ConfigError("dt must be positive and finite")
-    if not -np.inf < cfg.t_final < np.inf:
-        raise ConfigError("t_final must be finite")
-    if cfg.t_final < cfg.dt:
+    dt = _real(cfg.dt, "dt", "positive")
+    t_final = _real(cfg.t_final, "t_final")
+    if t_final < dt:
         raise ConfigError("t_final must be at least dt")
-    steps = cfg.t_final / cfg.dt
-    if not np.isfinite(steps) or abs(round(steps) * cfg.dt - cfg.t_final) > 1e-6 * cfg.dt:
+    steps = t_final / dt
+    if not np.isfinite(steps) or abs(round(steps) * dt - t_final) > 1e-6 * dt:
         raise ConfigError("t_final must be an integer multiple of dt")
-    log_every = _integral(cfg.log_every, "log_every")
-    if log_every < 1:
-        raise ConfigError("log_every must be at least 1")
+    log_every = _integral(cfg.log_every, "log_every", 1)
 
     groups, built, multipliers = [], [], []
     th = np.asarray(theta_hat0)
@@ -205,11 +194,11 @@ def _compile(cfg: ScenarioConfig) -> tuple:
         ))
         n_con = group.n_constraints
         # a length-p gamma_inv applies to the lower and upper family alike
-        gamma_inv = np.atleast_1d(np.asarray(grp.gamma_inv, dtype=float))
-        if group.kind is ConstraintKind.COMPONENT and gamma_inv.size == p:
-            gamma_inv = np.tile(gamma_inv, 2)
-        gamma_inv = _vector(gamma_inv, n_con, f"{key}.gamma_inv")
-        lambda0 = _vector(grp.lambda0, n_con, f"{key}.lambda0", positive=True)
+        per_param = group.kind is ConstraintKind.COMPONENT and np.size(grp.gamma_inv) == p
+        gamma_inv = _vector(grp.gamma_inv, p if per_param else n_con, f"{key}.gamma_inv")
+        if per_param:
+            gamma_inv *= 2
+        lambda0 = _vector(grp.lambda0, n_con, f"{key}.lambda0", "positive")
         ms = _checked(f"{key}.", lambda: MultiplierState(
             lam=lambda0, gamma_inv=gamma_inv, alpha=grp.alpha))
         _check_initial_feasibility(group, th, key)
@@ -228,8 +217,8 @@ def _compile(cfg: ScenarioConfig) -> tuple:
         learning_rate=law_cfg.learning_rate,
         k_cl=law_cfg.k_cl,
         sigma2=law_cfg.sigma2,
-        dt=float(cfg.dt),
-        t_final=float(cfg.t_final),
+        dt=dt,
+        t_final=t_final,
         log_every=log_every,
         x0=x0,
         theta_hat0=theta_hat0,
@@ -462,7 +451,7 @@ def _step_flat(ctx: RunContext, t: float, y: Array, dt: float,
         budget = [MAX_HALVINGS]
     try:
         return _attempt(ctx, t, y, dt)
-    except (InfeasibleEvaluation, SingularGradient, _NonFinite) as err:
+    except (InfeasibleEvaluation, _NonFinite) as err:
         if not ctx.lam_slices:
             raise NumericalDivergence(
                 f"non-finite state while integrating at t={t:.6g}", time=t

@@ -8,12 +8,12 @@ from baradapt.adaptation import (
     UpdateLaw,
     UpdateLawConfig,
     _lambda_dot,
-    _vector,
     lagrangian_gradient,
     projection,
     theta_hat_dot,
 )
 from baradapt.barrier import component_bounds
+from baradapt.errors import _vector
 from baradapt.history import HistoryStack
 from baradapt.model import benchmark_plant
 
@@ -78,6 +78,12 @@ def test_multiplier_state_validation():
     for alpha in (math.nan, math.inf, True):
         with pytest.raises(ValueError, match="^alpha must be positive and finite"):
             MultiplierState(lam=(1.0,), gamma_inv=(1.0,), alpha=alpha)
+    # a bool entry is no multiplier and no gain, whether a tuple or numpy holds it
+    for bad in ((True,), np.array([True])):
+        with pytest.raises(ValueError, match=r"^multipliers must be numbers, got"):
+            MultiplierState(lam=bad, gamma_inv=(1.0,), alpha=0.1)
+        with pytest.raises(ValueError, match=r"^gamma_inv entries must be numbers, got"):
+            MultiplierState(lam=(1.0,), gamma_inv=bad, alpha=0.1)
     alpha = MultiplierState(lam=(1.0,), gamma_inv=(1.0,), alpha=2).alpha
     assert alpha == 2.0 and type(alpha) is float
 
@@ -95,9 +101,9 @@ def test_update_law_config_promotion():
     assert cfg.learning_rate == (0.075,) * 4
     assert cfg.k_cl == (1.0,) * 4
     assert cfg.law is UpdateLaw.GRADIENT
-    with pytest.raises(ValueError, match="^learning_rate entries"):
+    with pytest.raises(ValueError, match="^learning_rate must be positive and finite$"):
         UpdateLawConfig(law="gradient", dim_param=4, learning_rate=0.0)
-    with pytest.raises(ValueError, match="^k_cl entries"):
+    with pytest.raises(ValueError, match="^k_cl must be positive and finite$"):
         UpdateLawConfig(law="gradient", dim_param=4, learning_rate=1.0, k_cl=0.0)
     with pytest.raises(ValueError):
         UpdateLawConfig(law="gradient", dim_param=4, learning_rate=(1.0, 1.0))

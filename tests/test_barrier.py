@@ -10,7 +10,7 @@ from baradapt.barrier import (
     component_bounds,
     norm_bounds,
 )
-from baradapt.errors import InfeasibleEvaluation, SingularGradient
+from baradapt.errors import InfeasibleEvaluation
 
 LO = [3.0, 6.0, 10.0, 12.0]
 HI = [6.0, 12.0, 17.0, 22.0]
@@ -126,10 +126,12 @@ def test_boundary_point_is_infeasible():
 
 
 def test_norm_gradient_singular_at_origin():
-    # the radial direction is undefined before feasibility is even decidable
+    # the radial direction is undefined there, but the origin lies inside the
+    # lower sphere: its slack -lower decides infeasibility before th / r is formed
     group = norm_bounds(25.0, 28.0, dim_param=4)
-    with pytest.raises(SingularGradient):
+    with pytest.raises(InfeasibleEvaluation) as err:
         group.evaluate(np.zeros(4), np.zeros(2))
+    assert err.value.margin == -25.0
 
 
 def test_norm_log_requires_opt_in():
@@ -167,8 +169,13 @@ def test_constructor_validation():
         norm_bounds(0.0, 28.0, dim_param=4)  # lower must be positive
     with pytest.raises(ValueError):
         norm_bounds(28.0, 25.0, dim_param=4)
-    with pytest.raises(ValueError, match="< inf"):
+    with pytest.raises(ValueError, match="^upper must be finite$"):
         norm_bounds(25.0, math.inf, dim_param=4)
+    # a bool is no bound, as on the JSON path
+    with pytest.raises(ValueError, match=r"^lower must be numbers, got True$"):
+        norm_bounds(True, 28.0, 4)
+    with pytest.raises(ValueError, match=r"^upper must be numbers, got \[6\.0, True"):
+        component_bounds(LO, [6.0, True, 17.0, 22.0])
     with pytest.raises(ValueError, match="finite"):
         component_bounds(LO, HI[:3] + [math.inf])
     with pytest.raises(ValueError, match="finite"):

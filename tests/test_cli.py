@@ -392,7 +392,7 @@ BAD_LANES = [
     (["sweep", "--sweep-key", "bogus", "--sweep-values", "1"], "unknown sweep key 'bogus'"),
     (["sweep", "--sweep-key", "alpha", "--sweep-values", "0.1,-1"], "groups[1].alpha "),
     (["sweep", "--sweep-key", "control_gain", "--sweep-values", "5,nan"],
-     "control_gain must be finite"),
+     "control_gain must be positive and finite"),
     (["sweep", "--sweep-key", "alpha", "--sweep-values", "nan"], "groups[1].alpha "),
     (["sweep", "--sweep-key", "alpha", "--sweep-values", "inf"], "groups[1].alpha "),
     (["compare", "--laws", "gradient,newton"], "unknown law 'newton'"),

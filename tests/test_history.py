@@ -254,9 +254,11 @@ def test_entry_validation():
 
 
 def test_constructor_rejects_fractional_capacity_and_nan_threshold():
-    for capacity in (2.5, -1, math.nan, math.inf, True, "2"):
-        with pytest.raises(ValueError, match="^capacity must be a non-negative integer"):
+    for capacity in (2.5, math.nan, math.inf, True, "2"):
+        with pytest.raises(ValueError, match="^capacity must be an integer, got"):
             HistoryStack(2, 4, capacity=capacity, min_eig_threshold=1e-3)
+    with pytest.raises(ValueError, match="^capacity must be non-negative$"):
+        HistoryStack(2, 4, capacity=-1, min_eig_threshold=1e-3)
     # StackConfig rejects an infinite min_excitation, so the stack does too
     for threshold in (math.nan, -1e-3, math.inf, True):
         with pytest.raises(ValueError, match="^min_eig_threshold must be non-negative"):

@@ -71,7 +71,7 @@ def test_plant_dimensions_must_be_positive_integers():
         with pytest.raises(ValueError, match="^dim_param must be an integer, got"):
             make(dim_param=bad)
     for bad in (0, -1):
-        with pytest.raises(ValueError, match="^plant dimensions must be positive"):
+        with pytest.raises(ValueError, match="^dim_state must be positive$"):
             make(dim_state=bad)
     plant = make(dim_state=2.0, dim_param=4.0)
     assert (plant.dim_state, plant.dim_param) == (2, 4)

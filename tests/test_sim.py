@@ -14,7 +14,6 @@ from baradapt.errors import (
     ConfigError,
     InfeasibleEvaluation,
     NumericalDivergence,
-    SingularGradient,
 )
 from baradapt.history import _central_difference, fill_with_exact_model_data
 from baradapt.sim import (
@@ -134,6 +133,11 @@ def test_canonical_rejects_bad_group_gains():
         group = replace(SEC5A_GROUP, gamma_inv=(bad, 0.1, 0.1, 0.9))
         with pytest.raises(ConfigError, match=r"^groups\[1\]\.gamma_inv must be finite"):
             canonical_config(barrier_cfg(groups=(group,)))
+    # and a bool entry is caught before numpy reads it as 1.0
+    group = replace(SEC5A_GROUP, gamma_inv=(True, 0.1, 0.1, 0.9))
+    with pytest.raises(ConfigError,
+                       match=r"^groups\[1\]\.gamma_inv must be numbers, got \(True, 0\.1"):
+        canonical_config(barrier_cfg(groups=(group,)))
 
 
 def test_canonical_checks_the_regressor_shape(monkeypatch):
@@ -197,12 +201,14 @@ NON_FINITE_CASES = (
     (lambda: with_field("sec5a", "theta_true", 5.0), r"^theta_true has length 1, expected 4"),
 ] + [
     (lambda name=name, key=key, value=value: with_field(name, key, value), pattern)
-    for name, key, pattern in NON_FINITE_CASES for value in (np.nan, np.inf)
+    for name, key, pattern in NON_FINITE_CASES for value in (np.nan, np.inf, True)
 ], ids=["log_every", "stack_size", "record_every", "nan_min_excitation", "scalar_theta_true"] + [
-    f"{name}-{key}-{value}" for name, key, _ in NON_FINITE_CASES for value in ("nan", "inf")
+    f"{name}-{key}-{value}" for name, key, _ in NON_FINITE_CASES
+    for value in ("nan", "inf", "True")
 ])
 def test_config_rejects_non_integral_counts_and_nan(build, pattern):
-    # int() would truncate these counts, and NaN fails no `< 0` check
+    # int() would truncate these counts, NaN fails no `< 0` check, and
+    # float(True) is 1.0
     with pytest.raises(ConfigError, match=pattern):
         build()
 
@@ -350,12 +356,15 @@ def test_rhs_raises_outside_a_group():
     assert err.value.margin == -1.0
 
 
-def test_rhs_raises_singular_gradient_at_origin_of_norm_group():
+def test_rhs_raises_infeasible_at_origin_of_norm_group():
+    # the radial direction is undefined at the origin, which lies inside the
+    # lower sphere: the stage is infeasible, and the integrator halves on it
     ctx = build_context(barrier_cfg(groups=(NORM_GROUP,), theta_hat0=NORM_THETA))
     y = ctx.pack(ctx.initial_state())
     y[2:6] = 0.0
-    with pytest.raises(SingularGradient):
+    with pytest.raises(InfeasibleEvaluation) as err:
         ctx.rhs_flat(0.0, y)
+    assert err.value.margin == -25.0
 
 
 def test_sigma_mod_engages_until_stack_excited():

@@ -126,3 +126,29 @@ def test_readme_names_resolve():
             except AttributeError:
                 missing.append(name)
     assert not missing, f"README.md names what the code does not have: {missing}"
+
+
+def own_number_checks(tree) -> list:
+    """Nodes of tree that check a number by hand: isinstance(..., bool), any
+    use of np.bool_, and a comparison with math.inf or np.inf."""
+    def is_inf(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "inf"
+                and isinstance(node.value, ast.Name) and node.value.id in ("math", "np"))
+
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance" and len(node.args) == 2
+        and any(isinstance(n, ast.Name) and n.id == "bool" for n in ast.walk(node.args[1]))
+        or isinstance(node, ast.Attribute) and node.attr == "bool_"
+        or isinstance(node, ast.Compare) and any(map(is_inf, [node.left, *node.comparators]))
+    ]
+
+
+def test_number_rules_live_in_errors():
+    """A bool is no number and a gain is finite: errors._integral, _real and
+    _vector say so once.  A module that writes its own bool or infinity
+    check has a copy that can drift from them."""
+    sites = sorted({(path.name, node.lineno) for path in MODULES if path.name != "errors.py"
+                    for node in own_number_checks(parse(path))})
+    assert not sites, f"number checks outside errors.py: {[f'{n}:{i}' for n, i in sites]}"
