@@ -229,11 +229,19 @@ def _reject_shared_paths(out: Path, labels, lanes) -> None:
                               f"'{csv_path.relative_to(out)}'")
 
 
+def _out_dir(path) -> Path:
+    try:  # an existing file, or a path through one, is bad input, not a crash
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"--out '{path}' is not a usable directory: {err.strerror}") from None
+    return Path(path)
+
+
 def _run_lanes(out: Path, lanes) -> list[tuple[TrajectoryLog, float]]:
     """Run (config, CSV path) lanes in order and write each trajectory;
     returns (log, runtime_seconds) per lane.  Creates out; callers check
     every config before this, so bad input leaves nothing behind."""
-    out.mkdir(parents=True, exist_ok=True)
+    _out_dir(out)
     results = []
     for cfg, csv_path in lanes:
         log.info("running %s into %s", cfg.name, csv_path)
@@ -249,11 +257,8 @@ def _run_lanes(out: Path, lanes) -> list[tuple[TrajectoryLog, float]]:
 def cmd_run(args) -> int:
     cfg = _load_with_overrides(args)
     effective = config_to_dict(cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "effective_config.json", "w") as fh:
-        json.dump(effective, fh, indent=2)
-        fh.write("\n")
+    out = _out_dir(args.out)
+    (out / "effective_config.json").write_text(json.dumps(effective, indent=2) + "\n")
     [(trajectory, runtime)] = _run_lanes(out, [(cfg, out / "trajectory.csv")])
     summary = scenario_summary(trajectory, runtime_seconds=runtime)
     (out / "summary.txt").write_text(summary)

@@ -74,12 +74,18 @@ def _real(value, key: str, sign: str = "") -> float:
 def _vector(value, length: int, key: str, sign: str = "") -> tuple[float, ...]:
     """value as a tuple of length reals, each passed through _real; a
     scalar fills every entry.  A bool entry is caught before numpy would
-    read it as 1.0."""
+    read it as 1.0, and numpy's own conversion errors become ConfigErrors."""
     entries = value if isinstance(value, (list, tuple)) else (value,)
     if (any(isinstance(v, (bool, np.bool_)) for v in entries)
             or getattr(value, "dtype", None) == bool):
         raise ConfigError(f"{key} must be numbers, got {value!r}")
-    arr = np.atleast_1d(np.asarray(value, dtype=float))
+    try:
+        arr = np.atleast_1d(np.asarray(value, dtype=float))
+    except (TypeError, ValueError, OverflowError) as err:  # ragged, no number, or too large
+        ragged = any(isinstance(v, (list, tuple)) for v in entries)
+        raise ConfigError(f"{key} must be a scalar or a vector of length {length}" if ragged
+                          else f"{key} must be finite" if isinstance(err, OverflowError)
+                          else f"{key} must be numbers, got {value!r}") from None
     if arr.size == 1:
         arr = np.full(length, arr[0])
     if arr.shape != (length,):

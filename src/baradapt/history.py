@@ -57,11 +57,8 @@ class HistoryStack:
         # proj - gram @ theta
         self._grams = np.empty((0, self.dim_param, self.dim_param))
         self._projs = np.empty((0, self.dim_param))
-        self._gram = np.zeros((self.dim_param, self.dim_param))
-        self._proj = np.zeros(self.dim_param)
-        self._min_eig: float | None = 0.0
-        self._screen: tuple[Array, Array, float] | None = None  # see _swap_screen
         self._revision = 0  # bumped by every stack change, a reverted swap too
+        self._recompute()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -91,30 +88,9 @@ class HistoryStack:
         return StackEntry(Y, u, xd)
 
     def _recompute(self):
-        # a sum along axis 0 adds the entries in order, as a loop would
-        self._gram = self._grams.sum(axis=0)
-        self._proj = self._projs.sum(axis=0)
-        self._min_eig = None
-        self._screen = None
-        self._revision += 1
-
-    def excitation_level(self) -> float:
-        """Minimum eigenvalue of the gram matrix; 0 for an empty stack, and
-        for one at or below round-off (matrix_rank's tolerance)."""
-        if self._min_eig is None:
-            eigs = np.linalg.eigvalsh(self._gram)
-            tol = self.dim_param * np.finfo(float).eps * eigs[-1]
-            self._min_eig = float(eigs[0]) if eigs[0] > tol else 0.0
-        return self._min_eig
-
-    @property
-    def assumption_met(self) -> bool:
-        level = self.excitation_level()
-        return level > 0.0 and level >= self.min_eig_threshold
-
-    def _swap_screen(self) -> tuple[Array, Array, float]:
-        """(v, key, max(key)) for the full stack as it stands, formed on the
-        first full-stack candidate after a change.  v is the unit
+        """Form the state a stack change derives, on every change: the gram
+        and projection sums, the excitation level and, when the stack is
+        full, the swap screen (v, key, max(key)).  v is the unit
         eigenvector of the gram's smallest eigenvalue, and
         key[i] = v'Gv - |Y_i v|^2 + 1e-9 trace(G).
 
@@ -126,11 +102,28 @@ class HistoryStack:
         |T_i|_2, about six orders of magnitude above the rounding of the
         bound, of forming T_i and of eigvalsh's backward error; so
         eigvalsh returns no more than the bound plus the slack for T_i."""
-        if self._screen is None:
+        # a sum along axis 0 adds the entries in order, as a loop would
+        self._gram = self._grams.sum(axis=0)
+        self._proj = self._projs.sum(axis=0)
+        eigs = np.linalg.eigvalsh(self._gram)
+        tol = self.dim_param * np.finfo(float).eps * eigs[-1]
+        self._min_eig = float(eigs[0]) if eigs[0] > tol else 0.0
+        self._screen = None
+        if 0 < len(self._entries) == self.capacity:
             v = np.linalg.eigh(self._gram)[1][:, 0]
             key = v @ self._gram @ v - (self._grams @ v) @ v + 1e-9 * self._gram.trace()
             self._screen = (v, key, float(key.max()))
-        return self._screen
+        self._revision += 1
+
+    def excitation_level(self) -> float:
+        """Minimum eigenvalue of the gram matrix; 0 for an empty stack, and
+        for one at or below round-off (matrix_rank's tolerance)."""
+        return self._min_eig
+
+    @property
+    def assumption_met(self) -> bool:
+        level = self.excitation_level()
+        return level > 0.0 and level >= self.min_eig_threshold
 
     def try_insert(self, Y, u, xdot_hat) -> bool:
         """Insert if the stack has room, else swap against the entry whose
@@ -148,11 +141,11 @@ class HistoryStack:
             return True
         current = self.excitation_level()
         bar = current * (1.0 + 1e-12)
-        # a trial whose bound (see _swap_screen) is at most bar computes to
+        # a trial whose bound (see _recompute) is at most bar computes to
         # at most bar, so it can neither win nor turn a rejection into a
         # swap: only the live trials go to eigvalsh, which returns the same
         # values for a matrix in any batch
-        v, key, key_max = self._swap_screen()
+        v, key, key_max = self._screen
         yv = Y @ v
         reach = float(yv @ yv) + 1e-9 * float(np.vdot(Y, Y))
         if key_max + reach <= bar:
@@ -185,8 +178,6 @@ class HistoryStack:
             raise ValueError(
                 f"theta_hat has shape {th.shape}, expected ({self.dim_param},)"
             )
-        if not self._entries:
-            return np.zeros(self.dim_param)
         return self._proj - self._gram @ th
 
 

@@ -148,7 +148,7 @@ def _compile(cfg: ScenarioConfig) -> tuple:
     theta_true = cfg.theta_true
     if theta_true is not None:
         # checked at its own length: the plant checks it or takes p from it
-        theta_true = _vector(theta_true, np.size(theta_true), "theta_true")
+        theta_true = _vector(theta_true, np.asarray(theta_true, dtype=object).size, "theta_true")
     try:
         plant = get_plant(cfg.plant, theta_true)
         traj = get_trajectory(cfg.trajectory)
@@ -193,8 +193,9 @@ def _compile(cfg: ScenarioConfig) -> tuple:
             dim_param=p, norm_log_ok=bool(grp.norm_log_ok),
         ))
         n_con = group.n_constraints
-        # a length-p gamma_inv applies to the lower and upper family alike
-        per_param = group.kind is ConstraintKind.COMPONENT and np.size(grp.gamma_inv) == p
+        # a length-p gamma_inv serves both families; dtype=object sizes a ragged one too
+        per_param = (group.kind is ConstraintKind.COMPONENT
+                     and np.asarray(grp.gamma_inv, dtype=object).size == p)
         gamma_inv = _vector(grp.gamma_inv, p if per_param else n_con, f"{key}.gamma_inv")
         if per_param:
             gamma_inv *= 2

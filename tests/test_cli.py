@@ -417,6 +417,32 @@ def test_bad_lane_writes_nothing(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+# (command and its own arguments, the part of --out below a regular file)
+OUT_NOT_A_DIRECTORY = [
+    (["run"], None),
+    (["compare", "--laws", "gradient"], None),
+    (["sweep", "--sweep-key", "control_gain", "--sweep-values", "1"], "sub"),
+]
+
+
+@pytest.mark.parametrize("argv,below", OUT_NOT_A_DIRECTORY,
+                         ids=[argv[0] for argv, _ in OUT_NOT_A_DIRECTORY])
+def test_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, argv, below):
+    # an --out that is a file, or a path through one, is bad input: exit
+    # code 1 is kept for a breach or a divergence
+    path, _ = short_config_file(tmp_path)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n")
+    out = blocker / below if below else blocker
+    before = sorted(tmp_path.rglob("*"))
+    rc = cli.main([argv[0], "--config", str(path), "--out", str(out), *argv[1:]])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"config error: --out '{out}' is not a usable directory: ")
+    assert "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == before and blocker.read_text() == "kept\n"
+
+
 # ---------------------------------------------------------------------------
 # logging setup
 

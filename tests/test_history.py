@@ -1,5 +1,6 @@
 import io
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -173,6 +174,58 @@ def test_screened_swaps_match_the_full_batched_rule(kind, monkeypatch):
     assert screened_out > 0 and partial > 0
     if kind == "rank_deficient":
         assert at_zero > 0
+
+
+def test_every_stack_change_forms_the_level_and_the_screen(monkeypatch):
+    # _recompute forms the excitation level and, on a full stack, the swap
+    # screen on every change (an append, a swap, and both halves of a
+    # reverted swap), so a candidate never pays an eigh of its own
+    eigh, eigh_calls = np.linalg.eigh, []
+
+    def counted(a):
+        eigh_calls.append(a)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    rng = np.random.default_rng(12)
+    stack = HistoryStack(2, 4, capacity=4, min_eig_threshold=1e-3)
+
+    def check(changes):
+        full = 0 < len(stack) == stack.capacity
+        assert (stack._screen is not None) == full
+        eigs = np.linalg.eigvalsh(stack.gram)
+        tol = stack.dim_param * np.finfo(float).eps * eigs[-1]
+        assert stack.excitation_level() == (float(eigs[0]) if eigs[0] > tol else 0.0)
+        assert len(eigh_calls) == (changes if full else 0)
+        del eigh_calls[:]
+
+    def offer(scale):
+        revision = stack._revision
+        stack.try_insert(scale * rng.normal(size=(2, 4)), rng.normal(size=2),
+                         rng.normal(size=2))
+        return stack._revision - revision
+
+    check(0)
+    outcomes = Counter()
+    for _ in range(60):
+        changes = offer(rng.choice([0.1, 1.0, 10.0]))
+        outcomes["full" if len(stack) == stack.capacity else "room", changes] += 1
+        check(changes)
+    assert outcomes["room", 1] == 3 and outcomes["full", 1] > 3 and outcomes["full", 0] > 0
+
+    # a swap that the post-swap guard reverts, forced as in test_sim
+    level, reads = stack.excitation_level(), []
+
+    def level_before_swap():
+        reads.append(level)
+        return level
+
+    monkeypatch.setattr(stack, "excitation_level", level_before_swap)
+    changes = offer(100.0)
+    monkeypatch.undo()  # the eigh calls of the offer are already counted
+    assert len(reads) == 2 and changes == 2
+    assert stack.excitation_level() == level
+    check(changes)
 
 
 def test_write_csv_prints_each_cell_as_format_17g():

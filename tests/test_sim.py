@@ -192,6 +192,24 @@ NON_FINITE_CASES = (
 )
 
 
+# (scenario, dotted key, value, the whole message): a value numpy cannot
+# read as floats is a ConfigError under its key, as any other bad number
+UNREADABLE_VECTORS = [
+    ("sec5a", "x0", ((1.0, 2.0), 3.0), r"^x0 must be a scalar or a vector of length 2$"),
+    ("sec5a", "control_gain", [1.0, [2.0]],
+     r"^control_gain must be a scalar or a vector of length 2$"),
+    ("sec5a", "groups[1].gamma_inv", [0.1, [0.2]],
+     r"^groups\[1\]\.gamma_inv must be a scalar or a vector of length 8$"),
+    ("sec5b", "groups[1].gamma_inv", [0.1, [0.2]],
+     r"^groups\[1\]\.gamma_inv must be a scalar or a vector of length 2$"),
+    ("sec5a", "theta_true", [1.0, [2.0]], r"^theta_true must be a scalar or a vector of length 2$"),
+    ("sec5a", "x0", "ab", r"^x0 must be numbers, got 'ab'$"),
+    ("sec5a", "x0", 10**400, r"^x0 must be finite$"),
+    ("sec5a", "groups[1].lambda0", 10**400, r"^groups\[1\]\.lambda0 must be finite$"),
+    ("sec5a", "learning_rate", 10**400, r"^learning_rate must be finite$"),
+]
+
+
 @pytest.mark.parametrize("build, pattern", [
     (lambda: canonical_config(barrier_cfg(log_every=2.5)), r"^log_every must"),
     (lambda: StackConfig(size=2.7), r"^stack\.size must"),
@@ -202,13 +220,19 @@ NON_FINITE_CASES = (
 ] + [
     (lambda name=name, key=key, value=value: with_field(name, key, value), pattern)
     for name, key, pattern in NON_FINITE_CASES for value in (np.nan, np.inf, True)
+] + [
+    (lambda name=name, key=key, value=value: with_field(name, key, value), pattern)
+    for name, key, value, pattern in UNREADABLE_VECTORS
 ], ids=["log_every", "stack_size", "record_every", "nan_min_excitation", "scalar_theta_true"] + [
     f"{name}-{key}-{value}" for name, key, _ in NON_FINITE_CASES
     for value in ("nan", "inf", "True")
+] + [
+    f"{name}-{key}-{type(value).__name__}" for name, key, value, _ in UNREADABLE_VECTORS
 ])
 def test_config_rejects_non_integral_counts_and_nan(build, pattern):
-    # int() would truncate these counts, NaN fails no `< 0` check, and
-    # float(True) is 1.0
+    # int() would truncate these counts, NaN fails no `< 0` check,
+    # float(True) is 1.0, and numpy raises its own ValueError or
+    # OverflowError for an unreadable vector
     with pytest.raises(ConfigError, match=pattern):
         build()
 

@@ -152,3 +152,26 @@ def test_number_rules_live_in_errors():
     sites = sorted({(path.name, node.lineno) for path in MODULES if path.name != "errors.py"
                     for node in own_number_checks(parse(path))})
     assert not sites, f"number checks outside errors.py: {[f'{n}:{i}' for n, i in sites]}"
+
+
+def test_noqa_reexports_name_the_bench_file_that_uses_them():
+    """An import kept only for the benchmark (`# noqa: F401`) names in its
+    comment the bench/<file>.py that wraps it, and that file mentions the
+    name.  When the benchmark stops wrapping it, this names the re-export
+    to delete."""
+    stale = []
+    for path in MODULES:
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for node in ast.walk(parse(path)):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            for alias in node.names:
+                line = lines[alias.lineno - 1]
+                if "# noqa: F401" not in line:
+                    continue
+                bound = alias.asname or alias.name.partition(".")[0]
+                named = re.search(r"bench/(\w+\.py)", line.partition("# noqa: F401")[2])
+                user = ROOT / "bench" / named.group(1) if named else None
+                if not (user and user.is_file() and names_in(parse(user))[bound]):
+                    stale.append(f"{path.name}:{alias.lineno} {bound}")
+    assert not stale, f"noqa re-exports no bench file uses: {stale}"
