@@ -216,39 +216,39 @@ def _load_with_overrides(args) -> ScenarioConfig:
     return replace(load_config(args.config), **changes)
 
 
-def _reject_shared_paths(out: Path, labels, lanes) -> None:
-    """Lanes asked for under different labels (--laws or --sweep-values
-    tokens) must write different files, or the later one would silently
-    overwrite the earlier.  A repeated label is the same lane run again,
-    which writes the same bytes."""
+def _plan(out: Path, labels, lanes, files) -> None:
+    """Check every path a command writes (each lane's CSV, then files under
+    out) before making any directory, once every config is checked.  Two
+    labels (--laws or --sweep-values tokens) must not write one file; a
+    repeated label is the same lane run again, with the same bytes."""
     first = {}
     for label, (_, csv_path) in zip(labels, lanes):
         other = first.setdefault(csv_path, label)
         if other != label:
-            raise ConfigError(f"'{other}' and '{label}' both write "
-                              f"'{csv_path.relative_to(out)}'")
-
-
-def _out_dir(path) -> Path:
+            raise ConfigError(f"'{other}' and '{label}' both write '{csv_path.relative_to(out)}'")
     try:  # an existing file, or a path through one, is bad input, not a crash
-        Path(path).mkdir(parents=True, exist_ok=True)
+        out.mkdir(parents=True, exist_ok=True)
     except OSError as err:
-        raise ConfigError(f"--out '{path}' is not a usable directory: {err.strerror}") from None
-    return Path(path)
+        raise ConfigError(f"--out '{out}' is not a usable directory: {err.strerror}") from None
+    paths = [csv_path for _, csv_path in lanes] + [out / name for name in files]
+    for path in paths:  # only an --out that existed can hold a path in the way
+        for held, fits, kind in ((path.parent, Path.is_dir, "directory"),
+                                 (path, Path.is_file, "regular file")):
+            if os.path.lexists(held) and not fits(held):  # a dangling link too
+                raise ConfigError(f"'{held}' is in the way: it is not a {kind}")
+    for path in paths:
+        path.parent.mkdir(exist_ok=True)
 
 
-def _run_lanes(out: Path, lanes) -> list[tuple[TrajectoryLog, float]]:
-    """Run (config, CSV path) lanes in order and write each trajectory;
-    returns (log, runtime_seconds) per lane.  Creates out; callers check
-    every config before this, so bad input leaves nothing behind."""
-    _out_dir(out)
+def _run_lanes(lanes) -> list[tuple[TrajectoryLog, float]]:
+    """Run (config, CSV path) lanes in order and write each trajectory to
+    the path _plan checked; returns (log, runtime_seconds) per lane."""
     results = []
     for cfg, csv_path in lanes:
         log.info("running %s into %s", cfg.name, csv_path)
         started = time.perf_counter()
         trajectory = run_scenario(cfg)
         runtime = time.perf_counter() - started
-        csv_path.parent.mkdir(exist_ok=True)
         trajectory.to_csv(csv_path)
         results.append((trajectory, runtime))
     return results
@@ -257,9 +257,11 @@ def _run_lanes(out: Path, lanes) -> list[tuple[TrajectoryLog, float]]:
 def cmd_run(args) -> int:
     cfg = _load_with_overrides(args)
     effective = config_to_dict(cfg)
-    out = _out_dir(args.out)
+    out = Path(args.out)
+    lanes = [(cfg, out / "trajectory.csv")]
+    _plan(out, [cfg.name], lanes, ["effective_config.json", "summary.txt"])
     (out / "effective_config.json").write_text(json.dumps(effective, indent=2) + "\n")
-    [(trajectory, runtime)] = _run_lanes(out, [(cfg, out / "trajectory.csv")])
+    [(trajectory, runtime)] = _run_lanes(lanes)
     summary = scenario_summary(trajectory, runtime_seconds=runtime)
     (out / "summary.txt").write_text(summary)
     print(f"run {cfg.name}: {trajectory.n_rows} rows in {runtime:.2f}s, "
@@ -275,14 +277,13 @@ def cmd_compare(args) -> int:
     cfgs = [canonical_config(replace(base, law=law_name)) for law_name in laws]
     out = Path(args.out)
     lanes = [(cfg, out / f"{cfg.law}.csv") for cfg in cfgs]
-    _reject_shared_paths(out, laws, lanes)
-    results = _run_lanes(out, lanes)
+    _plan(out, laws, lanes, ["compare.csv"])
+    results = _run_lanes(lanes)
     rows = [[cfg.law, steady_state_rms(trajectory), min_margin(trajectory),
              float(trajectory.column("theta_err_norm")[-1])]
             for cfg, (trajectory, _) in zip(cfgs, results)]
     write_csv(out / "compare.csv",
-               ["law", "steady_state_rms", "min_margin", "final_theta_err_norm"],
-               rows)
+              ["law", "steady_state_rms", "min_margin", "final_theta_err_norm"], rows)
     for row in rows:
         print(f"compare {row[0]}: rms={row[1]:.4e} margin={row[2]:.4e} "
               f"theta_err={row[3]:.4e}")
@@ -304,8 +305,8 @@ def cmd_sweep(args) -> int:
     out = Path(args.out)
     lanes = [(canonical_config(SWEEPS[key](base, value)),
               out / f"{key}_{value:g}" / "trajectory.csv") for value in values]
-    _reject_shared_paths(out, tokens, lanes)
-    results = _run_lanes(out, lanes)
+    _plan(out, tokens, lanes, ["sweep.csv"])
+    results = _run_lanes(lanes)
     rows = [[value, steady_state_rms(trajectory), float(trajectory.column("theta_err_norm")[-1])]
             for value, (trajectory, _) in zip(values, results)]
     write_csv(out / "sweep.csv", [key, "steady_state_rms", "final_theta_err_norm"], rows)

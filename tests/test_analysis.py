@@ -30,6 +30,8 @@ def test_lyapunov_without_multipliers():
         analysis.lyapunov_value([1.0], [1.0], [1.0], [-1.0], [1.0])
     with pytest.raises(ValueError):
         analysis.lyapunov_value([1.0], [1.0, 1.0], [1.0], [1.0], [1.0])
+    with pytest.raises(ValueError, match="^gamma must match lambda_tilde in length$"):
+        analysis.lyapunov_value([1.0], [1.0], [1.0, 1.0], [1.0], [1.0])
 
 
 def test_uub_constants_frozen_algebra():
@@ -64,6 +66,15 @@ def test_uub_constants_drop_terms():
     with pytest.raises(ValueError):
         analysis.uub_constants(control_gain=-1.0, learning_rate=1.0, k_cl=1.0,
                                gamma=np.empty(0), alpha=0.1, sigma_bar1=1.0)
+    # alpha only matters, and is only checked, when there are multipliers
+    for gamma, alpha, sigma_bar1, message in [
+        ([1.0, 0.0], 0.1, 1.0, "gamma diagonal must be positive"),
+        ([1.0], 0.1, -1e-3, "sigma_bar1 must be non-negative"),
+        ([1.0], 0.0, 1.0, "alpha must be positive"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            analysis.uub_constants(control_gain=1.0, learning_rate=1.0, k_cl=1.0,
+                                   gamma=gamma, alpha=alpha, sigma_bar1=sigma_bar1)
 
 
 def test_uub_constants_from_config():

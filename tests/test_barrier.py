@@ -154,6 +154,13 @@ def test_evaluate_consistency():
     assert np.array_equal(group.weighted_gradient_sum(th, lam), ev.weighted_gradient)
 
 
+def test_checked_calls_reject_a_misshapen_theta_hat():
+    group = norm_bounds(25.0, 28.0, dim_param=4)
+    for th in (TH[:3], TH[None]):
+        with pytest.raises(ValueError, match=r"^theta_hat has shape \(.*\), expected \(4,\)$"):
+            group.values(th)
+
+
 def test_weighted_gradient_rejects_bad_multipliers():
     group = component_bounds(LO, HI)
     with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from baradapt import analysis, cli, history, sim
+from baradapt import analysis, cli, history, model, sim
 from baradapt.errors import ConfigError
 from baradapt.sim import canonical_config, run_scenario, steady_state_rms
 
@@ -245,6 +245,23 @@ def test_run_rejects_infeasible_start(tmp_path, capsys):
     assert "lower bound 3" in err
 
 
+def test_run_rejects_a_trajectory_of_another_dimension(tmp_path, monkeypatch, capsys):
+    def three_d():
+        return model.DesiredTrajectory(name="three_d", dim=3,
+                                       eval=lambda t: (np.zeros(3), np.zeros(3)))
+
+    monkeypatch.setitem(model.TRAJECTORIES, "three_d", three_d)
+    raw = cli.config_to_dict(cli.load_config("sanity"))
+    raw["trajectory"] = "three_d"
+    path = tmp_path / "three_d.json"
+    path.write_text(json.dumps(raw))
+    rc = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "config error: trajectory 'three_d' has dimension 3, plant needs 2\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_rejects_missing_config(tmp_path, capsys):
     rc = cli.main(["run", "--config", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path / "o")])
@@ -441,6 +458,69 @@ def test_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, argv, below):
     assert err.startswith(f"config error: --out '{out}' is not a usable directory: ")
     assert "Traceback" not in err
     assert sorted(tmp_path.rglob("*")) == before and blocker.read_text() == "kept\n"
+
+
+def tree(root) -> dict:
+    """Relative name -> bytes of each file under root, None for a directory,
+    and the target of a symbolic link."""
+    return {str(p.relative_to(root)): p.readlink() if p.is_symlink()
+            else None if p.is_dir() else p.read_bytes() for p in sorted(root.rglob("*"))}
+
+
+SWEEP_5_20 = ["sweep", "--sweep-key", "control_gain", "--sweep-values", "5,20"]
+COMPARE_TWO = ["compare", "--laws", "gradient,concurrent_learning"]
+# (command and its own arguments, the path under --out that is in the way
+# or None for --out itself, and what stands there): a file where a
+# directory goes, and a directory where a file goes.  run and compare write
+# no directory below --out.
+IN_THE_WAY = [
+    (["run"], None, "file"),
+    (["run"], "summary.txt", "dir"),
+    (["run"], "summary.txt", "dangling link"),
+    (COMPARE_TWO, None, "file"),
+    (COMPARE_TWO, "concurrent_learning.csv", "dir"),
+    (SWEEP_5_20, "control_gain_20", "file"),
+    (SWEEP_5_20, "sweep.csv", "dir"),
+    (SWEEP_5_20, "control_gain_20/trajectory.csv", "dir"),
+]
+
+
+@pytest.mark.parametrize("argv,below,kind", IN_THE_WAY,
+                         ids=[f"{argv[0]}-{kind.replace(' ', '_')}-at-{below or '--out'}"
+                              for argv, below, kind in IN_THE_WAY])
+def test_path_in_the_way_exits_2_and_writes_nothing(tmp_path, capsys, argv, below, kind):
+    # every path a command writes is checked before its first lane runs
+    path, _ = short_config_file(tmp_path)
+    out = tmp_path / "out"
+    blocker = out / below if below else out
+    blocker.parent.mkdir(parents=True, exist_ok=True)
+    if kind == "file":
+        blocker.write_text("kept\n")
+    elif kind == "dangling link":  # writing through it would leave --out
+        blocker.symlink_to(tmp_path / "nowhere" / "summary.txt")
+    else:
+        blocker.mkdir()
+        (blocker / "kept.txt").write_text("kept\n")
+    before = tree(tmp_path)
+    rc = cli.main([argv[0], "--config", str(path), "--out", str(out), *argv[1:]])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error:") and f"'{blocker}'" in err
+    assert "Traceback" not in err
+    assert tree(tmp_path) == before
+
+
+def test_existing_out_keeps_what_no_planned_path_names(tmp_path):
+    # a second run into the same --out overwrites only the files it plans
+    out = tmp_path / "out"
+    argv = ["sweep", "--config", "sanity", "--out", str(out), "--t-final", "0.05",
+            "--sweep-key", "control_gain", "--sweep-values", "5"]
+    assert cli.main(argv) == 0
+    first = tree(out)
+    (out / "control_gain_5" / "notes.txt").write_text("kept\n")
+    (out / "sweep.csv").write_text("stale\n")
+    assert cli.main(argv) == 0
+    assert tree(out) == {**first, "control_gain_5/notes.txt": b"kept\n"}
 
 
 # ---------------------------------------------------------------------------

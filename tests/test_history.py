@@ -304,6 +304,8 @@ def test_entry_validation():
     with pytest.raises(ValueError):
         stack.try_insert(np.full((2, 4), np.nan), np.zeros(2), np.zeros(2))
     assert len(stack) == 0
+    with pytest.raises(ValueError, match=r"^theta_hat has shape \(2, 2\), expected \(4,\)$"):
+        stack.cl_term(np.zeros((2, 2)))
 
 
 def test_constructor_rejects_fractional_capacity_and_nan_threshold():
@@ -355,3 +357,64 @@ def test_fill_with_exact_model_data_consistency():
     assert np.abs(stack.cl_term(plant.theta)).max() < 1e-9
     assert stack.excitation_level() > 0.0
 
+
+
+def _looped_fill(stack, plant, states) -> int:
+    """The prefill as one try_insert per state: the reference that
+    fill_with_exact_model_data must match."""
+    accepted = 0
+    for x in states:
+        Y = plant.eval_regressor(x)
+        u = np.zeros(plant.dim_state)
+        accepted += stack.try_insert(Y, u, Y @ plant.theta + u)
+    return accepted
+
+
+@pytest.mark.parametrize("capacity, n_states, preset", [
+    (20, 20, 0),  # the offline scenarios: one append of every state
+    (20, 12, 0),  # room to spare
+    (8, 20, 0),   # more states than room: the rest go through try_insert
+    (10, 15, 4),  # a stack that already holds entries
+    (0, 5, 0),
+])
+def test_prefill_matches_a_try_insert_loop(capacity, n_states, preset):
+    plant, traj = benchmark_plant(), benchmark_trajectory()
+    states = [traj.eval(float(t))[0] for t in np.linspace(0.3, 30.0, n_states)]
+    stack, ref = (HistoryStack(2, 4, capacity, 1e-3) for _ in range(2))
+    for each in (stack, ref):
+        _looped_fill(each, plant, states[-preset:] if preset else [])
+    assert fill_with_exact_model_data(stack, plant, states) == _looped_fill(ref, plant, states)
+    assert len(stack) == len(ref)
+    assert all(np.array_equal(a, b) for ea, eb in zip(stack.entries, ref.entries)
+               for a, b in zip(ea, eb))
+    for name in ("_grams", "_projs", "_gram", "_proj"):
+        assert np.array_equal(getattr(stack, name), getattr(ref, name))
+    assert stack.excitation_level() == ref.excitation_level()
+    assert (stack._screen is None) == (ref._screen is None)
+    if stack._screen is not None:
+        v, key, key_max = stack._screen
+        ref_v, ref_key, ref_max = ref._screen
+        assert np.array_equal(v, ref_v) and np.array_equal(key, ref_key) and key_max == ref_max
+
+
+def test_offline_prefill_refreshes_the_stack_once(monkeypatch):
+    # building sanity's offline context forms the level once for the empty
+    # stack and once for its 20 appends, and the screen once, as it is full
+    from baradapt.cli import load_config
+    from baradapt.sim import build_context
+
+    calls = Counter()
+
+    def counted(name):
+        inner = getattr(np.linalg, name)
+
+        def wrapper(a):
+            calls[name] += 1
+            return inner(a)
+        return wrapper
+
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    ctx = build_context(load_config("sanity"))
+    assert len(ctx.stack) == ctx.cfg.stack.size == 20
+    assert calls == {"eigvalsh": 2, "eigh": 1}

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from baradapt.cli import load_config
-from baradapt.sim import build_context, run_scenario
+from baradapt.sim import GroupConfig, build_context, run_scenario
 
 integrate = pytest.importorskip("scipy.integrate")
 
@@ -100,8 +100,21 @@ def _error(cfg, solve) -> float:
     return float(np.abs(logged - solve(log.column("t"))).max())
 
 
+# an inverse-barrier norm group whose bounds hold sec5a's start
+NORM_15_30 = GroupConfig(kind="norm", barrier="inverse", lower=15.0, upper=30.0,
+                         gamma_inv=0.1, alpha=0.1, lambda0=5.0)
+
+
 def _case(name, mode="none"):
+    """A bundled scenario over HORIZON.  'sec5a:norm+component' runs sec5a
+    with a group of each kind, in that order: the scenario's own group where
+    it has one, else sec5a's component group or NORM_15_30."""
+    name, _, layout = name.partition(":")
     cfg = load_config(name)
+    if layout:
+        own = {"component": load_config("sec5a").groups[0], "norm": NORM_15_30}
+        own.update((grp.kind, grp) for grp in cfg.groups)
+        cfg = replace(cfg, groups=tuple(own[kind] for kind in layout.split("+")))
     return replace(cfg, t_final=HORIZON, stack=replace(cfg.stack, mode=mode))
 
 
@@ -120,6 +133,11 @@ def test_rk4_converges_to_oracle_at_fourth_order(name, bound):
 @pytest.mark.parametrize("name, mode, bound", [
     ("sec5b", "none", 1e-8),
     ("sec5a", "offline", 5e-6),
+    # two groups, in both orders
+    ("sec5a:component+norm", "none", 5e-6),
+    ("sec5a:norm+component", "none", 5e-6),
+    ("sec5b:norm+component", "none", 1e-8),
+    ("sec5b:component+norm", "none", 1e-8),
 ])
 def test_rk4_matches_oracle(name, mode, bound):
     cfg = _case(name, mode)

@@ -154,6 +154,20 @@ def test_number_rules_live_in_errors():
     assert not sites, f"number checks outside errors.py: {[f'{n}:{i}' for n, i in sites]}"
 
 
+def test_cli_makes_directories_only_in_plan():
+    """cli._plan checks every path a command writes before it makes any
+    directory.  A mkdir elsewhere in cli.py could make one after a lane
+    has run and written, and leave a half-written tree behind."""
+    tree = parse(PACKAGE / "cli.py")
+    [plan] = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "_plan"]
+    planned = set(map(id, ast.walk(plan)))
+    stray = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("mkdir", "makedirs") and id(node) not in planned]
+    assert not stray, f"cli.py makes directories outside _plan, at lines {stray}"
+
+
 def test_noqa_reexports_name_the_bench_file_that_uses_them():
     """An import kept only for the benchmark (`# noqa: F401`) names in its
     comment the bench/<file>.py that wraps it, and that file mentions the
