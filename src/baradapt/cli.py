@@ -13,8 +13,11 @@ import functools
 import json
 import logging
 import os
+import pickle
+import signal
 import sys
 import time
+import traceback
 import types
 import typing
 from dataclasses import MISSING, asdict, fields, is_dataclass, replace
@@ -241,17 +244,77 @@ def _plan(out: Path, labels, lanes, files) -> None:
 
 
 def _run_lanes(lanes) -> list[tuple[TrajectoryLog, float]]:
-    """Run (config, CSV path) lanes in order and write each trajectory to
-    the path _plan checked; returns (log, runtime_seconds) per lane."""
-    results = []
-    for cfg, csv_path in lanes:
-        log.info("running %s into %s", cfg.name, csv_path)
-        started = time.perf_counter()
-        trajectory = run_scenario(cfg)
-        runtime = time.perf_counter() - started
-        trajectory.to_csv(csv_path)
-        results.append((trajectory, runtime))
-    return results
+    """Run (config, CSV path) lanes and write each trajectory to the path
+    _plan checked; returns (log, runtime_seconds) per lane.
+
+    With more than one lane and more than one CPU, lane i runs in worker
+    i % W of W = min(lanes, CPUs this process may use).  Worker 0 is this
+    process; the others are forked children that send each lane's log
+    (without its context) or error back through a pipe.  This process
+    writes every CSV, logs every line and raises the first error, all in
+    lane order, so a command's files, output and exit code are those of a
+    serial run.
+    """
+    workers = (min(len(lanes), len(os.sched_getaffinity(0)))
+               if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
+    children = []  # (pid, read end of its pipe), worker 1 first
+    try:
+        for w in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_fd)
+                _lane_worker(lanes[w::workers], write_fd)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb")))
+        results = []
+        for i, (cfg, csv_path) in enumerate(lanes):
+            log.info("running %s into %s", cfg.name, csv_path)
+            if i % workers:
+                pid, pipe = children[i % workers - 1]
+                try:
+                    reply = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):
+                    raise RuntimeError(f"lane worker {pid} ended without a result "
+                                       f"for {cfg.name} into {csv_path}") from None
+                if isinstance(reply, Exception):
+                    raise reply
+                columns, data, runtime = reply
+                trajectory = TrajectoryLog(columns, data)
+            else:
+                started = time.perf_counter()
+                trajectory = run_scenario(cfg)
+                runtime = time.perf_counter() - started
+            trajectory.to_csv(csv_path)
+            results.append((trajectory, runtime))
+        return results
+    finally:
+        for pid, pipe in children:
+            os.kill(pid, signal.SIGKILL)  # a no-op on one that has exited
+            os.waitpid(pid, 0)
+            pipe.close()
+
+
+def _lane_worker(lanes, fd: int) -> typing.NoReturn:
+    """Body of a forked worker: run lanes in order, send (columns, data,
+    runtime) for each through the pipe fd, or the error that ends the
+    lane and the worker, then exit without returning to the caller."""
+    try:
+        with open(fd, "wb") as pipe:
+            for cfg, _ in lanes:
+                started = time.perf_counter()
+                try:
+                    trajectory = run_scenario(cfg)
+                except Exception as err:
+                    pickle.dump(err, pipe)
+                    break
+                pickle.dump((trajectory.columns, trajectory.data,
+                             time.perf_counter() - started), pipe)
+                pipe.flush()
+    except Exception:  # the result could not be sent; the parent says which lane
+        traceback.print_exc()
+    finally:
+        os._exit(0)
 
 
 def cmd_run(args) -> int:
@@ -295,6 +358,9 @@ def cmd_sweep(args) -> int:
     key = args.sweep_key
     if key not in SWEEPS:
         raise ConfigError(f"unknown sweep key '{key}' (choose from {tuple(SWEEPS)})")
+    if key == "alpha" and not base.groups:  # no alpha to set, nor to check
+        raise ConfigError(f"sweep key 'alpha' needs a scenario with constraint groups, "
+                          f"and '{base.name}' has none")
     tokens = [token.strip() for token in args.sweep_values.split(",") if token.strip()]
     try:
         values = [float(token) for token in tokens]

@@ -32,6 +32,9 @@ class BarrierBreach(Exception):
         self.time = time
         self.dt = dt
 
+    def __reduce__(self):  # Exception's replays only the message
+        return type(self), (str(self), self.time, self.dt)
+
 
 class NumericalDivergence(Exception):
     """NaN or Inf appeared in the integrated state."""
@@ -39,6 +42,9 @@ class NumericalDivergence(Exception):
     def __init__(self, message: str, time: float):
         super().__init__(message)
         self.time = time
+
+    def __reduce__(self):
+        return type(self), (str(self), self.time)
 
 
 class ConfigError(ValueError):

@@ -1,5 +1,9 @@
+import copy
 import json
 import logging
+import os
+import pickle
+import signal
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -9,7 +13,7 @@ import numpy as np
 import pytest
 
 from baradapt import analysis, cli, history, model, sim
-from baradapt.errors import ConfigError
+from baradapt.errors import BarrierBreach, ConfigError, InfeasibleEvaluation, NumericalDivergence
 from baradapt.sim import canonical_config, run_scenario, steady_state_rms
 
 
@@ -403,6 +407,14 @@ def test_sweep_rejects_bad_key_and_values(tmp_path, capsys):
     rc = cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "s"),
                    "--sweep-key", "alpha", "--sweep-values", ","])
     assert rc == 2
+    # a scenario without groups has no alpha to sweep, nor to check -1 against
+    capsys.readouterr()
+    rc = cli.main(["sweep", "--config", "sanity", "--out", str(tmp_path / "s"),
+                   "--sweep-key", "alpha", "--sweep-values", "1,-1", "--t-final", "0.5"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: sweep key 'alpha' needs a scenario with constraint groups")
+    assert not (tmp_path / "s").exists()
 
 
 BAD_LANES = [
@@ -521,6 +533,146 @@ def test_existing_out_keeps_what_no_planned_path_names(tmp_path):
     (out / "sweep.csv").write_text("stale\n")
     assert cli.main(argv) == 0
     assert tree(out) == {**first, "control_gain_5/notes.txt": b"kept\n"}
+
+
+# ---------------------------------------------------------------------------
+# the lane runner
+
+
+@pytest.mark.parametrize("err", [BarrierBreach("stayed infeasible", time=1.5, dt=0.25),
+                                 BarrierBreach("stayed infeasible", time=1.5),
+                                 NumericalDivergence("non-finite state", time=0.04),
+                                 InfeasibleEvaluation("outside", margin=-0.5)],
+                         ids=lambda err: type(err).__name__)
+def test_run_errors_survive_pickle_and_copy(err):
+    # a forked lane worker sends its lane's error to the parent by pickle
+    attrs = {name: getattr(err, name) for name in ("time", "dt", "margin") if hasattr(err, name)}
+    for again in (pickle.loads(pickle.dumps(err)), copy.copy(err)):
+        assert type(again) is type(err) and str(again) == str(err)
+        assert {name: getattr(again, name) for name in attrs} == attrs
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the CPUs the lane runner sees, and count its forks; afterwards
+    this process may have no child left, running or exited."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+
+    def use(n: int) -> list:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        forks.clear()
+        return forks
+
+    yield use
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def run_cli(tmp_path, capsys, name, argv):
+    out = tmp_path / name
+    rc = cli.main([*argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err, tree(out)
+
+
+FOUR_LAWS = ["compare", "--config", "sec5a", "--t-final", "0.3",
+             "--laws", "gradient,concurrent_learning,barrier_constrained,barrier_sigma_mod"]
+THREE_GAINS = ["sweep", "--config", "sec5a", "--t-final", "0.3",
+               "--sweep-key", "control_gain", "--sweep-values", "5,10,20"]
+
+
+@pytest.mark.parametrize("n_cpus", [2, 3])
+@pytest.mark.parametrize("argv", [FOUR_LAWS, THREE_GAINS], ids=["compare", "sweep"])
+def test_forked_lanes_write_what_a_serial_run_writes(tmp_path, capsys, caplog, cpus,
+                                                     argv, n_cpus):
+    caplog.set_level(logging.INFO, logger="baradapt")
+    logged = {}
+    for side, n in (("serial", 1), ("forked", n_cpus)):
+        forks = cpus(n)
+        logged[side] = run_cli(tmp_path, capsys, side, argv)
+        assert len(forks) == n - 1
+        # the parent logs every lane, in lane order
+        logged[side] += ([m.replace(str(tmp_path / side), "<out>") for m in caplog.messages],)
+        caplog.clear()
+    rc, out, _, _, messages = logged["serial"]
+    assert rc == 0 and len(out.splitlines()) == len(messages) == len(argv[-1].split(","))
+    assert logged["forked"] == logged["serial"]
+
+
+def test_run_never_forks(tmp_path, capsys, cpus):
+    forks = cpus(2)
+    rc, out, _, _ = run_cli(tmp_path, capsys, "run", ["run", "--config", "sanity",
+                                                      "--t-final", "0.05"])
+    assert rc == 0 and out.startswith("run sanity:") and not forks
+
+
+BREACH = ["sweep", "--config", "sec5a", "--sweep-key", "control_gain", "--dt", "0.02",
+          "--t-final", "2"]
+
+
+@pytest.mark.parametrize("values,written", [("5,200000", ["control_gain_5/trajectory.csv"]),
+                                            ("200000,5", [])],
+                         ids=["in-a-child", "in-the-parent"])
+def test_breach_in_a_lane_ends_the_command_as_a_serial_run(tmp_path, capsys, cpus,
+                                                           values, written):
+    argv = [*BREACH, "--sweep-values", values]
+    cpus(1)
+    serial = run_cli(tmp_path, capsys, "serial", argv)
+    forks = cpus(2)
+    forked = run_cli(tmp_path, capsys, "forked", argv)
+    assert len(forks) == 1
+    rc, out, err, files = forked
+    assert rc == 1 and out == ""
+    assert err.startswith("BarrierBreach at t=") and len(err.splitlines()) == 1
+    # the planned lane directories exist; only lanes before the breach wrote
+    assert sorted(name for name, data in files.items() if data is not None) == written
+    assert forked == serial
+
+
+class Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("cannot be sent")
+
+
+def exits_at_once(lanes, fd):
+    os._exit(3)
+
+
+@pytest.mark.parametrize("how", ["exits", "unpicklable error"])
+def test_a_worker_that_sends_no_result_is_an_error(tmp_path, monkeypatch, capsys, cpus, how):
+    if how == "exits":
+        monkeypatch.setattr(cli, "_lane_worker", exits_at_once)
+    else:
+        def run_or_fail(cfg):
+            if cfg.control_gain[0] == 10.0:  # lane 1, the child's
+                raise Unpicklable()
+            return run_scenario(cfg)
+        monkeypatch.setattr(cli, "run_scenario", run_or_fail)
+
+    def expire(signum, frame):
+        raise TimeoutError("the lane runner is still waiting for a worker")
+
+    cpus(2)
+    before = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        with pytest.raises(RuntimeError, match=r"ended without a result for sec5a into .*"
+                                               r"control_gain_10/trajectory.csv"):
+            cli.main(["sweep", "--config", "sec5a", "--out", str(tmp_path / "o"),
+                      "--t-final", "0.05", "--sweep-key", "control_gain",
+                      "--sweep-values", "5,10"])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, before)
+    assert (tmp_path / "o" / "control_gain_5" / "trajectory.csv").is_file()
+    assert not (tmp_path / "o" / "control_gain_10" / "trajectory.csv").exists()
 
 
 # ---------------------------------------------------------------------------
