@@ -12,13 +12,13 @@ system:
 where proj(a, b) passes a through where b > 0 and clips a at 0 where b = 0,
 so multipliers can never flow negative.  The sigma-mod variant replaces the
 recorded-data term with -sigma2 * theta_hat for use while the history stack
-is not yet exciting.  theta_hat_dot is -P times lagrangian_gradient, the
-theta_hat-gradient of the Lagrangian e^T Y theta_tilde + 1/2 theta_tilde^T
-K_cl (sum_k Y_k^T Y_k) theta_tilde + sum_j lambda_j^T c_j(theta_hat), so the
-flow is a primal-dual pair.  _estimate_flow writes it in reduced form: the
-memory term is b - A theta_hat, with A = diag(P K_cl) gram and b = P K_cl
-proj formed once per stack change (_memory_terms), and each force multiplies
-the barrier slopes by a slack Jacobian with P folded in (ConstraintGroup._core).
+is not yet exciting.  theta_hat_dot is -P times the theta_hat-gradient of
+the Lagrangian e^T Y theta_tilde + 1/2 theta_tilde^T K_cl (sum_k Y_k^T Y_k)
+theta_tilde + sum_j lambda_j^T c_j(theta_hat), so the flow is a primal-dual
+pair.  _estimate_flow writes it in reduced form: the memory term is
+b - A theta_hat, with A = diag(P K_cl) gram and b = P K_cl proj formed once
+per stack change (_memory_terms), and each force multiplies the barrier
+slopes by a slack Jacobian with P folded in (ConstraintGroup._core).
 """
 
 from __future__ import annotations
@@ -185,24 +185,8 @@ def theta_hat_dot(cfg: UpdateLawConfig, e, Y, stack, groups, lambdas, theta_hat)
     P = cfg.learning_rate_array
     forces = ()
     if cfg.law in LAWS_WITH_BARRIER and groups:
-        forces = [group.weighted_gradient_sum(th, ms.lam_array, P)
-                  for group, ms in zip(groups, lambdas)]
+        forces = [g._core(g._check_theta(th), g._check_lam(ms.lam_array), P * g._jac)[1]
+                  for g, ms in zip(groups, lambdas)]
     return _estimate_flow(cfg.law, P, _memory_terms(P, cfg.k_cl_array, stack),
                           cfg.sigma2, e, Y, th, forces)
 
-
-def lagrangian_gradient(cfg: UpdateLawConfig, e, Y, stack, groups, lambdas,
-                        theta_hat, theta_true) -> Array:
-    """Gradient in theta_hat of the Lagrangian in the module docstring (for
-    scalar K_cl its memory term K_cl gram theta_tilde is exactly the
-    quadratic's derivative); the constrained law's theta_hat_dot is -P times this."""
-    e = np.asarray(e, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    th = np.asarray(theta_hat, dtype=float)
-    tilde = np.asarray(theta_true, dtype=float) - th
-    grad = -(Y.T @ e)
-    if stack is not None and len(stack) > 0:
-        grad = grad - cfg.k_cl_array * (stack.gram @ tilde)
-    for group, ms in zip(groups, lambdas):
-        grad = grad + group.weighted_gradient_sum(th, ms.lam_array)
-    return grad

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .adaptation import UpdateLawConfig, _lambda_dot, lagrangian_gradient
+from .adaptation import _lambda_dot
 
 Array = np.ndarray
 
@@ -186,21 +186,23 @@ class KktResiduals(NamedTuple):
     complementary_slackness: float
 
 
-def kkt_residuals(cfg: UpdateLawConfig, e, Y, stack, groups, lambdas,
-                  theta_hat, theta_true) -> KktResiduals:
+def kkt_residuals(ctx, e, x, theta_hat, lambdas) -> KktResiduals:
     """Stationarity ||grad_theta L|| and the largest complementary-slackness
-    defect |lambda_i * lambda_dot_i| over all constraints; where lambda_i > 0
-    the projection passes -alpha lambda_i + (Gamma^{-1} c)_i through."""
-    grad = lagrangian_gradient(cfg, e, Y, stack, groups, lambdas, theta_hat, theta_true)
-    stationarity = float(np.linalg.norm(grad))
+    defect |lambda_i * lambda_dot_i| at a row (float arrays e, x, theta_hat
+    and each integrated group's lambdas) of the run whose sim.RunContext is
+    ctx, unchecked.  grad_theta L = -Y^T e - K_cl gram theta_tilde + sum_j
+    lambda_j . grad c_j; where lambda_i > 0 the projection passes
+    -alpha lambda_i + (Gamma^{-1} c)_i through."""
+    grad = -(ctx.plant.eval_regressor(x).T @ e)
+    if len(ctx.stack) > 0:
+        grad = grad - ctx.kcl * (ctx.stack.gram @ (ctx.theta - theta_hat))
     comp = 0.0
-    th = np.asarray(theta_hat, dtype=float)
-    for group, ms in zip(groups, lambdas):
-        lam = ms.lam_array
-        defect = lam * _lambda_dot(lam, ms.alpha, ms.gamma_inv_array, group.values(th))
-        if defect.size:
-            comp = max(comp, float(np.max(np.abs(defect))))
-    return KktResiduals(stationarity=stationarity, complementary_slackness=comp)
+    for group, ms, lam in zip(ctx.groups, ctx.multipliers, lambdas):
+        c, force = group._core(theta_hat, lam, group._jac)
+        grad = grad + force
+        defect = lam * _lambda_dot(lam, ms.alpha, ms.gamma_inv_array, c)
+        comp = max(comp, float(np.max(np.abs(defect))))
+    return KktResiduals(stationarity=float(np.linalg.norm(grad)), complementary_slackness=comp)
 
 
 def steady_state_rms(times, values) -> float:

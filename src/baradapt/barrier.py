@@ -137,10 +137,6 @@ class ConstraintGroup:
 
     # -- barrier values and gradients --------------------------------------
 
-    def values(self, theta_hat) -> Array:
-        """Per-constraint barrier values, ordered lower block then upper."""
-        return self._core(self._check_theta(theta_hat), 0.0, self._jac)[0]
-
     def evaluate(self, theta_hat, lam) -> BarrierEval:
         """Values, gradients and sum_i lam_i * grad_i in one pass."""
         th = self._check_theta(theta_hat)
@@ -148,11 +144,6 @@ class ConstraintGroup:
         # weighting by the identity gives back the gradient rows themselves
         values, rows = self._core(th, np.vstack([self._eye, lam]), self._jac)
         return BarrierEval(values, rows[:-1], rows[-1])
-
-    def weighted_gradient_sum(self, theta_hat, lam, scale=1.0) -> Array:
-        """scale * sum_i lam_i * gradient_i, the constraint force (scale = P)."""
-        th, lam = self._check_theta(theta_hat), self._check_lam(lam)
-        return self._core(th, lam, scale * self._jac)[1]
 
     def _check_lam(self, lam) -> Array:
         lam = np.asarray(lam, dtype=float)

@@ -192,13 +192,8 @@ def scenario_summary(trajectory: TrajectoryLog, runtime_seconds: float) -> str:
 
     e, x, theta_hat = (trajectory.block(name)[-1] for name in ("e", "x", "theta_hat"))
     # groups without multipliers (laws without a barrier) add no KKT terms
-    lambdas = () if not ctx.lam_slices else tuple(
-        replace(ms, lam=tuple(trajectory.block(f"lambda{g}_")[-1]))
-        for g, ms in enumerate(ctx.multipliers, start=1))
-    kkt = analysis.kkt_residuals(
-        ctx.law_cfg, e, ctx.plant.eval_regressor(x), stack, ctx.groups[: len(lambdas)],
-        lambdas, theta_hat, ctx.plant.theta,
-    )
+    lambdas = [trajectory.block(f"lambda{g}_")[-1] for g in range(1, len(ctx.lam_slices) + 1)]
+    kkt = analysis.kkt_residuals(ctx, e, x, theta_hat, lambdas)
     lines += [
         f"kkt_stationarity: {kkt.stationarity:.10g}",
         f"kkt_complementary_slackness: {kkt.complementary_slackness:.10g}",
@@ -277,8 +272,9 @@ def _run_lanes(lanes) -> list[tuple[TrajectoryLog, float]]:
                 except (EOFError, pickle.UnpicklingError):
                     raise RuntimeError(f"lane worker {pid} ended without a result "
                                        f"for {cfg.name} into {csv_path}") from None
-                if isinstance(reply, Exception):
-                    raise reply
+                if isinstance(reply[0], Exception):
+                    err, text = reply
+                    raise err from _ChildTraceback(text.rstrip())
                 columns, data, runtime = reply
                 trajectory = TrajectoryLog(columns, data)
             else:
@@ -295,10 +291,16 @@ def _run_lanes(lanes) -> list[tuple[TrajectoryLog, float]]:
             pipe.close()
 
 
+class _ChildTraceback(Exception):
+    """A forked worker's formatted traceback: the cause of its error when
+    this process raises it again, so a printed chain shows those frames."""
+
+
 def _lane_worker(lanes, fd: int) -> typing.NoReturn:
     """Body of a forked worker: run lanes in order, send (columns, data,
     runtime) for each through the pipe fd, or the error that ends the
-    lane and the worker, then exit without returning to the caller."""
+    lane and the worker with its formatted traceback, then exit without
+    returning to the caller."""
     try:
         with open(fd, "wb") as pipe:
             for cfg, _ in lanes:
@@ -306,7 +308,7 @@ def _lane_worker(lanes, fd: int) -> typing.NoReturn:
                 try:
                     trajectory = run_scenario(cfg)
                 except Exception as err:
-                    pickle.dump(err, pipe)
+                    pickle.dump((err, traceback.format_exc()), pipe)
                     break
                 pickle.dump((trajectory.columns, trajectory.data,
                              time.perf_counter() - started), pipe)

@@ -8,7 +8,6 @@ from baradapt.adaptation import (
     UpdateLaw,
     UpdateLawConfig,
     _lambda_dot,
-    lagrangian_gradient,
     projection,
     theta_hat_dot,
 )
@@ -198,7 +197,7 @@ def test_sigma_mod_law_skips_memory_term():
     cfg = UpdateLawConfig(law=UpdateLaw.BARRIER_SIGMA_MOD, dim_param=4,
                           learning_rate=0.075, sigma2=0.1)
     got = theta_hat_dot(cfg, e, Y, stack, (group,), (ms,), th)
-    force = 0.075 * group.weighted_gradient_sum(th, np.ones(8))
+    force = 0.075 * group.evaluate(th, np.ones(8)).weighted_gradient
     expected = 0.075 * (Y.T @ e) - 0.1 * th - force
     assert np.allclose(got, expected, rtol=1e-12, atol=1e-14)
 
@@ -236,8 +235,25 @@ def lagrangian_value(cfg, e, Y, stack, groups, lambdas, theta_hat, theta_true):
     if stack is not None and len(stack) > 0:
         val += 0.5 * float(tilde @ (cfg.k_cl_array * (stack.gram @ tilde)))
     for group, ms in zip(groups, lambdas):
-        val += float(ms.lam_array @ group.values(th))
+        val += float(ms.lam_array @ group.evaluate(th, ms.lam_array).values)
     return val
+
+
+def lagrangian_gradient(cfg, e, Y, stack, groups, lambdas, theta_hat, theta_true):
+    """Gradient in theta_hat of lagrangian_value (for scalar K_cl its memory
+    term K_cl gram theta_tilde is exactly the quadratic's derivative); the
+    constrained law's theta_hat_dot is -P times this (acceptance criterion
+    06), and analysis.kkt_residuals reports its norm."""
+    e = np.asarray(e, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    th = np.asarray(theta_hat, dtype=float)
+    tilde = np.asarray(theta_true, dtype=float) - th
+    grad = -(Y.T @ e)
+    if stack is not None and len(stack) > 0:
+        grad = grad - cfg.k_cl_array * (stack.gram @ tilde)
+    for group, ms in zip(groups, lambdas):
+        grad = grad + group.evaluate(th, ms.lam_array).weighted_gradient
+    return grad
 
 
 def test_lagrangian_gradient_matches_finite_difference():
@@ -277,4 +293,4 @@ def test_lagrangian_value_components():
     e = np.array([1.0, -1.0])
     Y = plant.eval_regressor([1.0, 1.0])
     val = lagrangian_value(cfg, e, Y, stack, (group,), (ms,), th, plant.theta)
-    assert val == pytest.approx(float(np.sum(group.values(th))), rel=1e-12)
+    assert val == pytest.approx(float(np.sum(group.evaluate(th, lam).values)), rel=1e-12)

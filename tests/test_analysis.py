@@ -1,13 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from baradapt import analysis
-from baradapt.adaptation import MultiplierState, UpdateLaw, UpdateLawConfig
 from baradapt.barrier import component_bounds
+from baradapt.cli import load_config
 from baradapt.model import benchmark_plant
-from baradapt.sim import TrajectoryLog, build_context
+from baradapt.sim import GroupConfig, TrajectoryLog, build_context, run_scenario
 
 
 def test_lyapunov_hand_value():
@@ -78,8 +79,6 @@ def test_uub_constants_drop_terms():
 
 
 def test_uub_constants_from_config():
-    from baradapt.cli import load_config
-
     cfg = load_config("sec5a")
     consts = build_context(cfg).uub_constants(sigma_bar1=10.0, lambda_star=np.ones(8))
     direct = analysis.uub_constants(
@@ -149,30 +148,47 @@ def test_envelope_check_multiplier_distance():
 
 
 def test_kkt_residuals_zero_at_saddle():
-    plant = benchmark_plant()
-    cfg = UpdateLawConfig(law=UpdateLaw.GRADIENT, dim_param=4, learning_rate=1.0)
-    res = analysis.kkt_residuals(cfg, np.zeros(2), np.zeros((2, 4)), None,
-                                 (), (), plant.theta, plant.theta)
+    # theta_hat at the truth and e = 0 under a law without multipliers
+    ctx = build_context(replace(load_config("sec5a"), law="gradient"))
+    res = analysis.kkt_residuals(ctx, np.zeros(2), np.array([1.0, 2.0]), ctx.theta, [])
     assert res.stationarity == 0.0
     assert res.complementary_slackness == 0.0
 
 
 def test_kkt_residuals_hand_values():
-    plant = benchmark_plant()
-    group = component_bounds([3.0, 6.0, 10.0, 12.0], [6.0, 12.0, 17.0, 22.0])
+    group = GroupConfig(kind="component", barrier="inverse", lower=[3.0, 6.0, 10.0, 12.0],
+                        upper=[6.0, 12.0, 17.0, 22.0], gamma_inv=0.5, alpha=0.1, lambda0=2.0)
+    ctx = build_context(replace(load_config("sec5a"), learning_rate=1.0, groups=(group,)))
+    assert len(ctx.stack) == 0  # an online stack holds nothing before the run
     th = np.array([4.5, 8.0, 12.0, 15.0])
     lam = np.full(8, 2.0)
-    ms = MultiplierState(lam=tuple(lam), gamma_inv=(0.5,) * 8, alpha=0.1)
-    cfg = UpdateLawConfig(law=UpdateLaw.BARRIER_CONSTRAINED, dim_param=4,
-                          learning_rate=1.0)
-    e = np.array([1.0, -1.0])
-    Y = plant.eval_regressor([1.0, 2.0])
-    res = analysis.kkt_residuals(cfg, e, Y, None, (group,), (ms,), th, plant.theta)
-    grad = -(Y.T @ e) + group.evaluate(th, np.zeros(8)).gradients.T @ lam
+    e, x = np.array([1.0, -1.0]), np.array([1.0, 2.0])
+    res = analysis.kkt_residuals(ctx, e, x, th, [lam])
+    Y = benchmark_plant().eval_regressor(x)
+    barrier = component_bounds(group.lower, group.upper).evaluate(th, np.zeros(8))
+    grad = -(Y.T @ e) + barrier.gradients.T @ lam
     assert res.stationarity == pytest.approx(float(np.linalg.norm(grad)), rel=1e-12)
-    c = group.values(th)
-    defect = np.abs(lam * (-0.1 * lam + 0.5 * c))
+    defect = np.abs(lam * (-0.1 * lam + 0.5 * barrier.values))
     assert res.complementary_slackness == pytest.approx(float(defect.max()), rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["sec5a", "sec5b", "sec5c"])
+@pytest.mark.parametrize("law", ["barrier_constrained", "concurrent_learning"])
+def test_kkt_stationarity_splits_into_data_error_and_flow(name, law):
+    """With the memory term active, grad L = K_cl d - P^-1 theta_hat_dot,
+    where d = sum_k Y_k^T (xdot_hat_k - u_k - Y_k theta) = proj - gram theta
+    is the error in the recorded data (ROADMAP item 5's split)."""
+    log = run_scenario(replace(load_config(name), law=law, t_final=2.0))
+    ctx = log.meta["context"]
+    assert ctx.refresh_active_law().value == law  # the stack passed its threshold
+    e, x, th = (log.block(key)[-1] for key in ("e", "x", "theta_hat"))
+    lambdas = [log.block(f"lambda{g}_")[-1] for g in range(1, len(ctx.lam_slices) + 1)]
+    y = np.concatenate([x, th, *lambdas])
+    theta_hat_dot = ctx.rhs_flat(float(log.column("t")[-1]), y)[ctx.n: ctx.n + ctx.p]
+    d = ctx.stack._proj - ctx.stack.gram @ ctx.theta
+    split = np.linalg.norm(ctx.kcl * d - theta_hat_dot / ctx.P)
+    stationarity = analysis.kkt_residuals(ctx, e, x, th, lambdas).stationarity
+    assert stationarity == pytest.approx(split, rel=1e-9)
 
 
 def test_steady_state_rms_window():

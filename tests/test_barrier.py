@@ -17,6 +17,11 @@ HI = [6.0, 12.0, 17.0, 22.0]
 TH = np.array([4.5, 8.0, 12.0, 15.0])
 
 
+def values(group, th):
+    """Barrier values at th, through the checked evaluate."""
+    return group.evaluate(th, np.zeros(group.n_constraints)).values
+
+
 def fd_gradients(group, th, h=1e-6):
     G = np.zeros((group.n_constraints, th.size))
     for j in range(th.size):
@@ -24,7 +29,7 @@ def fd_gradients(group, th, h=1e-6):
         up[j] += h
         dn = th.copy()
         dn[j] -= h
-        G[:, j] = (group.values(up) - group.values(dn)) / (2.0 * h)
+        G[:, j] = (values(group, up) - values(group, dn)) / (2.0 * h)
     return G
 
 
@@ -53,7 +58,7 @@ def test_slacks_are_bitwise_the_bound_differences():
 def test_component_inverse_values_and_gradients():
     group = component_bounds(LO, HI, barrier=BarrierKind.INVERSE)
     s = np.array([1.5, 2.0, 2.0, 3.0, 1.5, 4.0, 5.0, 7.0])
-    assert np.array_equal(group.values(TH), 1.0 / s)
+    assert np.array_equal(values(group, TH), 1.0 / s)
     # constraint i depends on component i alone; lower rows slope -1/s^2,
     # upper rows +1/s^2
     expected = np.zeros((8, 4))
@@ -66,7 +71,7 @@ def test_component_inverse_values_and_gradients():
 def test_component_log_values_and_gradients():
     group = component_bounds(LO, HI, barrier=BarrierKind.LOG)
     s = np.array([1.5, 2.0, 2.0, 3.0, 1.5, 4.0, 5.0, 7.0])
-    assert np.array_equal(group.values(TH), -np.log(s))
+    assert np.array_equal(values(group, TH), -np.log(s))
     expected = np.zeros((8, 4))
     for i in range(4):
         expected[i, i] = -1.0 / s[i]
@@ -79,7 +84,7 @@ def test_norm_inverse_values_and_gradients():
     th = np.array([4.5, 11.0, 13.5, 21.0])
     r = math.sqrt(764.5)
     s = np.array([r - 25.0, 28.0 - r])
-    assert np.allclose(group.values(th), 1.0 / s, rtol=1e-15, atol=0)
+    assert np.allclose(values(group, th), 1.0 / s, rtol=1e-15, atol=0)
     radial = th / r
     expected = np.stack([(-1.0 / s[0] ** 2) * radial, (1.0 / s[1] ** 2) * radial])
     assert np.allclose(group.evaluate(th, np.zeros(2)).gradients, expected, rtol=1e-14, atol=0)
@@ -112,17 +117,18 @@ def test_infeasible_evaluation_raises_with_margin():
     group = component_bounds(LO, HI)
     bad = np.array([2.0, 8.0, 12.0, 15.0])  # below the first lower bound
     with pytest.raises(InfeasibleEvaluation) as err:
-        group.values(bad)
-    assert err.value.margin == -1.0
-    with pytest.raises(InfeasibleEvaluation):
         group.evaluate(bad, np.zeros(8))
+    assert err.value.margin == -1.0
+    with pytest.raises(InfeasibleEvaluation) as err:
+        group._core(bad, 0.0, group._jac)
+    assert err.value.margin == -1.0
 
 
 def test_boundary_point_is_infeasible():
     group = norm_bounds(25.0, 28.0, dim_param=4)
     th = np.array([28.0, 0.0, 0.0, 0.0])  # exactly on the upper sphere
     with pytest.raises(InfeasibleEvaluation):
-        group.values(th)
+        group.evaluate(th, np.zeros(2))
 
 
 def test_norm_gradient_singular_at_origin():
@@ -148,25 +154,26 @@ def test_evaluate_consistency():
     th = rng.uniform(np.asarray(LO) + 0.3, np.asarray(HI) - 0.3)
     lam = rng.uniform(0.0, 4.0, size=8)
     ev = group.evaluate(th, lam)
-    assert np.array_equal(ev.values, group.values(th))
+    assert np.array_equal(ev.values, values(group, th))
     assert np.allclose(ev.weighted_gradient, ev.gradients.T @ lam,
                        rtol=1e-15, atol=0)
-    assert np.array_equal(group.weighted_gradient_sum(th, lam), ev.weighted_gradient)
+    # one weighting, as the run's kernel passes it, gives evaluate's weighted row bitwise
+    assert np.array_equal(group._core(th, lam, group._jac)[1], ev.weighted_gradient)
 
 
 def test_checked_calls_reject_a_misshapen_theta_hat():
     group = norm_bounds(25.0, 28.0, dim_param=4)
     for th in (TH[:3], TH[None]):
         with pytest.raises(ValueError, match=r"^theta_hat has shape \(.*\), expected \(4,\)$"):
-            group.values(th)
+            group.evaluate(th, np.zeros(2))
 
 
 def test_weighted_gradient_rejects_bad_multipliers():
     group = component_bounds(LO, HI)
-    with pytest.raises(ValueError):
-        group.weighted_gradient_sum(TH, np.ones(7))
-    with pytest.raises(ValueError):
-        group.weighted_gradient_sum(TH, -np.ones(8))
+    with pytest.raises(ValueError, match=r"^multiplier has shape \(7,\), expected \(8,\)$"):
+        group.evaluate(TH, np.ones(7))
+    with pytest.raises(ValueError, match="^multipliers must be non-negative$"):
+        group.evaluate(TH, -np.ones(8))
 
 
 def test_constructor_validation():

@@ -51,5 +51,7 @@ def test_traced_run_counts_steps_and_rhs_evaluations(tmp_path):
     assert metrics["sim.steps"] == 50
     assert metrics["sim.rhs_evals"] == 200
     assert metrics["cli.summary_s"] > 0.0
+    # the summary reaches its KKT lines through the name the tracer wraps
+    assert metrics["analysis.kkt_residuals_s"] > 0.0
     # every wrapper is gone again after the block
     assert cli.run_scenario is sim.run_scenario

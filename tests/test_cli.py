@@ -4,6 +4,7 @@ import logging
 import os
 import pickle
 import signal
+import traceback
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -297,11 +298,8 @@ def test_summary_reads_the_last_logged_row(tmp_path, monkeypatch):
         t, x, th = log.column("t")[-1], log.block("x")[-1], log.block("theta_hat")[-1]
         lam_star = log.multipliers()[-1]
         ms = ctx.multipliers[0]
-        groups, lambdas = ((), ()) if law == "gradient" else (
-            ctx.groups, (replace(ms, lam=tuple(lam_star)),))
-        kkt = analysis.kkt_residuals(ctx.law_cfg, x - ctx.traj.eval(t)[0],
-                                     ctx.plant.eval_regressor(x), ctx.stack, groups,
-                                     lambdas, th, ctx.plant.theta)
+        lambdas = [] if law == "gradient" else [lam_star]
+        kkt = analysis.kkt_residuals(ctx, x - ctx.traj.eval(t)[0], x, th, lambdas)
         assert summary["kkt_stationarity"] == f"{kkt.stationarity:.10g}"
         assert summary["kkt_complementary_slackness"] == f"{kkt.complementary_slackness:.10g}"
 
@@ -673,6 +671,49 @@ def test_a_worker_that_sends_no_result_is_an_error(tmp_path, monkeypatch, capsys
         signal.signal(signal.SIGALRM, before)
     assert (tmp_path / "o" / "control_gain_5" / "trajectory.csv").is_file()
     assert not (tmp_path / "o" / "control_gain_10" / "trajectory.csv").exists()
+
+
+def fail_deep_inside_the_lane():
+    raise ValueError("lane 1 went wrong")
+
+
+def run_or_fail_in_lane_1(cfg):
+    if cfg.control_gain[0] == 20.0:
+        fail_deep_inside_the_lane()
+    return run_scenario(cfg)
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_an_unexpected_error_in_a_lane_keeps_its_traceback(tmp_path, monkeypatch, cpus,
+                                                            n_cpus):
+    # a forked lane's error is raised again in this process; the chain still
+    # names the frames inside the worker, as a serial run's traceback does
+    monkeypatch.setattr(cli, "run_scenario", run_or_fail_in_lane_1)
+    forks = cpus(n_cpus)
+    with pytest.raises(ValueError) as info:
+        cli.main(["sweep", "--config", "sanity", "--out", str(tmp_path), "--t-final", "0.05",
+                  "--sweep-key", "control_gain", "--sweep-values", "5,20"])
+    assert len(forks) == n_cpus - 1
+    assert type(info.value) is ValueError and str(info.value) == "lane 1 went wrong"
+    chain = "".join(traceback.format_exception(info.value))
+    assert "in fail_deep_inside_the_lane" in chain
+
+
+def test_forked_compare_runs_lanes_0_and_2_in_process(tmp_path, monkeypatch, cpus):
+    # bench/run.py times the lanes this process runs by wrapping cli.run_scenario
+    in_process = []
+
+    def recorded(cfg):
+        in_process.append(cfg.law)
+        return run_scenario(cfg)
+
+    monkeypatch.setattr(cli, "run_scenario", recorded)
+    forks = cpus(2)
+    laws = ["gradient", "concurrent_learning", "barrier_constrained", "barrier_sigma_mod"]
+    assert cli.main(["compare", "--config", "sec5a", "--out", str(tmp_path),
+                     "--t-final", "0.05", "--laws", ",".join(laws)]) == 0
+    assert len(forks) == 1
+    assert in_process == [laws[0], laws[2]]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from baradapt.cli import load_config
-from baradapt.sim import GroupConfig, build_context, run_scenario
+from baradapt.sim import GroupConfig, TrajectoryLog, build_context, run_scenario
 
 integrate = pytest.importorskip("scipy.integrate")
 
@@ -92,42 +92,58 @@ def _oracle(cfg):
     return solve
 
 
-def _error(cfg, solve) -> float:
+def _error(cfg, solve) -> tuple[float, TrajectoryLog]:
     """Largest absolute deviation of the logged x, theta_hat and multipliers
-    from the oracle at the logged times."""
+    from the oracle at the logged times, and the log."""
     log = run_scenario(cfg)
     logged = np.hstack([log.block("x"), log.block("theta_hat"), log.multipliers()])
-    return float(np.abs(logged - solve(log.column("t"))).max())
+    return float(np.abs(logged - solve(log.column("t"))).max()), log
 
 
+SEC5A, SEC5B, SEC5C = (load_config(name).groups[0] for name in ("sec5a", "sec5b", "sec5c"))
 # an inverse-barrier norm group whose bounds hold sec5a's start
 NORM_15_30 = GroupConfig(kind="norm", barrier="inverse", lower=15.0, upper=30.0,
                          gamma_inv=0.1, alpha=0.1, lambda0=5.0)
+# sec5c's log-barrier group widened by 1 on every side
+WIDE_LOG = replace(SEC5C, lower=(2.0, 5.0, 9.0, 11.0), upper=(7.0, 13.0, 18.0, 23.0))
+
+#: the groups of each 'scenario:layout' case, in order, in place of the
+#: scenario's own
+LAYOUTS = {
+    "sec5a:component+norm": (SEC5A, NORM_15_30),
+    "sec5a:norm+component": (NORM_15_30, SEC5A),
+    "sec5b:norm+component": (SEC5B, SEC5A),
+    "sec5b:component+norm": (SEC5A, SEC5B),
+    "sec5a:component+norm+log": (SEC5A, NORM_15_30, WIDE_LOG),
+    # every slack of sec5c's start is above 1, so c = -ln s < 0 and, with a
+    # large Gamma^-1, the multipliers run onto the clamp at 0
+    "sec5c:gamma_inv=20": (replace(SEC5C, gamma_inv=20.0),),
+}
 
 
 def _case(name, mode="none"):
-    """A bundled scenario over HORIZON.  'sec5a:norm+component' runs sec5a
-    with a group of each kind, in that order: the scenario's own group where
-    it has one, else sec5a's component group or NORM_15_30."""
-    name, _, layout = name.partition(":")
-    cfg = load_config(name)
+    """A bundled scenario over HORIZON, with the groups LAYOUTS gives a
+    'scenario:layout' name."""
+    scenario, layout, _ = name.partition(":")
+    cfg = load_config(scenario)
     if layout:
-        own = {"component": load_config("sec5a").groups[0], "norm": NORM_15_30}
-        own.update((grp.kind, grp) for grp in cfg.groups)
-        cfg = replace(cfg, groups=tuple(own[kind] for kind in layout.split("+")))
+        cfg = replace(cfg, groups=LAYOUTS[name])
     return replace(cfg, t_final=HORIZON, stack=replace(cfg.stack, mode=mode))
 
 
-@pytest.mark.parametrize("name, bound", [("sec5a", 5e-6), ("sec5c", 5e-6)])
+@pytest.mark.parametrize("name, bound", [("sec5a", 5e-6), ("sec5c", 5e-6),
+                                         ("sec5c:gamma_inv=20", 2e-5)])
 def test_rk4_converges_to_oracle_at_fourth_order(name, bound):
     cfg = _case(name)
     solve = _oracle(cfg)
-    coarse = _error(cfg, solve)
+    coarse, log = _error(cfg, solve)
     # the same logged times at half the step
-    fine = _error(replace(cfg, dt=cfg.dt / 2, log_every=2 * cfg.log_every), solve)
+    fine, _ = _error(replace(cfg, dt=cfg.dt / 2, log_every=2 * cfg.log_every), solve)
     assert coarse < bound
     # halving the step divides a fourth-order error by about 16
     assert coarse / fine > 12.0
+    # only the clamped case logs multipliers exactly at 0
+    assert np.any(log.multipliers() == 0.0) == name.endswith("gamma_inv=20")
 
 
 @pytest.mark.parametrize("name, mode, bound", [
@@ -138,7 +154,9 @@ def test_rk4_converges_to_oracle_at_fourth_order(name, bound):
     ("sec5a:norm+component", "none", 5e-6),
     ("sec5b:norm+component", "none", 1e-8),
     ("sec5b:component+norm", "none", 1e-8),
+    # three groups, two of them component groups
+    ("sec5a:component+norm+log", "none", 5e-6),
 ])
 def test_rk4_matches_oracle(name, mode, bound):
     cfg = _case(name, mode)
-    assert _error(cfg, _oracle(cfg)) < bound
+    assert _error(cfg, _oracle(cfg))[0] < bound

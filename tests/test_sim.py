@@ -308,7 +308,8 @@ def test_rhs_matches_module_pieces(kind, barrier):
     grp, ms = ctx.groups[0], replace(ctx.multipliers[0], lam=tuple(lam))
     expected_th = theta_hat_dot(ctx.law_cfg, x - x_d, Y, ctx.stack, (grp,), (ms,), th)
     assert np.allclose(yd[2:6], expected_th, rtol=1e-14, atol=0)
-    expected_lam = projection(-ms.alpha * lam + ms.gamma_inv_array * grp.values(th), lam)
+    c = grp.evaluate(th, lam).values
+    expected_lam = projection(-ms.alpha * lam + ms.gamma_inv_array * c, lam)
     assert np.allclose(yd[sl], expected_lam, rtol=1e-14, atol=0)
     if barrier == "log":
         assert yd[sl.start] == 0.0
@@ -322,7 +323,7 @@ def written_out_estimate_flow(ctx, t, y):
     P, k_cl, stack = ctx.P, ctx.kcl, ctx.stack
     flow = P * (Y.T @ e) + P * k_cl * (stack._proj - stack.gram @ th)
     for grp, sl in zip(ctx.groups, ctx.lam_slices):
-        flow = flow - P * grp.weighted_gradient_sum(th, y[sl])
+        flow = flow - P * grp.evaluate(th, y[sl]).weighted_gradient
     return flow
 
 

@@ -47,6 +47,17 @@ def names_in(tree) -> Counter:
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_syntax_holds_the_declared_python_floor(path):
+    """pyproject.toml declares requires-python >= 3.10, and no interpreter
+    that old may be at hand to run the suite: the parser, told to accept
+    3.10's grammar only, rejects newer syntax such as except*."""
+    floor = re.search(r'requires-python = ">=3\.(\d+)"',
+                      (ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    assert floor and floor.group(1) == "10"
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     tree = parse(path)
     lines = path.read_text(encoding="utf-8").splitlines()
