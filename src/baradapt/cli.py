@@ -159,9 +159,9 @@ def load_config(spec: str) -> ScenarioConfig:
 def scenario_summary(trajectory: TrajectoryLog, runtime_seconds: float) -> str:
     """Flat key-value block: final errors, margins, decay constants, KKT
     residuals and the envelope report, all read off the log: its last row
-    is the final state, and its context in trajectory.meta the run's
-    gains and stack."""
-    ctx = trajectory.meta["context"]
+    is the final state, and trajectory.context the run's gains and
+    stack."""
+    ctx = trajectory.context
     cfg, stack = ctx.cfg, ctx.stack
     e_norm = float(trajectory.column("e_norm")[-1])
     tilde_norm = float(trajectory.column("theta_err_norm")[-1])
@@ -180,7 +180,9 @@ def scenario_summary(trajectory: TrajectoryLog, runtime_seconds: float) -> str:
         f"assumption_met: {str(stack.assumption_met).lower()}",
     ]
 
-    consts = ctx.uub_constants(excitation, trajectory.multipliers()[-1])
+    alpha = min((ms.alpha for ms in ctx.multipliers), default=0.0)
+    consts = analysis.uub_constants(cfg.control_gain, cfg.learning_rate, cfg.k_cl, ctx.gamma,
+                                    alpha, excitation, trajectory.multipliers()[-1])
     lines += [
         f"uub_Lambda_min: {consts.Lambda_min:.10g}",
         f"uub_Lambda_max: {consts.Lambda_max:.10g}",
@@ -244,11 +246,11 @@ def _run_lanes(lanes) -> list[tuple[TrajectoryLog, float]]:
 
     With more than one lane and more than one CPU, lane i runs in worker
     i % W of W = min(lanes, CPUs this process may use).  Worker 0 is this
-    process; the others are forked children that send each lane's log
-    (without its context) or error back through a pipe.  This process
-    writes every CSV, logs every line and raises the first error, all in
-    lane order, so a command's files, output and exit code are those of a
-    serial run.
+    process; the others are forked children that send each lane's (log,
+    runtime_seconds), as this process's lanes give it, or its error back
+    through a pipe.  This process writes every CSV, logs every line and
+    raises the first error, all in lane order, so a command's files,
+    output and exit code are those of a serial run.
     """
     workers = (min(len(lanes), len(os.sched_getaffinity(0)))
                if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
@@ -275,12 +277,9 @@ def _run_lanes(lanes) -> list[tuple[TrajectoryLog, float]]:
                 if isinstance(reply[0], Exception):
                     err, text = reply
                     raise err from _ChildTraceback(text.rstrip())
-                columns, data, runtime = reply
-                trajectory = TrajectoryLog(columns, data)
+                trajectory, runtime = reply
             else:
-                started = time.perf_counter()
-                trajectory = run_scenario(cfg)
-                runtime = time.perf_counter() - started
+                trajectory, runtime = _timed_lane(cfg)
             trajectory.to_csv(csv_path)
             results.append((trajectory, runtime))
         return results
@@ -291,27 +290,33 @@ def _run_lanes(lanes) -> list[tuple[TrajectoryLog, float]]:
             pipe.close()
 
 
+def _timed_lane(cfg: ScenarioConfig) -> tuple[TrajectoryLog, float]:
+    """(log, runtime_seconds) of one lane; a wrapper set on cli.run_scenario
+    (bench/run.py's lane_timer) is the one called."""
+    started = time.perf_counter()
+    return run_scenario(cfg), time.perf_counter() - started
+
+
 class _ChildTraceback(Exception):
     """A forked worker's formatted traceback: the cause of its error when
     this process raises it again, so a printed chain shows those frames."""
 
 
 def _lane_worker(lanes, fd: int) -> typing.NoReturn:
-    """Body of a forked worker: run lanes in order, send (columns, data,
-    runtime) for each through the pipe fd, or the error that ends the
-    lane and the worker with its formatted traceback, then exit without
-    returning to the caller."""
+    """Body of a forked worker: run lanes in order, send each one's (log,
+    runtime_seconds) through the pipe fd, the log without its context
+    (which need not pickle), or the error that ends the lane and the worker
+    with its formatted traceback; then exit without returning."""
     try:
         with open(fd, "wb") as pipe:
             for cfg, _ in lanes:
-                started = time.perf_counter()
                 try:
-                    trajectory = run_scenario(cfg)
+                    trajectory, runtime = _timed_lane(cfg)
                 except Exception as err:
                     pickle.dump((err, traceback.format_exc()), pipe)
                     break
-                pickle.dump((trajectory.columns, trajectory.data,
-                             time.perf_counter() - started), pipe)
+                trajectory.context = None
+                pickle.dump((trajectory, runtime), pipe)
                 pipe.flush()
     except Exception:  # the result could not be sent; the parent says which lane
         traceback.print_exc()

@@ -64,10 +64,6 @@ class HistoryStack:
         return len(self._entries)
 
     @property
-    def entries(self) -> tuple[StackEntry, ...]:
-        return tuple(self._entries)
-
-    @property
     def gram(self) -> Array:
         return self._gram
 

@@ -287,7 +287,7 @@ class RunContext:
         self.law = self.law_cfg.law
         self.P = self.law_cfg.learning_rate_array
         self.kcl = self.law_cfg.k_cl_array
-        # diagonal of Gamma over every group, for the Lyapunov bookkeeping
+        # diagonal of Gamma over every group, for the Lyapunov column and the summary
         self.gamma = np.concatenate([ms.gamma_array for ms in self.multipliers]
                                     or [np.empty(0)])
         # multipliers are integrated only for barrier laws (lam_slices is
@@ -315,13 +315,6 @@ class RunContext:
         self._ref_t = self._ref = None
         # the memory terms (A, b) and the stack revision they were formed at
         self._memory = self._memory_rev = None
-
-    def uub_constants(self, sigma_bar1: float, lambda_star) -> analysis.UubConstants:
-        """Decay constants of this run's gains over every constraint group
-        (with or without multipliers)."""
-        alpha = min((ms.alpha for ms in self.multipliers), default=0.0)
-        return analysis.uub_constants(self.cfg.control_gain, self.cfg.learning_rate,
-                                      self.cfg.k_cl, self.gamma, alpha, sigma_bar1, lambda_star)
 
     # -- law scheduling ----------------------------------------------------
 
@@ -492,7 +485,9 @@ def rk4_step(state: CompositeState, ctx: RunContext, dt: float) -> CompositeStat
 class TrajectoryLog:
     columns: tuple[str, ...]
     data: Array
-    meta: dict = field(default_factory=dict, repr=False, compare=False)
+    #: the RunContext the run was integrated with; None on a log built from
+    #: columns and data alone, or sent back by a forked lane worker
+    context: RunContext | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self._index = {name: i for i, name in enumerate(self.columns)}
@@ -529,11 +524,11 @@ def run_scenario(cfg: ScenarioConfig) -> TrajectoryLog:
     when log_every does not divide the step count.  The loop records only
     what it cannot recompute: per logged step its index, state, stack
     excitation and active law.  The log is built from those records after
-    the run (_trajectory_log).  log.meta holds only the run's RunContext
-    ("context", whose cfg is the canonical config); the final state is the
-    last logged row.  Step errors (BarrierBreach, NumericalDivergence)
-    propagate with the failure time attached; a logged value that is not
-    finite is a NumericalDivergence too.
+    the run (_trajectory_log).  log.context is the run's RunContext, whose
+    cfg is the canonical config; the final state is the last logged row.
+    Step errors (BarrierBreach, NumericalDivergence) propagate with the
+    failure time attached; a logged value that is not finite is a
+    NumericalDivergence too.
     """
     ctx = build_context(cfg)
     cfg = ctx.cfg
@@ -561,7 +556,6 @@ def run_scenario(cfg: ScenarioConfig) -> TrajectoryLog:
     if bad.any():
         t = float(log.data[bad.argmax(), 0])
         raise NumericalDivergence(f"non-finite logged value at t={t:.6g}", time=t)
-    log.meta["context"] = ctx
     return log
 
 
@@ -578,12 +572,13 @@ def _record_sample(ctx: RunContext, k: int, y_prev: Array, y: Array, y_next: Arr
 
 
 def _trajectory_log(ctx: RunContext, records) -> TrajectoryLog:
-    """The log of (step, y, excitation, law) records.  Each column block is
-    named next to the values it holds.  Derived columns are computed a whole
-    column at a time, by ConstraintGroup._slacks, analysis._lyapunov and
-    np.vecdot; each value is bitwise what np.linalg.norm, feasibility or
-    lyapunov_value gives for its row.  The Lyapunov column uses the final
-    logged multipliers as the stationary-multiplier estimate."""
+    """The log of (step, y, excitation, law) records, with ctx as its
+    context.  Each column block is named next to the values it holds.
+    Derived columns are computed a whole column at a time, by
+    ConstraintGroup._slacks, analysis._lyapunov and np.vecdot; each value
+    is bitwise what np.linalg.norm, feasibility or lyapunov_value gives for
+    its row.  The Lyapunov column uses the final logged multipliers as the
+    stationary-multiplier estimate."""
     n, p = ctx.n, ctx.p
     steps, ys, excitation, laws = zip(*records)
     ts = [k * ctx.cfg.dt for k in steps]
@@ -620,7 +615,7 @@ def _trajectory_log(ctx: RunContext, records) -> TrajectoryLog:
     columns = tuple(name for names, _ in blocks for name in names)
     data = np.hstack([np.asarray(values, dtype=float).reshape(len(ts), len(names))
                       for names, values in blocks])
-    return TrajectoryLog(columns=columns, data=data)
+    return TrajectoryLog(columns=columns, data=data, context=ctx)
 
 
 # ---------------------------------------------------------------------------

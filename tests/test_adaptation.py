@@ -154,7 +154,7 @@ def test_concurrent_learning_term_independent_recompute():
     got = theta_hat_dot(cfg, e, Y, stack, (), (), th)
     # recompute the recorded-data sum entry by entry
     cl = np.zeros(4)
-    for ent in stack.entries:
+    for ent in stack._entries:
         cl += ent.Y.T @ (ent.xdot_hat - ent.u - ent.Y @ th)
     expected = 0.075 * (Y.T @ e) + 0.075 * (kcl * cl)
     assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)

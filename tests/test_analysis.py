@@ -6,7 +6,7 @@ import pytest
 
 from baradapt import analysis
 from baradapt.barrier import component_bounds
-from baradapt.cli import load_config
+from baradapt.cli import load_config, scenario_summary
 from baradapt.model import benchmark_plant
 from baradapt.sim import GroupConfig, TrajectoryLog, build_context, run_scenario
 
@@ -79,18 +79,26 @@ def test_uub_constants_drop_terms():
 
 
 def test_uub_constants_from_config():
+    # the summary maps the run's gains: Gamma is 1 / gamma_inv over every
+    # group (a length-p gamma_inv counts once per bound), alpha the least
+    norm = GroupConfig(kind="norm", barrier="inverse", lower=15.0, upper=30.0,
+                       gamma_inv=0.05, alpha=0.3, lambda0=5.0)
     cfg = load_config("sec5a")
-    consts = build_context(cfg).uub_constants(sigma_bar1=10.0, lambda_star=np.ones(8))
+    log = run_scenario(replace(cfg, t_final=0.3, groups=(*cfg.groups, norm)))
+    summary = dict(line.split(": ", 1) for line in
+                   scenario_summary(log, runtime_seconds=0.0).splitlines())
     direct = analysis.uub_constants(
         control_gain=cfg.control_gain,
         learning_rate=cfg.learning_rate,
         k_cl=cfg.k_cl,
-        gamma=1.0 / np.tile([0.4, 0.1, 0.1, 0.9], 2),
+        gamma=1.0 / np.concatenate([np.tile([0.4, 0.1, 0.1, 0.9], 2), [0.05, 0.05]]),
         alpha=0.1,
-        sigma_bar1=10.0,
-        lambda_star=np.ones(8),
+        sigma_bar1=float(log.column("excitation")[-1]),
+        lambda_star=log.multipliers()[-1],
     )
-    assert consts == direct
+    assert direct.Lambda_max == 10.0 and direct.beta2 > 0.0
+    for key in ("Lambda_min", "Lambda_max", "beta1", "beta2"):
+        assert summary[f"uub_{key}"] == f"{getattr(direct, key):.10g}"
 
 
 def make_log(t, e1, theta_err1, lam=None):
@@ -179,7 +187,7 @@ def test_kkt_stationarity_splits_into_data_error_and_flow(name, law):
     where d = sum_k Y_k^T (xdot_hat_k - u_k - Y_k theta) = proj - gram theta
     is the error in the recorded data (ROADMAP item 5's split)."""
     log = run_scenario(replace(load_config(name), law=law, t_final=2.0))
-    ctx = log.meta["context"]
+    ctx = log.context
     assert ctx.refresh_active_law().value == law  # the stack passed its threshold
     e, x, th = (log.block(key)[-1] for key in ("e", "x", "theta_hat"))
     lambdas = [log.block(f"lambda{g}_")[-1] for g in range(1, len(ctx.lam_slices) + 1)]
@@ -189,6 +197,28 @@ def test_kkt_stationarity_splits_into_data_error_and_flow(name, law):
     split = np.linalg.norm(ctx.kcl * d - theta_hat_dot / ctx.P)
     stationarity = analysis.kkt_residuals(ctx, e, x, th, lambdas).stationarity
     assert stationarity == pytest.approx(split, rel=1e-9)
+
+
+@pytest.mark.parametrize("name", ["sec5a", "sec5b", "sec5c"])
+@pytest.mark.parametrize("law", ["gradient", "barrier_sigma_mod"])
+def test_kkt_stationarity_under_the_laws_without_memory(name, law):
+    """Without the memory term the flow leaves the stack's term in grad L:
+    grad L = -P^-1 theta_hat_dot - K_cl (gram theta_tilde), and sigma-mod's
+    -sigma2 theta_hat in the flow adds -sigma2 P^-1 theta_hat."""
+    log = run_scenario(replace(load_config(name), law=law, t_final=2.0))
+    ctx = log.context
+    assert ctx.refresh_active_law().value == law
+    e, x, th = (log.block(key)[-1] for key in ("e", "x", "theta_hat"))
+    lambdas = [log.block(f"lambda{g}_")[-1] for g in range(1, len(ctx.lam_slices) + 1)]
+    assert len(lambdas) == (law == "barrier_sigma_mod") and len(ctx.stack) > 0
+    y = np.concatenate([x, th, *lambdas])
+    theta_hat_dot = ctx.rhs_flat(float(log.column("t")[-1]), y)[ctx.n: ctx.n + ctx.p]
+    grad = -theta_hat_dot / ctx.P - ctx.kcl * (ctx.stack.gram @ (ctx.theta - th))
+    if law == "barrier_sigma_mod":
+        assert ctx.cfg.sigma2 > 0.0
+        grad = grad - ctx.cfg.sigma2 * th / ctx.P
+    stationarity = analysis.kkt_residuals(ctx, e, x, th, lambdas).stationarity
+    assert stationarity == pytest.approx(np.linalg.norm(grad), rel=1e-9)
 
 
 def test_steady_state_rms_window():

@@ -275,8 +275,8 @@ def test_run_rejects_missing_config(tmp_path, capsys):
 
 
 def test_summary_reads_the_last_logged_row(tmp_path, monkeypatch):
-    # the final state and lambda* are the log's last row, and meta holds
-    # nothing but the run's context
+    # the final state and lambda* are the log's last row, and the gains
+    # and stack are the run's own context
     logs = []
 
     def kept(cfg):
@@ -291,8 +291,7 @@ def test_summary_reads_the_last_logged_row(tmp_path, monkeypatch):
         assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
         summary = parse_summary((out / "summary.txt").read_text())
         log = logs[-1]
-        assert list(log.meta) == ["context"]
-        ctx = log.meta["context"]
+        ctx = log.context
         assert ctx.cfg == cfg
 
         t, x, th = log.column("t")[-1], log.block("x")[-1], log.block("theta_hat")[-1]
@@ -714,6 +713,29 @@ def test_forked_compare_runs_lanes_0_and_2_in_process(tmp_path, monkeypatch, cpu
                      "--t-final", "0.05", "--laws", ",".join(laws)]) == 0
     assert len(forks) == 1
     assert in_process == [laws[0], laws[2]]
+
+
+def test_every_lane_comes_back_as_a_log_and_its_runtime(tmp_path, cpus):
+    # lanes 1 and 3 run in the child and come back without their context;
+    # sanity's zero_regressor plant keeps a closure, which cannot pickle
+    sec5a = replace(cli.load_config("sec5a"), t_final=0.05)
+    cfgs = [canonical_config(cfg) for cfg in (
+        replace(sec5a, law="gradient"), replace(cli.load_config("sanity"), t_final=0.05),
+        sec5a, replace(sec5a, law="barrier_sigma_mod"))]
+    lanes = [(cfg, tmp_path / f"{i}.csv") for i, cfg in enumerate(cfgs)]
+    forks = cpus(2)
+    results = cli._run_lanes(lanes)
+    assert len(forks) == 1 and len(results) == len(lanes)
+    for i, (cfg, (log, runtime)) in enumerate(zip(cfgs, results)):
+        assert type(log) is sim.TrajectoryLog and type(runtime) is float and runtime > 0.0
+        if i % 2:
+            assert log.context is None
+        else:
+            assert log.context.cfg == cfg
+        here = run_scenario(cfg)
+        assert log.columns == here.columns
+        assert log.data.dtype == here.data.dtype and log.data.shape == here.data.shape
+        assert log.data.tobytes() == here.data.tobytes()
 
 
 # ---------------------------------------------------------------------------

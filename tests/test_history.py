@@ -49,12 +49,12 @@ def test_gram_and_cl_term_recomputed_from_entries():
         stack.try_insert(rng.normal(size=(2, 4)), rng.normal(size=2),
                          rng.normal(size=2))
     gram = np.zeros((4, 4))
-    for ent in stack.entries:
+    for ent in stack._entries:
         gram += ent.Y.T @ ent.Y
     assert np.allclose(stack.gram, gram, rtol=1e-14, atol=1e-14)
     th = rng.normal(size=4)
     cl = np.zeros(4)
-    for ent in stack.entries:
+    for ent in stack._entries:
         cl += ent.Y.T @ (ent.xdot_hat - ent.u - ent.Y @ th)
     assert np.allclose(stack.cl_term(th), cl, rtol=1e-12, atol=1e-12)
 
@@ -69,7 +69,7 @@ def test_cached_sums_equal_an_entry_loop_through_swaps():
         changes += stack.try_insert(rng.normal(size=(2, 4)), rng.normal(size=2),
                                     rng.normal(size=2))
         gram, proj = np.zeros((4, 4)), np.zeros(4)
-        for ent in stack.entries:
+        for ent in stack._entries:
             gram += ent.Y.T @ ent.Y
             proj += ent.Y.T @ (ent.xdot_hat - ent.u)
         assert np.array_equal(stack.gram, gram)
@@ -118,7 +118,7 @@ def _candidates(kind, rng, stack, scale):
         x = benchmark_trajectory().eval(float(rng.uniform(0.0, 30.0)))[0]
         return scale * benchmark_plant().regressor(x + rng.choice([0.0, 0.1]) * rng.normal(size=2))
     if kind == "ties" and len(stack) and rng.random() < 0.6:
-        Y = stack.entries[rng.integers(len(stack))].Y
+        Y = stack._entries[rng.integers(len(stack))].Y
         return Y * rng.choice([1.0, 1.0, 1.0 - 1e-9, 1.0 + 1e-9, 1.0 + 1e-7, 1.0 + 1e-5])
     if kind == "rank_deficient" and (not len(stack) or rng.random() < 0.3):
         # a stack of zero samples offered another has a bound and a bar of
@@ -163,7 +163,7 @@ def test_screened_swaps_match_the_full_batched_rule(kind, monkeypatch):
                 if full:
                     screened_out += not batches
                     partial += bool(batches) and batches[0] < capacity
-                assert all(np.array_equal(a, b) for ea, eb in zip(stack.entries, ref.entries)
+                assert all(np.array_equal(a, b) for ea, eb in zip(stack._entries, ref._entries)
                            for a, b in zip(ea, eb))
                 assert len(stack) == len(ref)
                 for name in ("_grams", "_projs", "_gram", "_proj"):
@@ -385,7 +385,7 @@ def test_prefill_matches_a_try_insert_loop(capacity, n_states, preset):
         _looped_fill(each, plant, states[-preset:] if preset else [])
     assert fill_with_exact_model_data(stack, plant, states) == _looped_fill(ref, plant, states)
     assert len(stack) == len(ref)
-    assert all(np.array_equal(a, b) for ea, eb in zip(stack.entries, ref.entries)
+    assert all(np.array_equal(a, b) for ea, eb in zip(stack._entries, ref._entries)
                for a, b in zip(ea, eb))
     for name in ("_grams", "_projs", "_gram", "_proj"):
         assert np.array_equal(getattr(stack, name), getattr(ref, name))

@@ -15,13 +15,22 @@ tolerance.  The fixed-step RK4 run must agree with it to a stated bound and
 converge to it at fourth order.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from baradapt import model
 from baradapt.cli import load_config
-from baradapt.sim import GroupConfig, TrajectoryLog, build_context, run_scenario
+from baradapt.sim import (
+    GroupConfig,
+    ScenarioConfig,
+    StackConfig,
+    TrajectoryLog,
+    build_context,
+    run_scenario,
+)
 
 integrate = pytest.importorskip("scipy.integrate")
 
@@ -58,7 +67,7 @@ def _oracle(cfg):
     k = np.asarray(cfg.control_gain)
     P = np.asarray(cfg.learning_rate)
     k_cl = np.asarray(cfg.k_cl)
-    entries = ctx.stack.entries
+    entries = ctx.stack._entries
     groups = cfg.groups
     widths = [len(g.lambda0) for g in groups]
     bounds = np.cumsum([n + p] + widths)
@@ -160,3 +169,41 @@ def test_rk4_converges_to_oracle_at_fourth_order(name, bound):
 def test_rk4_matches_oracle(name, mode, bound):
     cfg = _case(name, mode)
     assert _error(cfg, _oracle(cfg))[0] < bound
+
+
+def _triple_regressor(x):
+    """A 3-state, 6-parameter regressor whose columns mix the states."""
+    x1, x2, x3 = float(x[0]), float(x[1]), float(x[2])
+    return np.array([[x1, math.sin(x2), 0.0, 0.0, x3, 0.0],
+                     [0.0, 0.0, x2 * math.cos(x1), x3, 0.0, 0.0],
+                     [0.0, x1 * x2, 0.0, 0.0, x1 * x3, math.sin(x3)]])
+
+
+def _triple_reference(t):
+    return (np.array([math.sin(t), math.cos(2.0 * t), 0.5 * math.sin(3.0 * t)]),
+            np.array([math.cos(t), -2.0 * math.sin(2.0 * t), 1.5 * math.cos(3.0 * t)]))
+
+
+def test_three_state_six_parameter_plant_converges_to_oracle(monkeypatch):
+    # n = 3 and p = 6, off the bundled layout: an offline stack of 20
+    # entries (excitation 0.017) and a component group whose margin falls
+    # from 0.5 to about 0.29
+    monkeypatch.setitem(model.PLANTS, "triple", lambda theta_true=(1.0, 2.0, 3.0, 4.0, 5.0, 6.0):
+                        model.PlantModel("triple", 3, 6, _triple_regressor, tuple(theta_true)))
+    monkeypatch.setitem(model.TRAJECTORIES, "triple",
+                        lambda: model.DesiredTrajectory("triple", 3, _triple_reference))
+    group = GroupConfig(kind="component", barrier="inverse", lower=(0.5, 0.5, 1.5, 3.0, 3.5, 5.0),
+                        upper=(2.0, 3.0, 4.0, 5.0, 6.0, 7.0), gamma_inv=0.2, alpha=0.1,
+                        lambda0=1.0)
+    cfg = ScenarioConfig(name="triple", law="barrier_constrained", plant="triple",
+                         trajectory="triple", control_gain=10.0, learning_rate=3.0, k_cl=0.5,
+                         x0=(3.0, -2.0, 2.5), theta_hat0=(1.5, 1.5, 2.5, 4.5, 4.5, 6.5),
+                         t_final=HORIZON, groups=(group,),
+                         stack=StackConfig(mode="offline", size=20))
+    assert build_context(cfg).stack.assumption_met
+    solve = _oracle(cfg)
+    coarse, log = _error(cfg, solve)
+    fine, _ = _error(replace(cfg, dt=cfg.dt / 2, log_every=2 * cfg.log_every), solve)
+    assert log.block("x").shape[1] == 3 and log.block("theta_hat").shape[1] == 6
+    assert coarse < 5e-6
+    assert coarse / fine > 12.0

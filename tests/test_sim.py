@@ -21,6 +21,7 @@ from baradapt.sim import (
     GroupConfig,
     ScenarioConfig,
     StackConfig,
+    TrajectoryLog,
     build_context,
     canonical_config,
     min_margin,
@@ -351,7 +352,7 @@ def test_kernel_memory_terms_follow_every_stack_change(monkeypatch):
     assert offer(scale=10.0) and len(stack) == 3  # a swap on the full stack
     check()
 
-    before = (stack.entries, stack._grams.copy(), stack.gram, stack._proj,
+    before = (tuple(stack._entries), stack._grams.copy(), stack.gram, stack._proj,
               stack.excitation_level())
     level = stack.excitation_level
     calls = []
@@ -365,7 +366,7 @@ def test_kernel_memory_terms_follow_every_stack_change(monkeypatch):
     monkeypatch.undo()
     assert len(calls) == 2  # the candidate passed the trial and was reverted
     entries, grams, gram, proj, excitation = before
-    assert len(stack) == 3 and all(a is b for a, b in zip(stack.entries, entries))
+    assert len(stack) == 3 and all(a is b for a, b in zip(stack._entries, entries))
     assert np.array_equal(stack._grams, grams)
     assert np.array_equal(stack.gram, gram) and np.array_equal(stack._proj, proj)
     assert stack.excitation_level() == excitation
@@ -428,8 +429,8 @@ def test_online_stack_samples_hold_logged_states():
     cfg = replace(load_config("sec5b"), t_final=0.05, log_every=1,
                   stack=StackConfig(mode="online", size=1000, record_every=1))
     log = run_scenario(cfg)
-    ctx = log.meta["context"]
-    entries = ctx.stack.entries
+    ctx = log.context
+    entries = ctx.stack._entries
     assert len(entries) == 49
     t, x, th = log.column("t"), log.block("x"), log.block("theta_hat")
     for j, entry in enumerate(entries):
@@ -576,15 +577,17 @@ def test_log_value_past_the_finite_range_is_divergence():
 
 
 def test_final_state_meta():
-    # the final state is the last logged row; meta holds only the context
+    # the final state is the last logged row; the log carries the run's
+    # context, which neither its repr nor its equality reads
     cfg = barrier_cfg(t_final=0.3)
     log = run_scenario(cfg)
     assert log.column("t")[-1] == pytest.approx(0.3)
     assert log.block("x")[-1].shape == (2,)
     assert log.block("theta_hat")[-1].shape == (4,)
     assert log.multipliers()[-1].shape == (8,)
-    assert list(log.meta) == ["context"]
-    assert log.meta["context"].cfg == canonical_config(cfg)
+    assert log.context.cfg == canonical_config(cfg)
+    bare = TrajectoryLog(log.columns, log.data)
+    assert bare.context is None and bare == log and repr(bare) == repr(log)
 
 
 def test_final_step_logged_when_log_every_does_not_divide():
@@ -621,7 +624,7 @@ def test_to_csv_matches_the_per_cell_reference(sec5b_run):
 def test_derived_columns_match_their_row_helpers(name):
     # sec5a has a component group, sec5b a norm group
     log = run_scenario(replace(load_config(name), t_final=0.5))
-    ctx = log.meta["context"]
+    ctx = log.context
     e, th, tilde = log.block("e"), log.block("theta_hat"), log.block("theta_err")
     lam_tilde = log.multipliers() - log.multipliers()[-1]
     close = dict(rtol=1e-14, atol=0)

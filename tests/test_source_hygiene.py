@@ -1,6 +1,7 @@
 """Leftovers that no linter catches here: an import that its module never
-uses, a private function or method that nothing calls, a public function
-that only tests call, and a name in README.md that the code no longer has.
+uses, a private function or method that nothing calls, a public function,
+method or property that only tests call, and a name in README.md that the
+code no longer has.
 
 The first two checks read the syntax trees only.  An import counts as
 used when its name appears anywhere in its module (or in the module's
@@ -9,7 +10,8 @@ exempt.  A private function counts as referenced when its name appears,
 outside its own body, as a name, an attribute or a string in src/,
 bench/*.py or tests/ (the benchmark patches some functions by their name
 as a string).  A public top-level function must be named the same way in
-src/ or bench/*.py: one that only tests call lives in those tests."""
+src/ or bench/*.py: one that only tests call lives in those tests.  So must
+a public method or property of a src/ class, as an attribute (obj.name)."""
 
 import ast
 import importlib
@@ -82,12 +84,16 @@ def name_counts(paths) -> Counter:
     return sum((names_in(parse(path)) for path in paths), Counter())
 
 
-def unreferenced(functions, counts: Counter) -> list[str]:
+def attributes_in(tree) -> Counter:
+    return Counter(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+
+
+def unreferenced(functions, counts: Counter, found=names_in) -> list[str]:
     """'file:line name' of each (path, def) pair whose name counts holds
     nowhere outside the function's own body (a recursive call is no
-    reference from outside)."""
+    reference from outside); found counts the names of a tree."""
     return [f"{path.name}:{node.lineno} {node.name}" for path, node in functions
-            if counts[node.name] - names_in(node)[node.name] <= 0]
+            if counts[node.name] - found(node)[node.name] <= 0]
 
 
 def test_every_private_function_is_referenced():
@@ -105,7 +111,7 @@ def test_every_private_function_is_referenced():
 
 def test_every_public_function_is_used_outside_the_tests():
     """A public top-level function that only tests call belongs in those
-    tests.  Methods are out of scope."""
+    tests."""
     functions = [
         (path, node) for path in MODULES for node in parse(path).body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -114,6 +120,22 @@ def test_every_public_function_is_used_outside_the_tests():
     counts = name_counts([*MODULES, *(ROOT / "bench").glob("*.py")])
     missing = unreferenced(functions, counts)
     assert not missing, f"public functions only tests use: {missing}"
+
+
+def test_every_public_member_is_used_outside_the_tests():
+    """A public method or property of a src/ class must be reached as an
+    attribute from src/ or bench/*.py; one that only tests call belongs in
+    those tests, which may read the private state it wraps."""
+    members = [
+        (path, node) for path in MODULES for cls in parse(path).body
+        if isinstance(cls, ast.ClassDef) for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+    ]
+    counts = sum((attributes_in(parse(path))
+                  for path in [*MODULES, *(ROOT / "bench").glob("*.py")]), Counter())
+    missing = unreferenced(members, counts, attributes_in)
+    assert not missing, f"public methods and properties only tests use: {missing}"
 
 
 def test_readme_names_resolve():
