@@ -132,10 +132,12 @@ def _project(a: Array, b: Array) -> Array:
     return np.where(b > 0.0, a, np.maximum(a, 0.0))
 
 
-def _lambda_dot(lam: Array, alpha: float, gamma_inv: Array, c_values: Array) -> Array:
+def _lambda_dot(lam: Array, alpha, gamma_inv: Array, c_values: Array) -> Array:
     """Multiplier flow proj(-alpha lam + Gamma^{-1} c, lam), unchecked: lam
-    must be non-negative."""
-    a = -alpha * lam + gamma_inv * c_values
+    must be non-negative.  A run passes alpha as a 0-d array, which a
+    ufunc takes faster than a float, to the same bits.  Gamma^{-1} c -
+    alpha lam is bitwise -alpha lam + Gamma^{-1} c, one negation fewer."""
+    a = gamma_inv * c_values - alpha * lam
     # the projection passes a through when no multiplier is at 0; a list
     # test is several times cheaper than lam.all() on a few entries
     return a if 0.0 not in lam.tolist() else _project(a, lam)
@@ -143,30 +145,32 @@ def _lambda_dot(lam: Array, alpha: float, gamma_inv: Array, c_values: Array) -> 
 
 def _control(xdot_d: Array, Y: Array, theta_hat: Array, k: Array, e: Array) -> Array:
     """Certainty-equivalence input xdot_d - Y theta_hat - k e, unchecked."""
-    return xdot_d - Y @ theta_hat - k * e
+    return xdot_d - np.dot(Y, theta_hat) - k * e
 
 
 def _memory_terms(P: Array, k_cl: Array, stack) -> tuple[Array, Array] | None:
     """(A, b) = (diag(P K_cl) gram, P K_cl proj), so that the memory term
-    P K_cl sum_k Y_k^T (xdot_hat_k - u_k - Y_k th) is b - A @ th; None for
+    P K_cl sum_k Y_k^T (xdot_hat_k - u_k - Y_k th) is b - A th; None for
     a missing or empty stack.  A run forms them once per stack change."""
     if stack is None or len(stack) == 0:
         return None
     return (P * k_cl)[:, None] * stack.gram, P * k_cl * stack._proj
 
 
-def _estimate_flow(law: UpdateLaw, P: Array, memory, sigma2: float, e: Array,
+def _estimate_flow(law: UpdateLaw, P: Array, memory, sigma2, e: Array,
                    Y: Array, th: Array, forces) -> Array:
-    """theta_hat_dot from arrays of matching shapes, unchecked.  memory is
-    _memory_terms' (A, b) or None; forces are the groups' P-scaled
-    multiplier-weighted barrier gradients, empty when the law has no
-    constraint force.  Conditional terms are skipped, not added as zeros,
-    so degenerate configurations reduce bitwise to simpler laws."""
-    out = P * (Y.T @ e)
+    """theta_hat_dot from arrays of matching shapes, unchecked.  sigma2 is a
+    float or, in a run, a 0-d array.  memory is _memory_terms' (A, b) or
+    None; forces are the groups' P-scaled multiplier-weighted barrier
+    gradients, empty when the law has no constraint force.  Conditional
+    terms are skipped, not added as zeros, so degenerate configurations
+    reduce bitwise to simpler laws."""
+    out = P * np.dot(Y.T, e)
     if law in LAWS_WITH_MEMORY and memory is not None:
         A, b = memory
-        out = out + (b - A @ th)
-    if law is UpdateLaw.BARRIER_SIGMA_MOD and sigma2 != 0.0:
+        out = out + (b - np.dot(A, th))
+    # truth of a 0-d sigma2 is sigma2 != 0, without a ufunc call
+    if law is UpdateLaw.BARRIER_SIGMA_MOD and sigma2:
         out = out - sigma2 * th
     for force in forces:
         out = out - force

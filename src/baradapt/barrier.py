@@ -26,6 +26,11 @@ from .errors import InfeasibleEvaluation, _integral, _vector
 
 Array = np.ndarray
 
+# _core's constants as 0-d arrays, which a ufunc takes faster than Python
+# floats, to the same bits
+_ONE = np.array(1.0)
+_MINUS_ONE = np.array(-1.0)
+
 
 class ConstraintKind(str, enum.Enum):
     COMPONENT = "component"
@@ -73,7 +78,7 @@ class ConstraintGroup:
         kind = ConstraintKind(self.kind)
         barrier = BarrierKind(self.barrier)
         dim_param = _integral(self.dim_param, "dim_param", 1)
-        # the unchecked core's slacks are s = z @ jac.T + off, with z =
+        # the unchecked core's slacks are s = z jac^T + off, with z =
         # theta_hat (jac rows +I then -I) or, for a norm group, z = its norm
         # (jac the signs +1, -1 of the radial direction); off = (-lower, upper)
         component = kind is ConstraintKind.COMPONENT
@@ -124,10 +129,10 @@ class ConstraintGroup:
         """Distances to each bound of each row of th, unchecked: th has shape
         (..., dim_param) and the result (..., n_constraints), positive iff
         the constraint holds strictly.  Every entry of the Jacobian is 0 or
-        +-1, so z @ jac.T + off is bitwise z - lower, upper - z; np.vecdot
-        takes the same dot product as th @ th."""
+        +-1, so z jac^T + off is bitwise z - lower, upper - z; np.vecdot
+        takes the same dot product as np.dot(th, th)."""
         z = th if self._component else np.sqrt(np.vecdot(th, th))[..., None]
-        return z @ self._jac_t + self._off
+        return np.dot(z, self._jac_t) + self._off
 
     def feasibility(self, theta_hat) -> Feasibility:
         """Strict feasibility plus the worst-case slack.  Margin 0 (a bound
@@ -166,7 +171,7 @@ class ConstraintGroup:
             s, ds = self._slacks(th), jac
         else:
             # one radius serves the slacks and the radial direction
-            r = math.sqrt(th @ th)
+            r = math.sqrt(np.dot(th, th))
             s = np.array([r - self.lower, self.upper - r])
         margin = min(s.tolist())  # faster than s.min() on a few entries
         if margin <= 0.0:
@@ -177,8 +182,8 @@ class ConstraintGroup:
         if not self._component:
             ds = jac * (th / r)  # r >= lower > 0 here
         if self._inverse:
-            return 1.0 / s, (lam * (-1.0 / (s * s))) @ ds
-        return -np.log(s), (lam * (-1.0 / s)) @ ds
+            return _ONE / s, np.dot(lam * (_MINUS_ONE / (s * s)), ds)
+        return -np.log(s), np.dot(lam * (_MINUS_ONE / s), ds)
 
 
 def component_bounds(lower, upper, barrier=BarrierKind.INVERSE) -> ConstraintGroup:

@@ -25,11 +25,13 @@ from importlib import resources
 from pathlib import Path
 
 from . import analysis
+from .adaptation import LAWS_WITH_BARRIER, LAWS_WITH_MEMORY, UpdateLaw
 from .errors import BarrierBreach, ConfigError, NumericalDivergence
 from .history import write_csv
 from .sim import (
     ScenarioConfig,
     TrajectoryLog,
+    _lowered,
     build_context,  # noqa: F401  bench/tracing.py wraps it as cli.build_context
     canonical_config,
     min_margin,
@@ -46,6 +48,11 @@ SWEEPS = {
     "learning_rate_scale":
         lambda cfg, v: replace(cfg, learning_rate=tuple(x * v for x in cfg.learning_rate)),
     "alpha": lambda cfg, v: replace(cfg, groups=tuple(replace(g, alpha=v) for g in cfg.groups)),
+}
+#: sweep keys that only some laws read: key -> (those laws, what they have)
+_SWEEP_LAWS = {
+    "alpha": (LAWS_WITH_BARRIER, "multipliers"),
+    "k_cl_scale": (LAWS_WITH_MEMORY, "a memory term"),
 }
 
 _JSON_NAMES = {float: "a number", int: "an integer", str: "a string",
@@ -368,6 +375,13 @@ def cmd_sweep(args) -> int:
     if key == "alpha" and not base.groups:  # no alpha to set, nor to check
         raise ConfigError(f"sweep key 'alpha' needs a scenario with constraint groups, "
                           f"and '{base.name}' has none")
+    if key in _SWEEP_LAWS:  # a key the law never reads would give identical lanes
+        readers, term = _SWEEP_LAWS[key]
+        law = _lowered(base.law)
+        # an unknown law is left for canonical_config to name
+        if law in [other for other in UpdateLaw if other not in readers]:
+            raise ConfigError(f"sweep key '{key}' needs a law with {term}, "
+                              f"and '{law}' has none")
     tokens = [token.strip() for token in args.sweep_values.split(",") if token.strip()]
     try:
         values = [float(token) for token in tokens]

@@ -114,8 +114,9 @@ class HistoryStack:
     def _append(self, cands: list[StackEntry]) -> None:
         """Append validated entries that fit, with one refresh for all."""
         self._entries += cands
-        self._grams = np.concatenate([self._grams, [c.Y.T @ c.Y for c in cands]])
-        self._projs = np.concatenate([self._projs, [c.Y.T @ (c.xdot_hat - c.u) for c in cands]])
+        self._grams = np.concatenate([self._grams, [np.dot(c.Y.T, c.Y) for c in cands]])
+        self._projs = np.concatenate([self._projs,
+                                      [np.dot(c.Y.T, c.xdot_hat - c.u) for c in cands]])
         self._recompute()
 
     def excitation_level(self) -> float:
@@ -146,19 +147,19 @@ class HistoryStack:
         # swap: only the live trials go to eigvalsh, which returns the same
         # values for a matrix in any batch
         v, key, key_max = self._screen
-        yv = Y @ v
-        reach = float(yv @ yv) + 1e-9 * float(np.vdot(Y, Y))
+        yv = np.dot(Y, v)
+        reach = float(np.dot(yv, yv)) + 1e-9 * float(np.vdot(Y, Y))
         if key_max + reach <= bar:
             return False
         live = (key + reach > bar).nonzero()[0]
-        cand_gram = Y.T @ Y
+        cand_gram = np.dot(Y.T, Y)
         eigs = np.linalg.eigvalsh(self._gram - self._grams[live] + cand_gram)[:, 0]
         # argmax keeps the first of equally good swaps, in entry order
         best = int(np.argmax(eigs))
         if eigs[best] <= bar:
             return False
         best_idx = int(live[best])
-        cand_proj = Y.T @ (cand.xdot_hat - cand.u)
+        cand_proj = np.dot(Y.T, cand.xdot_hat - cand.u)
         removed = (self._entries[best_idx], self._grams[best_idx].copy(),
                    self._projs[best_idx].copy())
         self._entries[best_idx], self._grams[best_idx], self._projs[best_idx] = (

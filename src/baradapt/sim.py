@@ -56,6 +56,12 @@ Array = np.ndarray
 
 MAX_HALVINGS = 20
 
+# The step path keeps numpy on its cheapest entry points: a ufunc with a
+# 0-d ndarray operand skips the scalar conversion a Python float or an
+# np.float64 pays on every call, and gives the same bits.
+_ZERO = np.array(0.0)
+_TWO = np.array(2.0)
+
 #: the logged law_code of each law: its position in UpdateLaw
 LAW_CODES = {law: code for code, law in enumerate(UpdateLaw)}
 
@@ -296,8 +302,9 @@ class RunContext:
         ends = list(accumulate(widths, initial=self.n + self.p))
         self.lam_slices = tuple(map(slice, ends[:-1], ends[1:]))
         self.state_size = ends[-1]
+        self.sigma2 = np.array(cfg.sigma2)
         self._group_runtime = tuple(
-            (grp, sl, ms.alpha, ms.gamma_inv_array, self.P * grp._jac)
+            (grp, sl, np.array(ms.alpha), ms.gamma_inv_array, self.P * grp._jac)
             for grp, sl, ms in zip(self.groups, self.lam_slices, self.multipliers)
         )
         self.stack = HistoryStack(
@@ -379,14 +386,14 @@ class RunContext:
         for grp, sl, alpha, gamma_inv, jac in self._group_runtime:
             # floor stage multipliers at zero: RK stage combinations may dip
             # below the projection's domain even though accepted steps never do
-            lam = np.maximum(y[sl], 0.0)
+            lam = np.maximum(y[sl], _ZERO)
             values, force = grp._core(th, lam, jac)
             forces.append(force)
             lam_dots.append(_lambda_dot(lam, alpha, gamma_inv, values))
         return np.concatenate([
             # the plant Y theta plus the input xdot_d - Y th - k e
-            Y @ (self.theta - th) + (xdot_d - self.k * e),
-            _estimate_flow(self.active_law, self.P, self._memory, self.cfg.sigma2,
+            np.dot(Y, self.theta - th) + (xdot_d - self.k * e),
+            _estimate_flow(self.active_law, self.P, self._memory, self.sigma2,
                            e, Y, th, forces),
             *lam_dots,
         ])
@@ -401,12 +408,14 @@ def build_context(cfg: ScenarioConfig) -> RunContext:
 
 
 def rk4(f: Callable[[float, Array], Array], t: float, y: Array, dt: float) -> Array:
-    """One classic 4-stage Runge-Kutta step for ydot = f(t, y)."""
+    """One classic 4-stage Runge-Kutta step for ydot = f(t, y).  Times stay
+    Python floats; the step's weights meet the arrays as 0-d arrays."""
+    half = np.array(0.5 * dt)
     k1 = f(t, y)
-    k2 = f(t + 0.5 * dt, y + (0.5 * dt) * k1)
-    k3 = f(t + 0.5 * dt, y + (0.5 * dt) * k2)
-    k4 = f(t + dt, y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = f(t + 0.5 * dt, y + half * k1)
+    k3 = f(t + 0.5 * dt, y + half * k2)
+    k4 = f(t + dt, y + np.array(dt) * k3)
+    return y + np.array(dt / 6.0) * (k1 + _TWO * k2 + _TWO * k3 + k4)
 
 
 def _attempt(ctx: RunContext, t: float, y: Array, dt: float) -> Array:
@@ -433,7 +442,7 @@ def _attempt(ctx: RunContext, t: float, y: Array, dt: float) -> Array:
                 f"step landed outside the feasible set (margin {margin:g})",
                 margin=margin,
             )
-        np.maximum(out[sl], 0.0, out=out[sl])
+        np.maximum(out[sl], _ZERO, out=out[sl])
     return out
 
 

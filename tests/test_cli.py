@@ -412,6 +412,20 @@ def test_sweep_rejects_bad_key_and_values(tmp_path, capsys):
     assert rc == 2
     assert err.startswith("config error: sweep key 'alpha' needs a scenario with constraint groups")
     assert not (tmp_path / "s").exists()
+    # a key the law never reads would run identical lanes; the law is
+    # named however the config spells it
+    for law, key, term in [("gradient", "alpha", "multipliers"),
+                           ("concurrent_learning", "alpha", "multipliers"),
+                           ("Gradient", "k_cl_scale", "a memory term"),
+                           ("barrier_sigma_mod", "k_cl_scale", "a memory term")]:
+        path, _ = short_config_file(tmp_path, law=law)
+        rc = cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "s"),
+                       "--sweep-key", key, "--sweep-values", "0.05,0.2"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == (f"config error: sweep key '{key}' needs a law with {term}, "
+                       f"and '{law.lower()}' has none\n")
+        assert not (tmp_path / "s").exists()
 
 
 BAD_LANES = [

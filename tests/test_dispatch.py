@@ -1,0 +1,94 @@
+"""The dispatch contract that the step path's byte identity rests on.
+
+The step path (sim.rk4 down to ConstraintGroup._core and
+HistoryStack.try_insert) takes every small product through np.dot and
+every scalar that meets an array as a 0-d ndarray: both are numpy's
+cheaper entry points.  They must give bitwise what `@` and a Python float
+give, or a numpy or BLAS upgrade would move every output silently.  These
+tests pin that on each product shape the step path takes, with operands
+laid out as the kernel lays them out (transposed views, slices of the
+flat state)."""
+
+import operator
+
+import numpy as np
+import pytest
+
+from baradapt.barrier import component_bounds, norm_bounds
+
+CASES = 200
+
+
+def bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def assert_dot_is_matmul(a, b):
+    assert np.shape(np.dot(a, b)) == np.shape(a @ b)
+    assert bits(np.dot(a, b)) == bits(a @ b)
+
+
+def draw(rng, *shape):
+    """Normal entries spread over twelve decades, so that products round."""
+    return rng.standard_normal(shape) * 10.0 ** rng.uniform(-6.0, 6.0, shape)
+
+
+@pytest.mark.parametrize("n,p", [(2, 4), (3, 6)])
+def test_dot_matches_matmul_on_the_kernel_products(n, p):
+    rng = np.random.default_rng(n * 100 + p)
+    component, norm = component_bounds([-1e9] * p, [1e9] * p), norm_bounds(1.0, 2.0, p)
+    for _ in range(CASES):
+        y = draw(rng, n + p + 2 * p)
+        th = y[n: n + p]  # a slice of the flat state, as rhs_flat takes it
+        Y, e, theta = draw(rng, n, p), draw(rng, n), draw(rng, p)
+        assert_dot_is_matmul(Y, theta - th)  # rhs_flat's plant term
+        assert_dot_is_matmul(Y, th)  # _control
+        assert_dot_is_matmul(Y.T, e)  # _estimate_flow's gradient term
+        assert_dot_is_matmul(draw(rng, p, p), th)  # the memory term A th
+        assert_dot_is_matmul(th, th)  # the norm group's radius
+        # _slacks and _core's weighted gradient, P folded into the Jacobian
+        assert_dot_is_matmul(th, component._jac_t)
+        assert_dot_is_matmul(draw(rng, 2 * p), draw(rng, p) * component._jac)
+        # a norm group: the (2,) weights on the (2, p) radial rows
+        assert_dot_is_matmul(draw(rng, 1), norm._jac_t)
+        assert_dot_is_matmul(draw(rng, 2), norm._jac * (th / draw(rng, 1)[0]))
+        # HistoryStack.try_insert: Y v, |Y v|^2, Y'Y and Y'(xdot_hat - u)
+        v = draw(rng, p)
+        assert_dot_is_matmul(Y, v)
+        assert_dot_is_matmul(Y @ v, Y @ v)
+        assert_dot_is_matmul(Y.T, Y)
+        assert_dot_is_matmul(Y.T, draw(rng, n) - draw(rng, n))
+
+
+@pytest.mark.parametrize("p", [4, 6])
+def test_dot_matches_matmul_on_stacked_weightings_and_log_rows(p):
+    """evaluate weights the gradient rows by the identity and lam at once,
+    a (2p + 1, 2p) or (3, 2) left operand; _trajectory_log takes the
+    slacks of every logged row, a (rows, p) or (rows, 1) one."""
+    rng = np.random.default_rng(p)
+    component, norm = component_bounds([-1e9] * p, [1e9] * p), norm_bounds(1.0, 2.0, p)
+    for _ in range(CASES // 4):
+        weights = np.vstack([component._eye, draw(rng, 2 * p)]) * draw(rng, 2 * p)
+        assert_dot_is_matmul(weights, draw(rng, p) * component._jac)
+        weights = np.vstack([norm._eye, draw(rng, 2)]) * draw(rng, 2)
+        assert_dot_is_matmul(weights, norm._jac * draw(rng, p))
+        rows = int(rng.integers(1, 400))
+        assert_dot_is_matmul(draw(rng, rows, p), component._jac_t)
+        assert_dot_is_matmul(draw(rng, rows, 1), norm._jac_t)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv,
+                                np.maximum], ids=lambda op: op.__name__)
+def test_zero_d_operand_gives_the_bits_of_the_python_float(op):
+    rng = np.random.default_rng(7)
+    for _ in range(CASES):
+        arr = draw(rng, int(rng.integers(1, 13)))
+        scalar = float(draw(rng, 1)[0])
+        assert bits(op(arr, np.array(scalar))) == bits(op(arr, scalar))
+        assert bits(op(np.array(scalar), arr)) == bits(op(scalar, arr))
+    # signed zeros, overflow and 0/0 as well: the bits must still agree
+    arr = np.array([0.0, -0.0, 1.5, -2.5, 1e-300, 1e300, np.inf])
+    with np.errstate(all="ignore"):
+        for scalar in (0.0, -0.0, 1.0, -1.0, 2.0, 0.5e-3, 1e-3 / 6.0, 1e300):
+            assert bits(op(arr, np.array(scalar))) == bits(op(arr, scalar))
+            assert bits(op(np.array(scalar), arr)) == bits(op(scalar, arr))

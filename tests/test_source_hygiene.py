@@ -222,3 +222,30 @@ def test_noqa_reexports_name_the_bench_file_that_uses_them():
                 if not (user and user.is_file() and names_in(parse(user))[bound]):
                     stale.append(f"{path.name}:{alias.lineno} {bound}")
     assert not stale, f"noqa re-exports no bench file uses: {stale}"
+
+
+#: the functions of each module that an RK4 step runs through
+STEP_PATH = {
+    "sim.py": {"rk4", "_attempt", "rhs_flat"},
+    "adaptation.py": {"_control", "_estimate_flow", "_lambda_dot"},
+    "barrier.py": {"_slacks", "_core"},
+    "history.py": {"try_insert", "_append"},
+}
+
+
+def test_step_path_takes_small_products_through_np_dot():
+    """np.dot gives `@`'s bits on the step path's small 1-D and 2-D
+    products (tests/test_dispatch.py checks that) at a lower per-call cost.
+    A `@` written back into one of these functions undoes the rule in one
+    place.  Stacked 3-D products, such as HistoryStack._recompute's, keep
+    `@`: np.dot means another product there."""
+    sites = []
+    for name, wanted in STEP_PATH.items():
+        defs = {node.name: node for node in ast.walk(parse(PACKAGE / name))
+                if isinstance(node, ast.FunctionDef) and node.name in wanted}
+        assert set(defs) == wanted, f"{name} lacks {sorted(wanted - set(defs))}"
+        sites += [f"{name}:{node.lineno} {fn}" for fn, body in defs.items()
+                  for node in ast.walk(body)
+                  if isinstance(node, (ast.BinOp, ast.AugAssign))
+                  and isinstance(node.op, ast.MatMult)]
+    assert not sites, f"`@` on the step path, where np.dot is the rule: {sites}"
