@@ -12,9 +12,9 @@ estimate Vdot <= -beta1 V + beta2 gives the trajectory envelope
     ||z(t)||^2 <= (Lambda_max/Lambda_min) ||z(0)||^2 exp(-beta1 t)
                 + beta2 / (beta1 Lambda_min) (1 - exp(-beta1 t)).
 
-lambda_tilde needs the unknowable stationary multiplier lambda*; callers
-supply an estimate (the runner defaults to the final logged multiplier), so
-the envelope is a diagnostic, not a certificate.
+lambda_tilde needs the unknowable stationary multiplier lambda*; the
+envelope and the Lyapunov column take the final logged multipliers for it,
+so the envelope is a diagnostic, not a certificate.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ class UubConstants:
     Lambda_max: float
     beta1: float
     beta2: float
-    lambda_star: tuple[float, ...]
 
     def envelope(self, t, z0_sq: float) -> Array:
         """Bound on ||z(t)||^2 given ||z(0)||^2."""
@@ -75,54 +74,35 @@ class UubConstants:
         return (self.Lambda_max / self.Lambda_min) * z0_sq * decay + floor * (1.0 - decay)
 
 
-def uub_constants(control_gain, learning_rate, k_cl, gamma, alpha,
-                  sigma_bar1, lambda_star=()) -> UubConstants:
-    """Assemble the decay constants from gain diagonals.
-
-    gamma is the concatenated diagonal of Gamma over all constraint groups
-    (empty when unconstrained), alpha the multiplier decay rate, split
-    evenly between the decay term of beta1 and the bias term beta2.  A
-    non-positive sigma_bar1 marks the recorded-data excitation assumption as
-    unmet; its term drops out of beta1 instead of zeroing it.
-    """
-    k = np.atleast_1d(np.asarray(control_gain, dtype=float))
-    P = np.atleast_1d(np.asarray(learning_rate, dtype=float))
-    kcl = np.atleast_1d(np.asarray(k_cl, dtype=float))
-    g = np.asarray(gamma, dtype=float).reshape(-1)
-    lam_star = np.asarray(lambda_star, dtype=float).reshape(-1)
-    if np.any(k <= 0.0) or np.any(P <= 0.0) or np.any(kcl <= 0.0):
-        raise ValueError("gain diagonals must be positive")
-    if g.size and np.any(g <= 0.0):
-        raise ValueError("gamma diagonal must be positive")
-    if sigma_bar1 < 0.0:
-        raise ValueError("sigma_bar1 must be non-negative")
-
-    mins = [0.5, 0.5 / float(np.max(P))]
-    maxs = [0.5, 0.5 / float(np.min(P))]
+def uub_constants(ctx, sigma_bar1: float, lambda_star: Array) -> UubConstants:
+    """The decay constants of the run whose sim.RunContext is ctx, whose
+    gains its compile checked: the diagonals ctx.k, ctx.P, ctx.kcl and
+    ctx.gamma (Gamma over every group, empty without groups), and the
+    smallest group alpha, split evenly between the decay term of beta1 and
+    the bias term beta2.  lambda_star (a float array, one entry per gamma)
+    estimates the stationary multipliers.  A non-positive sigma_bar1 marks
+    the recorded-data excitation assumption as unmet; its term drops out of
+    beta1 instead of zeroing it."""
+    g = ctx.gamma
+    mins = [0.5, 0.5 / float(np.max(ctx.P))]
+    maxs = [0.5, 0.5 / float(np.min(ctx.P))]
     if g.size:
         mins.append(0.5 * float(np.min(g)))
         maxs.append(0.5 * float(np.max(g)))
     Lambda_min = min(mins)
     Lambda_max = max(maxs)
 
-    terms = [float(np.min(k))]
+    terms = [float(np.min(ctx.k))]
     if sigma_bar1 > 0.0:
-        terms.append(float(np.min(kcl)) * sigma_bar1)
+        terms.append(float(np.min(ctx.kcl)) * sigma_bar1)
     beta2 = 0.0
     if g.size:
-        if alpha <= 0.0:
-            raise ValueError("alpha must be positive")
+        alpha = min(ms.alpha for ms in ctx.multipliers)
         half = 0.5 * alpha
         terms.append(half * float(np.min(g)))
-        beta2 = alpha * alpha * float(np.min(g)) * float(lam_star @ lam_star) / (4.0 * half)
-    beta1 = min(terms) / Lambda_min
-    return UubConstants(
-        Lambda_min=Lambda_min,
-        Lambda_max=Lambda_max,
-        beta1=beta1,
-        beta2=beta2,
-        lambda_star=tuple(lam_star),
-    )
+        beta2 = alpha * alpha * float(np.min(g)) * float(lambda_star @ lambda_star) / (4.0 * half)
+    return UubConstants(Lambda_min=Lambda_min, Lambda_max=Lambda_max,
+                        beta1=min(terms) / Lambda_min, beta2=beta2)
 
 
 @dataclass(frozen=True)
@@ -133,19 +113,6 @@ class EnvelopeReport:
     n_violations: int
     fraction_satisfied: float
     worst_ratio: float
-    beta1: float
-    beta2: float
-
-    def as_text(self) -> str:
-        lines = [
-            f"envelope_points: {self.n_points}",
-            f"envelope_violations: {self.n_violations}",
-            f"envelope_fraction_satisfied: {self.fraction_satisfied:.6f}",
-            f"envelope_worst_ratio: {self.worst_ratio:.6g}",
-            f"envelope_beta1: {self.beta1:.6g}",
-            f"envelope_beta2: {self.beta2:.6g}",
-        ]
-        return "\n".join(lines)
 
 
 def envelope_check(log, consts: UubConstants) -> EnvelopeReport:
@@ -153,19 +120,13 @@ def envelope_check(log, consts: UubConstants) -> EnvelopeReport:
     consts.envelope, plus the worst observed ratio.
 
     log is a TrajectoryLog; ||z||^2 sums the squares of its e, theta_err
-    and lambda - lambda_star columns, one column at a time in log order."""
+    and lambda - lambda_star columns, one column at a time in log order.
+    lambda_star is the final logged multipliers, as in the log's Lyapunov
+    column."""
     t = log.column("t")
-    lam_tilde = log.multipliers()
-    if lam_tilde.shape[1]:
-        lam_star = np.asarray(consts.lambda_star, dtype=float)
-        if lam_star.size != lam_tilde.shape[1]:
-            raise ValueError(
-                f"lambda_star has length {lam_star.size}, log has "
-                f"{lam_tilde.shape[1]} multiplier columns"
-            )
-        lam_tilde = lam_tilde - lam_star
+    lam = log.multipliers()
     zsq = np.zeros(len(t))
-    for col in (*log.block("e").T, *log.block("theta_err").T, *lam_tilde.T):
+    for col in (*log.block("e").T, *log.block("theta_err").T, *(lam - lam[-1]).T):
         zsq += col ** 2
     env = consts.envelope(t - t[0], float(zsq[0]))
     with np.errstate(over="ignore"):  # a ratio past the largest double reads inf
@@ -176,8 +137,6 @@ def envelope_check(log, consts: UubConstants) -> EnvelopeReport:
         n_violations=violations,
         fraction_satisfied=1.0 - violations / len(t),
         worst_ratio=float(np.max(ratio)),
-        beta1=consts.beta1,
-        beta2=consts.beta2,
     )
 
 
@@ -205,12 +164,19 @@ def kkt_residuals(ctx, e, x, theta_hat, lambdas) -> KktResiduals:
     return KktResiduals(stationarity=float(np.linalg.norm(grad)), complementary_slackness=comp)
 
 
-def steady_state_rms(times, values) -> float:
-    """RMS of values over the steady-state window [20, 30] s; if the log
-    ends before 20 s the last third of the samples is used instead."""
-    t = np.asarray(times, dtype=float)
-    v = np.asarray(values, dtype=float)
+def steady_state_rms(log) -> float:
+    """RMS of a TrajectoryLog's tracking error norm over the steady-state
+    window [20, 30] s; if the log ends before 20 s the last third of the
+    samples is used instead."""
+    t, v = log.column("t"), log.column("e_norm")
     mask = (t >= 20.0) & (t <= 30.0)
     if not np.any(mask):
         mask = t >= t[max(0, int(2 * len(t) / 3))]
     return float(math.sqrt(float(np.mean(v[mask] ** 2))))
+
+
+def min_margin(log) -> float:
+    """Smallest logged constraint margin of a TrajectoryLog across all
+    groups; +inf if the scenario has no groups."""
+    margins = log.block("margin")
+    return float(margins.min()) if margins.size else float("inf")

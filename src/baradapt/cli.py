@@ -34,9 +34,7 @@ from .sim import (
     _lowered,
     build_context,  # noqa: F401  bench/tracing.py wraps it as cli.build_context
     canonical_config,
-    min_margin,
     run_scenario,
-    steady_state_rms,
 )
 
 log = logging.getLogger("baradapt")
@@ -49,10 +47,13 @@ SWEEPS = {
         lambda cfg, v: replace(cfg, learning_rate=tuple(x * v for x in cfg.learning_rate)),
     "alpha": lambda cfg, v: replace(cfg, groups=tuple(replace(g, alpha=v) for g in cfg.groups)),
 }
-#: sweep keys that only some laws read: key -> (those laws, what they have)
+#: sweep keys that only some runs read: key -> (the laws that read it, what
+#: they have, what the scenario must hold, whether a config holds it)
 _SWEEP_LAWS = {
-    "alpha": (LAWS_WITH_BARRIER, "multipliers"),
-    "k_cl_scale": (LAWS_WITH_MEMORY, "a memory term"),
+    "alpha": (LAWS_WITH_BARRIER, "multipliers", "constraint groups",
+              lambda cfg: bool(cfg.groups)),
+    "k_cl_scale": (LAWS_WITH_MEMORY, "a memory term", "a history stack",
+                   lambda cfg: cfg.stack.mode != "none" and cfg.stack.size > 0),
 }
 
 _JSON_NAMES = {float: "a number", int: "an integer", str: "a string",
@@ -166,44 +167,41 @@ def load_config(spec: str) -> ScenarioConfig:
 def scenario_summary(trajectory: TrajectoryLog, runtime_seconds: float) -> str:
     """Flat key-value block: final errors, margins, decay constants, KKT
     residuals and the envelope report, all read off the log: its last row
-    is the final state, and trajectory.context the run's gains and
-    stack."""
+    is the final state, and trajectory.context the run's gains and stack.
+    The decay constants take the final excitation for sigma_bar1 and the
+    final multipliers for lambda*."""
     ctx = trajectory.context
-    cfg, stack = ctx.cfg, ctx.stack
-    e_norm = float(trajectory.column("e_norm")[-1])
-    tilde_norm = float(trajectory.column("theta_err_norm")[-1])
+    cfg = ctx.cfg
     excitation = float(trajectory.column("excitation")[-1])
+    lam_star = trajectory.multipliers()[-1]
+    consts = analysis.uub_constants(ctx, excitation, lam_star)
+    report = analysis.envelope_check(trajectory, consts)
+    e, x, theta_hat = (trajectory.block(name)[-1] for name in ("e", "x", "theta_hat"))
+    # groups without multipliers (laws without a barrier) add no KKT terms
+    lambdas = [trajectory.block(f"lambda{g}_")[-1] for g in range(1, len(ctx.lam_slices) + 1)]
+    kkt = analysis.kkt_residuals(ctx, e, x, theta_hat, lambdas)
     lines = [
         f"scenario: {cfg.name}",
         f"law: {cfg.law}",
         f"dt: {cfg.dt:g}",
         f"t_final: {cfg.t_final:g}",
         f"runtime_seconds: {runtime_seconds:.3f}",
-        f"final_e_norm: {e_norm:.10g}",
-        f"final_theta_err_norm: {tilde_norm:.10g}",
-        f"min_margin: {min_margin(trajectory):.10g}",
-        f"steady_state_rms: {steady_state_rms(trajectory):.10g}",
+        f"final_e_norm: {trajectory.column('e_norm')[-1]:.10g}",
+        f"final_theta_err_norm: {trajectory.column('theta_err_norm')[-1]:.10g}",
+        f"min_margin: {analysis.min_margin(trajectory):.10g}",
+        f"steady_state_rms: {analysis.steady_state_rms(trajectory):.10g}",
         f"excitation_final: {excitation:.10g}",
-        f"assumption_met: {str(stack.assumption_met).lower()}",
-    ]
-
-    alpha = min((ms.alpha for ms in ctx.multipliers), default=0.0)
-    consts = analysis.uub_constants(cfg.control_gain, cfg.learning_rate, cfg.k_cl, ctx.gamma,
-                                    alpha, excitation, trajectory.multipliers()[-1])
-    lines += [
+        f"assumption_met: {str(ctx.stack.assumption_met).lower()}",
         f"uub_Lambda_min: {consts.Lambda_min:.10g}",
         f"uub_Lambda_max: {consts.Lambda_max:.10g}",
         f"uub_beta1: {consts.beta1:.10g}",
         f"uub_beta2: {consts.beta2:.10g}",
-    ]
-    report = analysis.envelope_check(trajectory, consts)
-    lines.append(report.as_text())
-
-    e, x, theta_hat = (trajectory.block(name)[-1] for name in ("e", "x", "theta_hat"))
-    # groups without multipliers (laws without a barrier) add no KKT terms
-    lambdas = [trajectory.block(f"lambda{g}_")[-1] for g in range(1, len(ctx.lam_slices) + 1)]
-    kkt = analysis.kkt_residuals(ctx, e, x, theta_hat, lambdas)
-    lines += [
+        f"envelope_points: {report.n_points}",
+        f"envelope_violations: {report.n_violations}",
+        f"envelope_fraction_satisfied: {report.fraction_satisfied:.6f}",
+        f"envelope_worst_ratio: {report.worst_ratio:.6g}",
+        f"envelope_beta1: {consts.beta1:.6g}",
+        f"envelope_beta2: {consts.beta2:.6g}",
         f"kkt_stationarity: {kkt.stationarity:.10g}",
         f"kkt_complementary_slackness: {kkt.complementary_slackness:.10g}",
     ]
@@ -356,7 +354,7 @@ def cmd_compare(args) -> int:
     lanes = [(cfg, out / f"{cfg.law}.csv") for cfg in cfgs]
     _plan(out, laws, lanes, ["compare.csv"])
     results = _run_lanes(lanes)
-    rows = [[cfg.law, steady_state_rms(trajectory), min_margin(trajectory),
+    rows = [[cfg.law, analysis.steady_state_rms(trajectory), analysis.min_margin(trajectory),
              float(trajectory.column("theta_err_norm")[-1])]
             for cfg, (trajectory, _) in zip(cfgs, results)]
     write_csv(out / "compare.csv",
@@ -372,11 +370,11 @@ def cmd_sweep(args) -> int:
     key = args.sweep_key
     if key not in SWEEPS:
         raise ConfigError(f"unknown sweep key '{key}' (choose from {tuple(SWEEPS)})")
-    if key == "alpha" and not base.groups:  # no alpha to set, nor to check
-        raise ConfigError(f"sweep key 'alpha' needs a scenario with constraint groups, "
-                          f"and '{base.name}' has none")
-    if key in _SWEEP_LAWS:  # a key the law never reads would give identical lanes
-        readers, term = _SWEEP_LAWS[key]
+    if key in _SWEEP_LAWS:  # a key the run never reads would give identical lanes
+        readers, term, held, holds = _SWEEP_LAWS[key]
+        if not holds(base):  # e.g. no alpha to set, nor to check
+            raise ConfigError(f"sweep key '{key}' needs a scenario with {held}, "
+                              f"and '{base.name}' has none")
         law = _lowered(base.law)
         # an unknown law is left for canonical_config to name
         if law in [other for other in UpdateLaw if other not in readers]:
@@ -394,7 +392,8 @@ def cmd_sweep(args) -> int:
               out / f"{key}_{value:g}" / "trajectory.csv") for value in values]
     _plan(out, tokens, lanes, ["sweep.csv"])
     results = _run_lanes(lanes)
-    rows = [[value, steady_state_rms(trajectory), float(trajectory.column("theta_err_norm")[-1])]
+    rows = [[value, analysis.steady_state_rms(trajectory),
+             float(trajectory.column("theta_err_norm")[-1])]
             for value, (trajectory, _) in zip(values, results)]
     write_csv(out / "sweep.csv", [key, "steady_state_rms", "final_theta_err_norm"], rows)
     for row in rows:

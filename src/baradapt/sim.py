@@ -625,19 +625,3 @@ def _trajectory_log(ctx: RunContext, records) -> TrajectoryLog:
     data = np.hstack([np.asarray(values, dtype=float).reshape(len(ts), len(names))
                       for names, values in blocks])
     return TrajectoryLog(columns=columns, data=data, context=ctx)
-
-
-# ---------------------------------------------------------------------------
-# derived metrics
-
-
-def steady_state_rms(log: TrajectoryLog) -> float:
-    """RMS of the tracking error norm over the steady-state window."""
-    return analysis.steady_state_rms(log.column("t"), log.column("e_norm"))
-
-
-def min_margin(log: TrajectoryLog) -> float:
-    """Smallest logged constraint margin across all groups; +inf if the
-    scenario has no groups."""
-    margins = log.block("margin")
-    return float(margins.min()) if margins.size else float("inf")

@@ -48,7 +48,7 @@ def gain_sweep_runs(sec5a_run):
     """Steady-state tracking RMS keyed by control gain; the k=10 member is
     the sec5a session run itself."""
     from baradapt.cli import SWEEPS
-    from baradapt.sim import steady_state_rms
+    from baradapt.analysis import steady_state_rms
 
     base, base_log, _ = sec5a_run
     out = {10.0: steady_state_rms(base_log)}

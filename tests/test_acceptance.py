@@ -13,6 +13,7 @@ from baradapt.adaptation import (
     projection,
     theta_hat_dot,
 )
+from baradapt.analysis import min_margin
 from baradapt.barrier import BarrierKind, component_bounds, norm_bounds
 from baradapt.history import HistoryStack, fill_with_exact_model_data
 from baradapt.model import benchmark_plant
@@ -20,7 +21,6 @@ from baradapt.sim import (
     ScenarioConfig,
     StackConfig,
     canonical_config,
-    min_margin,
     rk4,
     run_scenario,
 )

@@ -36,16 +36,10 @@ def test_lyapunov_without_multipliers():
 
 
 def test_uub_constants_frozen_algebra():
-    gamma_inv = np.tile([0.4, 0.1, 0.1, 0.9], 2)
-    consts = analysis.uub_constants(
-        control_gain=[10.0, 10.0],
-        learning_rate=[0.075] * 4,
-        k_cl=[0.02, 0.5, 0.9, 0.02],
-        gamma=1.0 / gamma_inv,
-        alpha=0.1,
-        sigma_bar1=10.0,
-        lambda_star=np.ones(8),
-    )
+    # sec5a's gains: k = 10, P = 0.075, K_cl = (0.02, 0.5, 0.9, 0.02), one
+    # component group with gamma_inv = (0.4, 0.1, 0.1, 0.9) per bound, alpha 0.1
+    ctx = build_context(load_config("sec5a"))
+    consts = analysis.uub_constants(ctx, sigma_bar1=10.0, lambda_star=np.ones(8))
     # Lambda_min = min(1/2, 1/(2*0.075), min(gamma)/2) with min(gamma) = 10/9
     assert consts.Lambda_min == pytest.approx(0.5)
     assert consts.Lambda_max == pytest.approx(0.5 / 0.075)
@@ -58,47 +52,53 @@ def test_uub_constants_frozen_algebra():
 def test_uub_constants_drop_terms():
     # sigma_bar1 = 0 marks the excitation assumption unmet and removes its
     # term instead of forcing beta1 to zero
-    consts = analysis.uub_constants(
-        control_gain=1.0, learning_rate=1.0, k_cl=1.0,
-        gamma=np.empty(0), alpha=0.0, sigma_bar1=0.0,
-    )
+    cfg = replace(load_config("sec5a"), control_gain=1.0, learning_rate=1.0, k_cl=1.0, groups=())
+    ctx = build_context(cfg)
+    consts = analysis.uub_constants(ctx, sigma_bar1=0.0, lambda_star=np.empty(0))
     assert consts.beta1 == pytest.approx(2.0)
     assert consts.beta2 == 0.0
-    with pytest.raises(ValueError):
-        analysis.uub_constants(control_gain=-1.0, learning_rate=1.0, k_cl=1.0,
-                               gamma=np.empty(0), alpha=0.1, sigma_bar1=1.0)
-    # alpha only matters, and is only checked, when there are multipliers
-    for gamma, alpha, sigma_bar1, message in [
-        ([1.0, 0.0], 0.1, 1.0, "gamma diagonal must be positive"),
-        ([1.0], 0.1, -1e-3, "sigma_bar1 must be non-negative"),
-        ([1.0], 0.0, 1.0, "alpha must be positive"),
-    ]:
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            analysis.uub_constants(control_gain=1.0, learning_rate=1.0, k_cl=1.0,
-                                   gamma=gamma, alpha=alpha, sigma_bar1=sigma_bar1)
+    # with sigma_bar1 > 0 its term is the least, and no group adds any
+    consts = analysis.uub_constants(ctx, sigma_bar1=0.25, lambda_star=np.empty(0))
+    assert consts.beta1 == pytest.approx(0.5)
+    assert (consts.Lambda_min, consts.Lambda_max) == (0.5, 0.5)
+
+
+def test_uub_constants_without_multipliers():
+    # a law without multipliers logs them at zero, so lambda* = 0 and
+    # beta2 = 0; its groups' Gamma still bounds the quadratic form
+    log = run_scenario(replace(load_config("sec5a"), law="gradient", t_final=0.3))
+    lam_star = log.multipliers()[-1]
+    assert lam_star.shape == (8,) and not lam_star.any()
+    consts = analysis.uub_constants(log.context, 10.0, lam_star)
+    assert consts.beta2 == 0.0
+    assert consts.beta1 == pytest.approx((0.05 * 10.0 / 9.0) / 0.5, rel=1e-12)
 
 
 def test_uub_constants_from_config():
-    # the summary maps the run's gains: Gamma is 1 / gamma_inv over every
-    # group (a length-p gamma_inv counts once per bound), alpha the least
-    norm = GroupConfig(kind="norm", barrier="inverse", lower=15.0, upper=30.0,
-                       gamma_inv=0.05, alpha=0.3, lambda0=5.0)
-    cfg = load_config("sec5a")
-    log = run_scenario(replace(cfg, t_final=0.3, groups=(*cfg.groups, norm)))
-    summary = dict(line.split(": ", 1) for line in
-                   scenario_summary(log, runtime_seconds=0.0).splitlines())
-    direct = analysis.uub_constants(
-        control_gain=cfg.control_gain,
-        learning_rate=cfg.learning_rate,
-        k_cl=cfg.k_cl,
-        gamma=1.0 / np.concatenate([np.tile([0.4, 0.1, 0.1, 0.9], 2), [0.05, 0.05]]),
-        alpha=0.1,
-        sigma_bar1=float(log.column("excitation")[-1]),
-        lambda_star=log.multipliers()[-1],
-    )
-    assert direct.Lambda_max == 10.0 and direct.beta2 > 0.0
-    for key in ("Lambda_min", "Lambda_max", "beta1", "beta2"):
-        assert summary[f"uub_{key}"] == f"{getattr(direct, key):.10g}"
+    # Gamma is 1 / gamma_inv over every group (a length-p gamma_inv counts
+    # once per bound), and alpha is the least over the groups, whichever
+    # group holds it
+    gamma = 1.0 / np.concatenate([np.tile([0.4, 0.1, 0.1, 0.9], 2), [0.05, 0.05]])
+    base = load_config("sec5a")
+    for alphas in [(0.1, 0.3), (0.3, 0.05)]:
+        norm = GroupConfig(kind="norm", barrier="inverse", lower=15.0, upper=30.0,
+                           gamma_inv=0.05, alpha=alphas[1], lambda0=5.0)
+        log = run_scenario(replace(base, t_final=0.3,
+                                   groups=(replace(base.groups[0], alpha=alphas[0]), norm)))
+        sigma_bar1 = float(log.column("excitation")[-1])
+        lam_star = log.multipliers()[-1]
+        consts = analysis.uub_constants(log.context, sigma_bar1, lam_star)
+        alpha = min(alphas)
+        assert consts.Lambda_min == 0.5 and consts.Lambda_max == 10.0
+        terms = [10.0, 0.02 * sigma_bar1] if sigma_bar1 > 0.0 else [10.0]
+        beta1 = min(*terms, 0.5 * alpha * gamma.min()) / 0.5
+        assert consts.beta1 == pytest.approx(beta1, rel=1e-12)
+        beta2 = alpha * alpha * gamma.min() * float(lam_star @ lam_star) / (2.0 * alpha)
+        assert consts.beta2 == pytest.approx(beta2, rel=1e-12) and consts.beta2 > 0.0
+        summary = dict(line.split(": ", 1) for line in
+                       scenario_summary(log, runtime_seconds=0.0).splitlines())
+        for key in ("Lambda_min", "Lambda_max", "beta1", "beta2"):
+            assert summary[f"uub_{key}"] == f"{getattr(consts, key):.10g}"
 
 
 def make_log(t, e1, theta_err1, lam=None):
@@ -113,7 +113,6 @@ def make_log(t, e1, theta_err1, lam=None):
 def test_envelope_check_pure_decay():
     consts = analysis.UubConstants(
         Lambda_min=0.5, Lambda_max=2.0, beta1=1.0, beta2=0.0,
-        lambda_star=(),
     )
     t = np.linspace(0.0, 5.0, 51)
     # ||z||^2 decays exactly at the envelope rate, from 1/4 of the allowance
@@ -128,7 +127,6 @@ def test_envelope_check_pure_decay():
 def test_envelope_check_flags_violations():
     consts = analysis.UubConstants(
         Lambda_min=1.0, Lambda_max=1.0, beta1=10.0, beta2=0.0,
-        lambda_star=(),
     )
     t = np.linspace(0.0, 1.0, 11)
     log = make_log(t, np.ones_like(t), np.zeros_like(t))  # does not decay
@@ -140,19 +138,19 @@ def test_envelope_check_flags_violations():
 def test_envelope_check_multiplier_distance():
     consts = analysis.UubConstants(
         Lambda_min=0.5, Lambda_max=2.0, beta1=1.0, beta2=5.0,
-        lambda_star=(3.0,),
     )
     t = np.linspace(0.0, 2.0, 21)
-    lam = np.full_like(t, 3.0)  # parked at lambda*, contributes nothing
+    # lambda* is the final logged multiplier: parked there, lambda adds nothing
+    lam = np.full_like(t, 3.0)
     log = make_log(t, np.exp(-t), np.zeros_like(t), lam=lam)
     report = analysis.envelope_check(log, consts)
     assert report.n_violations == 0
-    bad = analysis.UubConstants(
-        Lambda_min=0.5, Lambda_max=2.0, beta1=1.0, beta2=5.0,
-        lambda_star=(3.0, 1.0),
-    )
-    with pytest.raises(ValueError):
-        analysis.envelope_check(log, bad)
+    # a multiplier moving from 7 to 3 is measured from its final value
+    lam = np.linspace(7.0, 3.0, len(t))
+    report = analysis.envelope_check(make_log(t, np.exp(-t), np.zeros_like(t), lam=lam), consts)
+    zsq = np.exp(-2.0 * t) + (lam - 3.0) ** 2
+    assert report.worst_ratio == pytest.approx(
+        float(np.max(zsq / consts.envelope(t, zsq[0]))), rel=1e-12)
 
 
 def test_kkt_residuals_zero_at_saddle():
@@ -221,10 +219,14 @@ def test_kkt_stationarity_under_the_laws_without_memory(name, law):
     assert stationarity == pytest.approx(np.linalg.norm(grad), rel=1e-9)
 
 
+def rms_log(t, e_norm):
+    return TrajectoryLog(columns=("t", "e_norm"), data=np.stack([t, e_norm], axis=1))
+
+
 def test_steady_state_rms_window():
     t = np.linspace(0.0, 30.0, 301)
     v = np.where(t < 20.0, 100.0, 2.0)
-    assert analysis.steady_state_rms(t, v) == pytest.approx(2.0)
+    assert analysis.steady_state_rms(rms_log(t, v)) == pytest.approx(2.0)
 
 
 def test_steady_state_rms_short_log_fallback():
@@ -232,4 +234,4 @@ def test_steady_state_rms_short_log_fallback():
     v = t.copy()
     # log ends before the window opens; the last third stands in
     expected = math.sqrt(np.mean(v[6:] ** 2))
-    assert analysis.steady_state_rms(t, v) == pytest.approx(expected, rel=1e-12)
+    assert analysis.steady_state_rms(rms_log(t, v)) == pytest.approx(expected, rel=1e-12)

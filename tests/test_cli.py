@@ -4,18 +4,22 @@ import logging
 import os
 import pickle
 import signal
+import subprocess
+import sys
 import traceback
 import warnings
 from collections import Counter
 from dataclasses import replace
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from baradapt import analysis, cli, history, model, sim
+from baradapt.adaptation import UpdateLaw
 from baradapt.errors import BarrierBreach, ConfigError, InfeasibleEvaluation, NumericalDivergence
-from baradapt.sim import canonical_config, run_scenario, steady_state_rms
+from baradapt.sim import canonical_config, run_scenario
 
 
 def parse_summary(text: str) -> dict:
@@ -296,15 +300,12 @@ def test_summary_reads_the_last_logged_row(tmp_path, monkeypatch):
 
         t, x, th = log.column("t")[-1], log.block("x")[-1], log.block("theta_hat")[-1]
         lam_star = log.multipliers()[-1]
-        ms = ctx.multipliers[0]
         lambdas = [] if law == "gradient" else [lam_star]
         kkt = analysis.kkt_residuals(ctx, x - ctx.traj.eval(t)[0], x, th, lambdas)
         assert summary["kkt_stationarity"] == f"{kkt.stationarity:.10g}"
         assert summary["kkt_complementary_slackness"] == f"{kkt.complementary_slackness:.10g}"
 
-        consts = analysis.uub_constants(cfg.control_gain, cfg.learning_rate, cfg.k_cl,
-                                        ms.gamma_array, ms.alpha,
-                                        float(summary["excitation_final"]), lam_star)
+        consts = analysis.uub_constants(ctx, float(summary["excitation_final"]), lam_star)
         assert summary["uub_beta2"] == f"{consts.beta2:.10g}"
         if law == "gradient":
             assert not lam_star.any() and summary["uub_beta2"] == "0"
@@ -388,7 +389,7 @@ def test_sweep_matches_direct_run(tmp_path):
     value, rms, theta_err = (float(v) for v in lines[1].split(","))
     direct = run_scenario(canonical_config(replace(cfg, control_gain=10.0)))
     assert value == 10.0
-    assert rms == steady_state_rms(direct)
+    assert rms == analysis.steady_state_rms(direct)
     assert theta_err == float(direct.column("theta_err_norm")[-1])
 
 
@@ -425,6 +426,16 @@ def test_sweep_rejects_bad_key_and_values(tmp_path, capsys):
         assert rc == 2
         assert err == (f"config error: sweep key '{key}' needs a law with {term}, "
                        f"and '{law.lower()}' has none\n")
+        assert not (tmp_path / "s").exists()
+    # a scenario whose stack never holds a sample forms no memory term
+    for stack in [sim.StackConfig(mode="none"), sim.StackConfig(size=0)]:
+        path, _ = short_config_file(tmp_path, stack=stack)
+        rc = cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "s"),
+                       "--sweep-key", "k_cl_scale", "--sweep-values", "0.05,0.2"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == ("config error: sweep key 'k_cl_scale' needs a scenario with "
+                       "a history stack, and 'sec5a' has none\n")
         assert not (tmp_path / "s").exists()
 
 
@@ -772,3 +783,41 @@ def test_log_env_ignored_when_unset_or_bad(monkeypatch):
     monkeypatch.setenv("BARADAPT_LOG", "chatty")
     cli._setup_logging()
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# the CLI as its own process
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# (arguments before --out, exit code, the start of the one stderr line)
+PROCESS_RUNS = [
+    (["run", "--config", "sanity", "--t-final", "0.05"], 0, None),
+    (["run", "--config", "sec5b", "--dt", "10", "--t-final", "30"], 1, "BarrierBreach at t="),
+    (["run", "--config", "sec5a", "--dt", "0"], 2, "config error: "),
+    (["compare", "--config", "sec5a", "--dt", "0.1", "--t-final", "30",
+      "--laws", ",".join(law.value for law in UpdateLaw)], 1, "NumericalDivergence at t="),
+]
+
+
+@pytest.mark.parametrize("argv,code,line", PROCESS_RUNS,
+                         ids=[" ".join(argv[:3]) for argv, _, _ in PROCESS_RUNS])
+def test_cli_process_exit_code_and_stderr(tmp_path, argv, code, line):
+    # python -m baradapt.cli exits with main()'s code, and a forked compare
+    # reports a lane's error once, as a serial run does, with no traceback
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env.pop("BARADAPT_LOG", None)
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", "baradapt.cli", *argv, "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    if line is None:
+        assert proc.stderr == "" and proc.stdout.startswith(f"run {argv[2]}: ")
+        assert (out / "summary.txt").is_file()
+    else:
+        [err] = proc.stderr.splitlines()
+        assert err.startswith(line)
+    if code == 2:
+        assert not out.exists()

@@ -22,7 +22,8 @@ from hypothesis import strategies as st  # noqa: E402
 from baradapt import cli  # noqa: E402
 from baradapt.adaptation import LAWS_WITH_BARRIER, UpdateLaw  # noqa: E402
 from baradapt.errors import BarrierBreach, NumericalDivergence  # noqa: E402
-from baradapt.sim import StackConfig, min_margin, run_scenario  # noqa: E402
+from baradapt.analysis import min_margin  # noqa: E402
+from baradapt.sim import StackConfig, run_scenario  # noqa: E402
 
 BUNDLED = {p.name[:-5]: cli.load_config(p.name[:-5])
            for p in resources.files("baradapt").joinpath("configs").iterdir()

@@ -24,7 +24,6 @@ from baradapt.sim import (
     TrajectoryLog,
     build_context,
     canonical_config,
-    min_margin,
     rk4,
     rk4_step,
     run_scenario,
@@ -519,7 +518,7 @@ def test_unconstrained_law_may_violate_logged_margins():
     # constraints are evaluated, not enforced, for the gradient law
     cfg = barrier_cfg(t_final=3.0, law="gradient", log_every=100)
     log = run_scenario(cfg)
-    assert min_margin(log) < 0.0
+    assert analysis.min_margin(log) < 0.0
 
 
 @pytest.mark.parametrize("law, once", [
@@ -688,7 +687,7 @@ def test_halving_recovers_and_run_ends_feasible(monkeypatch):
     log = run_scenario(replace(load_config("sec5a"), dt=0.05, t_final=30.0))
     # each halving adds two calls to the 600 outer steps (608 measured)
     assert attempts > 600
-    assert min_margin(log) > 0.0
+    assert analysis.min_margin(log) > 0.0
     lam = np.stack([log.column(c) for c in log.columns if c.startswith("lambda")])
     assert np.all(lam >= 0.0)
 
