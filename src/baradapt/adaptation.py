@@ -15,7 +15,7 @@ recorded-data term with -sigma2 * theta_hat for use while the history stack
 is not yet exciting.  theta_hat_dot is -P times the theta_hat-gradient of
 the Lagrangian e^T Y theta_tilde + 1/2 theta_tilde^T K_cl (sum_k Y_k^T Y_k)
 theta_tilde + sum_j lambda_j^T c_j(theta_hat), so the flow is a primal-dual
-pair.  _estimate_flow writes it in reduced form: the memory term is
+pair.  _flow_terms writes it in reduced form: the memory term is
 b - A theta_hat, with A = diag(P K_cl) gram and b = P K_cl proj formed once
 per stack change (_memory_terms), and each force multiplies the barrier
 slopes by a slack Jacobian with P folded in (ConstraintGroup._core).
@@ -157,24 +157,26 @@ def _memory_terms(P: Array, k_cl: Array, stack) -> tuple[Array, Array] | None:
     return (P * k_cl)[:, None] * stack.gram, P * k_cl * stack._proj
 
 
-def _estimate_flow(law: UpdateLaw, P: Array, memory, sigma2, e: Array,
-                   Y: Array, th: Array, forces) -> Array:
-    """theta_hat_dot from arrays of matching shapes, unchecked.  sigma2 is a
-    float or, in a run, a 0-d array.  memory is _memory_terms' (A, b) or
-    None; forces are the groups' P-scaled multiplier-weighted barrier
-    gradients, empty when the law has no constraint force.  Conditional
-    terms are skipped, not added as zeros, so degenerate configurations
-    reduce bitwise to simpler laws."""
-    out = P * np.dot(Y.T, e)
-    if law in LAWS_WITH_MEMORY and memory is not None:
-        A, b = memory
-        out = out + (b - np.dot(A, th))
-    # truth of a 0-d sigma2 is sigma2 != 0, without a ufunc call
-    if law is UpdateLaw.BARRIER_SIGMA_MOD and sigma2:
-        out = out - sigma2 * th
-    for force in forces:
-        out = out - force
-    return out
+def _flow_terms(P: Array, sigma2):
+    """The estimate law with its gains bound: flow(law, memory, e, Y, th) is
+    theta_hat_dot before the constraint forces, from arrays of matching
+    shapes, unchecked.  sigma2 is a float or, in a run, a 0-d array.
+    memory is _memory_terms' (A, b) or None.  The caller subtracts each
+    group's P-scaled multiplier-weighted barrier gradient from the result.
+    Conditional terms are skipped, not added as zeros, so degenerate
+    configurations reduce bitwise to simpler laws."""
+    sigma_mod = bool(sigma2)
+
+    def flow(law: UpdateLaw, memory, e: Array, Y: Array, th: Array) -> Array:
+        out = P * np.dot(Y.T, e)
+        if memory is not None and law in LAWS_WITH_MEMORY:
+            A, b = memory
+            out = out + (b - np.dot(A, th))
+        if sigma_mod and law is UpdateLaw.BARRIER_SIGMA_MOD:
+            out = out - sigma2 * th
+        return out
+
+    return flow
 
 
 def theta_hat_dot(cfg: UpdateLawConfig, e, Y, stack, groups, lambdas, theta_hat) -> Array:
@@ -187,10 +189,9 @@ def theta_hat_dot(cfg: UpdateLawConfig, e, Y, stack, groups, lambdas, theta_hat)
     Y = np.asarray(Y, dtype=float)
     th = np.asarray(theta_hat, dtype=float)
     P = cfg.learning_rate_array
-    forces = ()
-    if cfg.law in LAWS_WITH_BARRIER and groups:
-        forces = [g._core(g._check_theta(th), g._check_lam(ms.lam_array), P * g._jac)[1]
-                  for g, ms in zip(groups, lambdas)]
-    return _estimate_flow(cfg.law, P, _memory_terms(P, cfg.k_cl_array, stack),
-                          cfg.sigma2, e, Y, th, forces)
+    out = _flow_terms(P, cfg.sigma2)(cfg.law, _memory_terms(P, cfg.k_cl_array, stack), e, Y, th)
+    if cfg.law in LAWS_WITH_BARRIER:
+        for g, ms in zip(groups, lambdas):
+            out = out - g._core(g._check_theta(th), g._check_lam(ms.lam_array), P * g._jac)[1]
+    return out
 

@@ -47,13 +47,28 @@ SWEEPS = {
         lambda cfg, v: replace(cfg, learning_rate=tuple(x * v for x in cfg.learning_rate)),
     "alpha": lambda cfg, v: replace(cfg, groups=tuple(replace(g, alpha=v) for g in cfg.groups)),
 }
+
+
+def _stack_feeds_flow(cfg: ScenarioConfig) -> bool:
+    """Whether the flow can read a stack sample before the run ends.  An
+    offline stack is filled before t = 0.  An online one records its first
+    sample after step max(record_every, 2) - 1 (the central difference
+    needs the step before), and the flow reads it from the next step on."""
+    stack = cfg.stack
+    if stack.mode == "none" or stack.size == 0:
+        return False
+    if stack.mode == "offline" or not 0.0 < cfg.dt <= cfg.t_final < float("inf"):
+        return True  # a bad horizon is left for canonical_config to name
+    return round(cfg.t_final / cfg.dt) > max(stack.record_every, 2)
+
+
 #: sweep keys that only some runs read: key -> (the laws that read it, what
 #: they have, what the scenario must hold, whether a config holds it)
 _SWEEP_LAWS = {
     "alpha": (LAWS_WITH_BARRIER, "multipliers", "constraint groups",
               lambda cfg: bool(cfg.groups)),
-    "k_cl_scale": (LAWS_WITH_MEMORY, "a memory term", "a history stack",
-                   lambda cfg: cfg.stack.mode != "none" and cfg.stack.size > 0),
+    "k_cl_scale": (LAWS_WITH_MEMORY, "a memory term",
+                   "a history stack sampled before the run ends", _stack_feeds_flow),
 }
 
 _JSON_NAMES = {float: "a number", int: "an integer", str: "a string",

@@ -76,14 +76,11 @@ BENCHMARK_THETA = (5.0, 10.0, 15.0, 20.0)
 
 
 def _benchmark_regressor(x: Array) -> Array:
-    x1 = float(x[0])
-    x2 = float(x[1])
-    return np.array(
-        [
-            [x1 * x1, math.sin(x2), 0.0, 0.0],
-            [0.0, x2 * math.sin(x1), x1, x1 * x2],
-        ]
-    )
+    # one tolist() and one flat list reshaped: fewer conversions than
+    # indexing x and nesting lists, for the same C-ordered (2, 4) array
+    x1, x2 = x.tolist()
+    return np.array([x1 * x1, math.sin(x2), 0.0, 0.0,
+                     0.0, x2 * math.sin(x1), x1, x1 * x2]).reshape(2, 4)
 
 
 def benchmark_plant(theta_true=BENCHMARK_THETA) -> PlantModel:

@@ -29,7 +29,7 @@ from .adaptation import (
     UpdateLaw,
     UpdateLawConfig,
     _control,
-    _estimate_flow,
+    _flow_terms,
     _lambda_dot,
     _memory_terms,
     projection,  # noqa: F401  bench/tracing.py wraps it as sim.projection
@@ -302,11 +302,8 @@ class RunContext:
         ends = list(accumulate(widths, initial=self.n + self.p))
         self.lam_slices = tuple(map(slice, ends[:-1], ends[1:]))
         self.state_size = ends[-1]
-        self.sigma2 = np.array(cfg.sigma2)
-        self._group_runtime = tuple(
-            (grp, sl, np.array(ms.alpha), ms.gamma_inv_array, self.P * grp._jac)
-            for grp, sl, ms in zip(self.groups, self.lam_slices, self.multipliers)
-        )
+        # each group whose multipliers are integrated, with their slice of y
+        self._group_runtime = tuple(zip(self.groups, self.lam_slices))
         self.stack = HistoryStack(
             self.n, self.p, capacity=cfg.stack.size,
             min_eig_threshold=cfg.stack.min_excitation,
@@ -318,10 +315,12 @@ class RunContext:
             fill_with_exact_model_data(self.stack, self.plant, states)
         self.active_law = self.law
         self.refresh_active_law()
-        # last (t, reference): RK4 stages 2 and 3 share t; stage 4's is usually the next step's t
-        self._ref_t = self._ref = None
-        # the memory terms (A, b) and the stack revision they were formed at
-        self._memory = self._memory_rev = None
+        self._stage = self._bind_stage()
+        # RK4's weights (dt / 2, dt, dt / 6) per step size; a lane halves
+        # to at most MAX_HALVINGS + 1 sizes
+        self._weights = {}
+        # the other operand of _attempt's one-call finiteness test
+        self._zeros = np.zeros(self.state_size)
 
     # -- law scheduling ----------------------------------------------------
 
@@ -367,36 +366,54 @@ class RunContext:
     def rhs_flat(self, t: float, y: Array) -> Array:
         """The law kernel: closed-loop vector field at (t, y) under the
         active law.  Its inputs were validated when the context was
-        compiled, so it makes no per-call shape or sign checks.  The
-        reference is evaluated again only when t changes (traj.eval must be
-        a pure function of t, and its arrays are only read).  The memory
-        terms are formed again after every stack change (see _revision)."""
-        n, p = self.n, self.p
-        x = y[:n]
-        th = y[n: n + p]
-        if t != self._ref_t:
-            self._ref_t, self._ref = t, self.traj.eval(t)
-        x_d, xdot_d = self._ref
-        if self._memory_rev != self.stack._revision:
-            self._memory_rev = self.stack._revision
-            self._memory = _memory_terms(self.P, self.kcl, self.stack)
-        Y = self.plant.regressor(x)
-        e = x - x_d
-        forces, lam_dots = [], []
-        for grp, sl, alpha, gamma_inv, jac in self._group_runtime:
-            # floor stage multipliers at zero: RK stage combinations may dip
-            # below the projection's domain even though accepted steps never do
-            lam = np.maximum(y[sl], _ZERO)
-            values, force = grp._core(th, lam, jac)
-            forces.append(force)
-            lam_dots.append(_lambda_dot(lam, alpha, gamma_inv, values))
-        return np.concatenate([
+        compiled, so it makes no per-call shape or sign checks.  It runs
+        the stage _bind_stage built for this lane."""
+        return self._stage(t, y, self.active_law)
+
+    def _bind_stage(self) -> Callable[[float, Array, UpdateLaw], Array]:
+        """rhs_flat's vector field with the lane's constants bound once.
+        The reference is evaluated again only when t changes (traj.eval
+        must be a pure function of t, and its arrays are only read).  The
+        memory terms are formed again after every stack change (see
+        _revision)."""
+        n, n_p = self.n, self.n + self.p
+        theta, k, P, kcl, stack = self.theta, self.k, self.P, self.kcl, self.stack
+        regressor, reference = self.plant.regressor, self.traj.eval
+        flow = _flow_terms(P, np.array(self.cfg.sigma2))
+        groups = tuple((grp._core, sl.start, sl.stop, np.array(ms.alpha), ms.gamma_inv_array,
+                        P * grp._jac)
+                       for (grp, sl), ms in zip(self._group_runtime, self.multipliers))
+        # last (t, reference): RK4 stages 2 and 3 share t; stage 4's is
+        # usually the next step's t.  The memory terms (A, b) and the stack
+        # revision they were formed at.
+        ref_t = ref = memory = memory_rev = None
+
+        def stage(t: float, y: Array, law: UpdateLaw) -> Array:
+            nonlocal ref_t, ref, memory, memory_rev
+            x = y[:n]
+            th = y[n:n_p]
+            if t != ref_t:
+                ref_t, ref = t, reference(t)
+            x_d, xdot_d = ref
+            if memory_rev != stack._revision:
+                memory_rev = stack._revision
+                memory = _memory_terms(P, kcl, stack)
+            Y = regressor(x)
+            e = x - x_d
+            th_dot = flow(law, memory, e, Y, th)
+            lam_dots = []
+            for core, start, stop, alpha, gamma_inv, jac in groups:
+                # floor stage multipliers at zero: RK stage combinations may
+                # dip below the projection's domain even though accepted
+                # steps never do
+                lam = np.maximum(y[start:stop], _ZERO)
+                values, force = core(th, lam, jac)
+                th_dot = th_dot - force
+                lam_dots.append(_lambda_dot(lam, alpha, gamma_inv, values))
             # the plant Y theta plus the input xdot_d - Y th - k e
-            np.dot(Y, self.theta - th) + (xdot_d - self.k * e),
-            _estimate_flow(self.active_law, self.P, self._memory, self.sigma2,
-                           e, Y, th, forces),
-            *lam_dots,
-        ])
+            return np.concatenate([np.dot(Y, theta - th) + (xdot_d - k * e), th_dot, *lam_dots])
+
+        return stage
 
 
 def build_context(cfg: ScenarioConfig) -> RunContext:
@@ -407,20 +424,31 @@ def build_context(cfg: ScenarioConfig) -> RunContext:
 # integration
 
 
+def _rk4_weights(dt: float) -> tuple[Array, Array, Array]:
+    """RK4's step weights dt / 2, dt and dt / 6, as 0-d arrays."""
+    return np.array(0.5 * dt), np.array(dt), np.array(dt / 6.0)
+
+
 def rk4(f: Callable[[float, Array], Array], t: float, y: Array, dt: float) -> Array:
-    """One classic 4-stage Runge-Kutta step for ydot = f(t, y).  Times stay
-    Python floats; the step's weights meet the arrays as 0-d arrays."""
-    half = np.array(0.5 * dt)
+    """One classic 4-stage Runge-Kutta step for ydot = f(t, y)."""
+    return _rk4(f, t, y, dt, _rk4_weights(dt))
+
+
+def _rk4(f, t: float, y: Array, dt: float, weights: tuple[Array, Array, Array]) -> Array:
+    """rk4 with _rk4_weights(dt) made by the caller.  Times stay Python
+    floats; the weights meet the arrays as 0-d arrays."""
+    half, whole, sixth = weights
     k1 = f(t, y)
     k2 = f(t + 0.5 * dt, y + half * k1)
     k3 = f(t + 0.5 * dt, y + half * k2)
-    k4 = f(t + dt, y + np.array(dt) * k3)
-    return y + np.array(dt / 6.0) * (k1 + _TWO * k2 + _TWO * k3 + k4)
+    k4 = f(t + dt, y + whole * k3)
+    return y + sixth * (k1 + _TWO * k2 + _TWO * k3 + k4)
 
 
 def _attempt(ctx: RunContext, t: float, y: Array, dt: float) -> Array:
+    weights = ctx._weights.get(dt) or ctx._weights.setdefault(dt, _rk4_weights(dt))
     try:
-        out = rk4(ctx.rhs_flat, t, y, dt)
+        out = _rk4(ctx.rhs_flat, t, y, dt, weights)
     except (ArithmeticError, ValueError):
         # a callback may raise on a non-finite stage (math.sin(inf)): replay
         # with each stage checked; an error on a finite stage propagates
@@ -431,10 +459,13 @@ def _attempt(ctx: RunContext, t: float, y: Array, dt: float) -> Array:
 
         rk4(finite_stages, t, y, dt)
         raise
-    if not np.isfinite(out).all():
+    # one call: inf * 0 and NaN * 0 are NaN, so the dot is NaN exactly when
+    # an entry is not finite, and +-0 otherwise.  The run loop ignores the
+    # invalid-value flag it raises (np.errstate).
+    if np.dot(out, ctx._zeros) != 0.0:
         raise _NonFinite
     th = out[ctx.n: ctx.n + ctx.p]
-    for grp, sl, *_ in ctx._group_runtime:
+    for grp, sl in ctx._group_runtime:
         # out is finite, so no slack is NaN and the list's min is theirs
         margin = min(grp._slacks(th).tolist())
         if margin <= 0.0:
@@ -442,7 +473,10 @@ def _attempt(ctx: RunContext, t: float, y: Array, dt: float) -> Array:
                 f"step landed outside the feasible set (margin {margin:g})",
                 margin=margin,
             )
-        np.maximum(out[sl], _ZERO, out=out[sl])
+        # a vector of positive multipliers is its own np.maximum(lam, 0)
+        lam = out[sl]
+        if min(lam.tolist()) <= 0.0:
+            np.maximum(lam, _ZERO, out=lam)
     return out
 
 

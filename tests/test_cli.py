@@ -427,16 +427,29 @@ def test_sweep_rejects_bad_key_and_values(tmp_path, capsys):
         assert err == (f"config error: sweep key '{key}' needs a law with {term}, "
                        f"and '{law.lower()}' has none\n")
         assert not (tmp_path / "s").exists()
-    # a scenario whose stack never holds a sample forms no memory term
-    for stack in [sim.StackConfig(mode="none"), sim.StackConfig(size=0)]:
+    # a scenario whose stack never holds a sample forms no memory term, nor
+    # does a run that ends before its flow reads the first online sample
+    # (taken after step 49 of sec5a, read from step 51 on)
+    for stack, horizon in [(sim.StackConfig(mode="none"), []), (sim.StackConfig(size=0), []),
+                           (sim.StackConfig(), ["--t-final", "0.04"]),
+                           (sim.StackConfig(), ["--t-final", "0.05"])]:
         path, _ = short_config_file(tmp_path, stack=stack)
         rc = cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "s"),
-                       "--sweep-key", "k_cl_scale", "--sweep-values", "0.05,0.2"])
+                       "--sweep-key", "k_cl_scale", "--sweep-values", "0.05,0.2", *horizon])
         err = capsys.readouterr().err
         assert rc == 2
         assert err == ("config error: sweep key 'k_cl_scale' needs a scenario with "
-                       "a history stack, and 'sec5a' has none\n")
+                       "a history stack sampled before the run ends, and 'sec5a' has none\n")
         assert not (tmp_path / "s").exists()
+    # one step more and the flow reads the sample; an offline stack is
+    # filled before the run starts
+    for stack, t_final in [(sim.StackConfig(), "0.051"),
+                           (sim.StackConfig(mode="offline"), "0.01")]:
+        path, _ = short_config_file(tmp_path, stack=stack)
+        rc = cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / f"s{t_final}"),
+                       "--sweep-key", "k_cl_scale", "--sweep-values", "0.05,0.2",
+                       "--t-final", t_final])
+        assert rc == 0
 
 
 BAD_LANES = [

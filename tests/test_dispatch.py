@@ -43,7 +43,7 @@ def test_dot_matches_matmul_on_the_kernel_products(n, p):
         Y, e, theta = draw(rng, n, p), draw(rng, n), draw(rng, p)
         assert_dot_is_matmul(Y, theta - th)  # rhs_flat's plant term
         assert_dot_is_matmul(Y, th)  # _control
-        assert_dot_is_matmul(Y.T, e)  # _estimate_flow's gradient term
+        assert_dot_is_matmul(Y.T, e)  # _flow_terms' gradient term
         assert_dot_is_matmul(draw(rng, p, p), th)  # the memory term A th
         assert_dot_is_matmul(th, th)  # the norm group's radius
         # _slacks and _core's weighted gradient, P folded into the Jacobian
@@ -92,3 +92,25 @@ def test_zero_d_operand_gives_the_bits_of_the_python_float(op):
         for scalar in (0.0, -0.0, 1.0, -1.0, 2.0, 0.5e-3, 1e-3 / 6.0, 1e300):
             assert bits(op(arr, np.array(scalar))) == bits(op(arr, scalar))
             assert bits(op(np.array(scalar), arr)) == bits(op(scalar, arr))
+
+
+@pytest.mark.parametrize("size", [6, 14, 16, 26])
+def test_dot_with_zeros_is_nonzero_exactly_when_an_entry_is_not_finite(size):
+    """sim._attempt tests a step result for finiteness in one call,
+    np.dot(out, zeros) != 0.0: every finite entry times 0 is +-0, so the
+    sum is +-0, and an infinite or NaN entry makes it NaN.  Checked at
+    every position on the state sizes the tests integrate, among entries
+    up to +-1.7e308."""
+    rng = np.random.default_rng(size)
+    zeros = np.zeros(size)
+    for _ in range(CASES // 10):
+        out = draw(rng, size)
+        out[rng.integers(size)] = rng.choice([1.7e308, -1.7e308, 0.0, -0.0, 5e-324])
+        assert not np.dot(out, zeros) != 0.0
+        assert not np.dot(np.full(size, rng.choice([1.7e308, -1.7e308])), zeros) != 0.0
+        with np.errstate(invalid="ignore"):
+            for i in range(size):
+                for bad in (np.inf, -np.inf, np.nan):
+                    probe = out.copy()
+                    probe[i] = bad
+                    assert np.dot(probe, zeros) != 0.0, (i, bad)

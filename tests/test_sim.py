@@ -1,4 +1,5 @@
 import io
+import itertools
 import re
 from dataclasses import replace
 
@@ -450,6 +451,53 @@ def test_rk4_step_advances_and_keeps_multipliers_nonnegative():
     assert all(np.all(lam >= 0.0) for lam in out.lambdas)
     with pytest.raises(ValueError):
         rk4_step(state, ctx, 0.0)
+
+
+def unbound_attempt(ctx, t, y, dt):
+    """An RK4 step as it was written before the step bound its weights per
+    step size, tested finiteness in one call and clamped only multipliers
+    that are not all positive: rk4 on rhs_flat, then the margin of every
+    integrated group, then every group's multipliers clamped at 0."""
+    out = rk4(ctx.rhs_flat, t, y, dt)
+    assert np.isfinite(out).all()
+    th = out[ctx.n: ctx.n + ctx.p]
+    for grp, sl in zip(ctx.groups, ctx.lam_slices):
+        margin = min(grp._slacks(th).tolist())
+        if margin <= 0.0:
+            raise InfeasibleEvaluation("outside", margin=margin)
+        np.maximum(out[sl], 0.0, out=out[sl])
+    return out
+
+
+def test_step_fast_paths_match_the_unbound_step_bitwise():
+    # every kind x barrier pair under every law, a multiplier entering the
+    # step at 0.0, -0.0 and just below 0, at dt and two halvings of it
+    clamped = unclamped = 0
+    for kind, barrier, law in itertools.product(["component", "norm"], ["inverse", "log"],
+                                                [law.value for law in UpdateLaw]):
+        base = SEC5A_GROUP if kind == "component" else NORM_GROUP
+        group = replace(base, barrier=barrier, norm_log_ok=kind == "norm")
+        ctx = build_context(barrier_cfg(
+            law=law, groups=(group,),
+            theta_hat0=NORM_THETA if kind == "norm" else (4.5, 8.0, 12.0, 15.0)))
+        x_ref = [ctx.traj.eval(float(t))[0] for t in np.linspace(0.5, 30.0, 20)]
+        fill_with_exact_model_data(ctx.stack, ctx.plant, x_ref)
+        ctx.refresh_active_law()
+        for value in (0.0, -0.0, -1e-12):
+            y = ctx.pack(ctx.initial_state())
+            if ctx.lam_slices:
+                y[ctx.lam_slices[0].start] = value
+            for dt in (1e-3, 5e-4, 2.5e-4):
+                got = sim._attempt(ctx, 0.5, y, dt)
+                want = unbound_attempt(ctx, 0.5, y, dt)
+                assert got.tobytes() == want.tobytes(), (kind, barrier, law, value, dt)
+                if ctx.lam_slices:
+                    raw = rk4(ctx.rhs_flat, 0.5, y, dt)[ctx.lam_slices[0]]
+                    clamped += min(raw.tolist()) <= 0.0
+                    unclamped += min(raw.tolist()) > 0.0
+        assert sorted(ctx._weights) == [2.5e-4, 5e-4, 1e-3]  # one set per step size
+    # both sides of the clamp rule were taken
+    assert clamped and unclamped
 
 
 # ---------------------------------------------------------------------------
