@@ -132,15 +132,20 @@ def _project(a: Array, b: Array) -> Array:
     return np.where(b > 0.0, a, np.maximum(a, 0.0))
 
 
-def _lambda_dot(lam: Array, alpha, gamma_inv: Array, c_values: Array) -> Array:
+def _lambda_dot(lam: Array, alpha, gamma_inv: Array, c_values: Array,
+                out: Array | None = None) -> Array:
     """Multiplier flow proj(-alpha lam + Gamma^{-1} c, lam), unchecked: lam
     must be non-negative.  A run passes alpha as a 0-d array, which a
     ufunc takes faster than a float, to the same bits.  Gamma^{-1} c -
-    alpha lam is bitwise -alpha lam + Gamma^{-1} c, one negation fewer."""
-    a = gamma_inv * c_values - alpha * lam
+    alpha lam is bitwise -alpha lam + Gamma^{-1} c, one negation fewer.
+    The run's stage passes out, a block of its output row, to write the
+    flow into; it is returned."""
+    a = np.subtract(gamma_inv * c_values, alpha * lam, out=out)
     # the projection passes a through when no multiplier is at 0; a list
     # test is several times cheaper than lam.all() on a few entries
-    return a if 0.0 not in lam.tolist() else _project(a, lam)
+    if 0.0 in lam.tolist():
+        a[...] = _project(a, lam)
+    return a
 
 
 def _control(xdot_d: Array, Y: Array, theta_hat: Array, k: Array, e: Array) -> Array:

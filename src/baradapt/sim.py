@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, cycle
 from typing import Callable
 
 import numpy as np
@@ -316,6 +316,8 @@ class RunContext:
         self.active_law = self.law
         self.refresh_active_law()
         self._stage = self._bind_stage()
+        # _rk4 forms the inputs of stages 2 to 4 in the stage's input buffer
+        self._stage_inputs = (self._stage_in,) * 3
         # RK4's weights (dt / 2, dt, dt / 6) per step size; a lane halves
         # to at most MAX_HALVINGS + 1 sizes
         self._weights = {}
@@ -367,22 +369,41 @@ class RunContext:
         """The law kernel: closed-loop vector field at (t, y) under the
         active law.  Its inputs were validated when the context was
         compiled, so it makes no per-call shape or sign checks.  It runs
-        the stage _bind_stage built for this lane."""
+        the stage _bind_stage built for this lane, whose result is one of
+        four output rows: it stays valid until the fourth call after it,
+        and a caller that keeps it longer must copy it."""
         return self._stage(t, y, self.active_law)
 
     def _bind_stage(self) -> Callable[[float, Array, UpdateLaw], Array]:
-        """rhs_flat's vector field with the lane's constants bound once.
-        The reference is evaluated again only when t changes (traj.eval
-        must be a pure function of t, and its arrays are only read).  The
-        memory terms are formed again after every stack change (see
-        _revision)."""
+        """rhs_flat's vector field with the lane's constants and buffers
+        bound once.  The stage reads y through views of one input buffer,
+        self._stage_in, and copies any other y into it first.  It writes
+        its result into the next of four output rows, self._stage_out,
+        cycling, and returns that row.  The reference is evaluated again
+        only when t changes (traj.eval must be a pure function of t, and
+        its arrays are only read).  The memory terms are formed again
+        after every stack change (see _revision).  plant.regressor gets a
+        view of the input buffer and must not keep it."""
         n, n_p = self.n, self.n + self.p
         theta, k, P, kcl, stack = self.theta, self.k, self.P, self.kcl, self.stack
         regressor, reference = self.plant.regressor, self.traj.eval
         flow = _flow_terms(P, np.array(self.cfg.sigma2))
-        groups = tuple((grp._core, sl.start, sl.stop, np.array(ms.alpha), ms.gamma_inv_array,
+        y_in = self._stage_in = np.empty(self.state_size)
+        rows = self._stage_out = np.empty((4, self.state_size))
+        x, th = y_in[:n], y_in[n:n_p]
+        groups = tuple((grp._core, y_in[sl], np.array(ms.alpha), ms.gamma_inv_array,
                         P * grp._jac)
                        for (grp, sl), ms in zip(self._group_runtime, self.multipliers))
+
+        def blocks(row: Array) -> tuple:
+            """A row, its plant and estimate blocks, and per group the
+            multiplier block and where the group's force subtraction goes:
+            the estimate block for the last group, a fresh array before."""
+            kth = row[n:n_p]
+            targets = [None] * (len(groups) - 1) + [kth]
+            return row, row[:n], kth, tuple(zip([row[sl] for sl in self.lam_slices], targets))
+
+        outs = cycle([blocks(row) for row in rows])
         # last (t, reference): RK4 stages 2 and 3 share t; stage 4's is
         # usually the next step's t.  The memory terms (A, b) and the stack
         # revision they were formed at.
@@ -390,8 +411,9 @@ class RunContext:
 
         def stage(t: float, y: Array, law: UpdateLaw) -> Array:
             nonlocal ref_t, ref, memory, memory_rev
-            x = y[:n]
-            th = y[n:n_p]
+            if y is not y_in:
+                y_in[...] = y  # a copy, cheaper than np.copyto's call
+            row, kx, kth, klams = next(outs)
             if t != ref_t:
                 ref_t, ref = t, reference(t)
             x_d, xdot_d = ref
@@ -401,17 +423,21 @@ class RunContext:
             Y = regressor(x)
             e = x - x_d
             th_dot = flow(law, memory, e, Y, th)
-            lam_dots = []
-            for core, start, stop, alpha, gamma_inv, jac in groups:
+            for (core, lam, alpha, gamma_inv, jac), (klam, th_out) in zip(groups, klams):
                 # floor stage multipliers at zero: RK stage combinations may
                 # dip below the projection's domain even though accepted
-                # steps never do
-                lam = np.maximum(y[start:stop], _ZERO)
+                # steps never do.  A vector whose list min is > 0 is its own
+                # floor (a NaN entry stays NaN either way).
+                if not min(lam.tolist()) > 0.0:
+                    lam = np.maximum(lam, _ZERO)
                 values, force = core(th, lam, jac)
-                th_dot = th_dot - force
-                lam_dots.append(_lambda_dot(lam, alpha, gamma_inv, values))
+                th_dot = np.subtract(th_dot, force, out=th_out)
+                _lambda_dot(lam, alpha, gamma_inv, values, out=klam)
+            if not groups:
+                kth[...] = th_dot
             # the plant Y theta plus the input xdot_d - Y th - k e
-            return np.concatenate([np.dot(Y, theta - th) + (xdot_d - k * e), th_dot, *lam_dots])
+            np.add(np.dot(Y, theta - th), xdot_d - k * e, out=kx)
+            return row
 
         return stage
 
@@ -431,24 +457,28 @@ def _rk4_weights(dt: float) -> tuple[Array, Array, Array]:
 
 def rk4(f: Callable[[float, Array], Array], t: float, y: Array, dt: float) -> Array:
     """One classic 4-stage Runge-Kutta step for ydot = f(t, y)."""
-    return _rk4(f, t, y, dt, _rk4_weights(dt))
+    return _rk4(f, t, y, dt, _rk4_weights(dt), np.empty((3,) + np.shape(y)))
 
 
-def _rk4(f, t: float, y: Array, dt: float, weights: tuple[Array, Array, Array]) -> Array:
-    """rk4 with _rk4_weights(dt) made by the caller.  Times stay Python
-    floats; the weights meet the arrays as 0-d arrays."""
+def _rk4(f, t: float, y: Array, dt: float, weights: tuple[Array, Array, Array],
+         stage_inputs) -> Array:
+    """rk4 with _rk4_weights(dt) made by the caller, writing the inputs of
+    stages 2, 3 and 4 into the three arrays of stage_inputs (a lane passes
+    its stage's input buffer three times).  Times stay Python floats; the
+    weights meet the arrays as 0-d arrays.  The result is a fresh array."""
     half, whole, sixth = weights
+    y2, y3, y4 = stage_inputs
     k1 = f(t, y)
-    k2 = f(t + 0.5 * dt, y + half * k1)
-    k3 = f(t + 0.5 * dt, y + half * k2)
-    k4 = f(t + dt, y + whole * k3)
+    k2 = f(t + 0.5 * dt, np.add(y, half * k1, out=y2))
+    k3 = f(t + 0.5 * dt, np.add(y, half * k2, out=y3))
+    k4 = f(t + dt, np.add(y, whole * k3, out=y4))
     return y + sixth * (k1 + _TWO * k2 + _TWO * k3 + k4)
 
 
 def _attempt(ctx: RunContext, t: float, y: Array, dt: float) -> Array:
     weights = ctx._weights.get(dt) or ctx._weights.setdefault(dt, _rk4_weights(dt))
     try:
-        out = _rk4(ctx.rhs_flat, t, y, dt, weights)
+        out = _rk4(ctx.rhs_flat, t, y, dt, weights, ctx._stage_inputs)
     except (ArithmeticError, ValueError):
         # a callback may raise on a non-finite stage (math.sin(inf)): replay
         # with each stage checked; an error on a finite stage propagates
@@ -582,11 +612,16 @@ def run_scenario(cfg: ScenarioConfig) -> TrajectoryLog:
     # written again and need no copies
     y_prev, y = None, ctx.pack(ctx.initial_state())
     ctx.refresh_active_law()
+    # the active law depends on the stack alone: it is refreshed before a
+    # step only when the stack changed since the last refresh
+    revision = ctx.stack._revision
     records = [(0, y, ctx.stack.excitation_level(), ctx.active_law)]
     # the finiteness checks decide divergence, not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
-            ctx.refresh_active_law()
+            if ctx.stack._revision != revision:
+                revision = ctx.stack._revision
+                ctx.refresh_active_law()
             y_next = _step_flat(ctx, k * dt, y, dt)
             if ctx.online and y_prev is not None and (k + 1) % cfg.stack.record_every == 0:
                 _record_sample(ctx, k, y_prev, y, y_next)

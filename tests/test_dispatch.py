@@ -94,6 +94,40 @@ def test_zero_d_operand_gives_the_bits_of_the_python_float(op):
             assert bits(op(np.array(scalar), arr)) == bits(op(scalar, arr))
 
 
+@pytest.mark.parametrize("n,p,widths", [(2, 4, [8]), (2, 4, [8, 2]), (3, 6, [12])])
+def test_out_into_a_bound_row_view_gives_the_bits_of_the_allocating_call(n, p, widths):
+    """The stage writes its result into views of an output row bound once
+    per lane (plant, estimate and multiplier blocks), and _rk4 forms the
+    inputs of stages 2 to 4 in one input buffer.  Each call written with
+    out= must give the bits of the same call that allocates its result."""
+    rng = np.random.default_rng(n * 100 + p + len(widths))
+    size = n + p + sum(widths)
+    rows = np.empty((4, size))
+    ends = np.cumsum([0, n, p, *widths])
+    for _ in range(CASES // 4):
+        row = rows[rng.integers(4)]
+        for start, stop in zip(ends[:-1], ends[1:]):
+            view = row[start:stop]
+            a, b = draw(rng, stop - start), draw(rng, stop - start)
+            for op in (np.add, np.subtract):  # the ufuncs the stage and _rk4 write with out=
+                assert bits(op(a, b, out=view)) == bits(op(a, b))
+                assert bits(view) == bits(op(a, b))
+            np.copyto(view, a)
+            assert bits(view) == bits(a)
+            view[...] = b  # the stage's copy
+            assert bits(view) == bits(b)
+        # the products that end a block: the plant term Y (theta - th) into
+        # the n-block, and a group's weighted gradient row into the p-block
+        Y, v = draw(rng, n, p), draw(rng, p)
+        assert bits(np.dot(Y, v, out=row[:n])) == bits(np.dot(Y, v))
+        lam, ds = draw(rng, widths[0]), draw(rng, widths[0], p)
+        assert bits(np.dot(lam, ds, out=row[n:n + p])) == bits(np.dot(lam, ds))
+        # a stage input: y plus a 0-d weight times a stage result
+        buf, y, k = np.empty(size), draw(rng, size), draw(rng, size)
+        half = np.array(draw(rng, 1)[0])
+        assert bits(np.add(y, half * k, out=buf)) == bits(y + float(half) * k)
+
+
 @pytest.mark.parametrize("size", [6, 14, 16, 26])
 def test_dot_with_zeros_is_nonzero_exactly_when_an_entry_is_not_finite(size):
     """sim._attempt tests a step result for finiteness in one call,

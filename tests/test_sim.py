@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from baradapt import analysis, sim
-from baradapt.adaptation import UpdateLaw, _control, projection, theta_hat_dot
+from baradapt.adaptation import (
+    UpdateLaw,
+    _control,
+    _flow_terms,
+    _memory_terms,
+    projection,
+    theta_hat_dot,
+)
 from baradapt.barrier import BarrierKind, ConstraintKind
 from baradapt.cli import load_config
 from baradapt.errors import (
@@ -403,6 +410,26 @@ def test_sigma_mod_engages_until_stack_excited():
     assert ctx.refresh_active_law() is UpdateLaw.BARRIER_CONSTRAINED
 
 
+def test_run_refreshes_the_law_only_after_a_stack_change(monkeypatch):
+    # the active law depends on the stack alone, so run_scenario refreshes
+    # it once at the start and then only before a step that follows a
+    # stack change; sec5a switches from sigma-mod at 0.11 s
+    refresh = sim.RunContext.refresh_active_law
+    calls = []
+
+    def counted(ctx):
+        calls.append(ctx.stack._revision)
+        return refresh(ctx)
+
+    monkeypatch.setattr(sim.RunContext, "refresh_active_law", counted)
+    log = run_scenario(replace(load_config("sec5a"), t_final=0.5))
+    # the constructor's refresh and the run's first, then one per revision
+    # the run's steps saw (500 steps, 9 samples offered)
+    assert calls[0] == calls[1] and 2 < len(calls) <= 11
+    assert all(a < b for a, b in zip(calls[1:], calls[2:]))
+    assert set(log.column("law_code")) == {2.0, 3.0}
+
+
 def test_explicit_sigma_mod_never_switches():
     ctx = build_context(barrier_cfg(law="barrier_sigma_mod"))
     assert ctx.active_law is UpdateLaw.BARRIER_SIGMA_MOD
@@ -453,12 +480,34 @@ def test_rk4_step_advances_and_keeps_multipliers_nonnegative():
         rk4_step(state, ctx, 0.0)
 
 
+def unbound_stage(ctx, t, y):
+    """rhs_flat as it was written before the stage bound its buffers:
+    slices of y, every group's multipliers floored, the multiplier flow
+    through the checked projection, and one np.concatenate of fresh
+    arrays."""
+    n, n_p = ctx.n, ctx.n + ctx.p
+    x, th = y[:n], y[n:n_p]
+    x_d, xdot_d = ctx.traj.eval(t)
+    Y = ctx.plant.regressor(x)
+    e = x - x_d
+    flow = _flow_terms(ctx.P, np.array(ctx.cfg.sigma2))
+    th_dot = flow(ctx.active_law, _memory_terms(ctx.P, ctx.kcl, ctx.stack), e, Y, th)
+    lam_dots = []
+    for (grp, sl), ms in zip(ctx._group_runtime, ctx.multipliers):
+        lam = np.maximum(y[sl], 0.0)
+        values, force = grp._core(th, lam, ctx.P * grp._jac)
+        th_dot = th_dot - force
+        lam_dots.append(projection(ms.gamma_inv_array * values - ms.alpha * lam, lam))
+    return np.concatenate([np.dot(Y, ctx.theta - th) + (xdot_d - ctx.k * e), th_dot, *lam_dots])
+
+
 def unbound_attempt(ctx, t, y, dt):
     """An RK4 step as it was written before the step bound its weights per
-    step size, tested finiteness in one call and clamped only multipliers
-    that are not all positive: rk4 on rhs_flat, then the margin of every
-    integrated group, then every group's multipliers clamped at 0."""
-    out = rk4(ctx.rhs_flat, t, y, dt)
+    step size and its stage buffers, tested finiteness in one call and
+    clamped only multipliers that are not all positive: rk4 on
+    unbound_stage, then the margin of every integrated group, then every
+    group's multipliers clamped at 0."""
+    out = rk4(lambda ts, ys: unbound_stage(ctx, ts, ys), t, y, dt)
     assert np.isfinite(out).all()
     th = out[ctx.n: ctx.n + ctx.p]
     for grp, sl in zip(ctx.groups, ctx.lam_slices):
@@ -469,35 +518,90 @@ def unbound_attempt(ctx, t, y, dt):
     return out
 
 
-def test_step_fast_paths_match_the_unbound_step_bitwise():
-    # every kind x barrier pair under every law, a multiplier entering the
-    # step at 0.0, -0.0 and just below 0, at dt and two halvings of it
-    clamped = unclamped = 0
-    for kind, barrier, law in itertools.product(["component", "norm"], ["inverse", "log"],
-                                                [law.value for law in UpdateLaw]):
-        base = SEC5A_GROUP if kind == "component" else NORM_GROUP
-        group = replace(base, barrier=barrier, norm_log_ok=kind == "norm")
-        ctx = build_context(barrier_cfg(
-            law=law, groups=(group,),
-            theta_hat0=NORM_THETA if kind == "norm" else (4.5, 8.0, 12.0, 15.0)))
+def fast_path_contexts():
+    """(layout, law, context) triples: every kind x barrier pair under
+    every law with a filled stack, a component and a norm group together
+    under every law, and two lanes that integrate no group (sanity, and
+    gradient on sec5a)."""
+    layouts = [((replace(SEC5A_GROUP if kind == "component" else NORM_GROUP,
+                         barrier=barrier, norm_log_ok=kind == "norm"),),
+                NORM_THETA if kind == "norm" else (4.5, 8.0, 12.0, 15.0))
+               for kind, barrier in itertools.product(["component", "norm"],
+                                                      ["inverse", "log"])]
+    layouts.append(((SEC5A_GROUP, NORM_GROUP), NORM_THETA))
+    for (groups, theta_hat0), law in itertools.product(layouts, [law.value for law in UpdateLaw]):
+        ctx = build_context(barrier_cfg(law=law, groups=groups, theta_hat0=theta_hat0))
         x_ref = [ctx.traj.eval(float(t))[0] for t in np.linspace(0.5, 30.0, 20)]
         fill_with_exact_model_data(ctx.stack, ctx.plant, x_ref)
         ctx.refresh_active_law()
+        yield [(g.kind, g.barrier) for g in groups], law, ctx
+    yield "sanity", "concurrent_learning", build_context(load_config("sanity"))
+    yield "sec5a", "gradient", build_context(replace(load_config("sec5a"), law="gradient"))
+
+
+def test_step_fast_paths_match_the_unbound_step_bitwise():
+    # every layout under every law, a multiplier of each group entering the
+    # step at 0.0, -0.0 and just below 0, at dt and two halvings of it
+    clamped = unclamped = 0
+    for layout, law, ctx in fast_path_contexts():
         for value in (0.0, -0.0, -1e-12):
             y = ctx.pack(ctx.initial_state())
-            if ctx.lam_slices:
-                y[ctx.lam_slices[0].start] = value
+            for sl in ctx.lam_slices:
+                y[sl.start] = value
             for dt in (1e-3, 5e-4, 2.5e-4):
                 got = sim._attempt(ctx, 0.5, y, dt)
                 want = unbound_attempt(ctx, 0.5, y, dt)
-                assert got.tobytes() == want.tobytes(), (kind, barrier, law, value, dt)
+                assert got.tobytes() == want.tobytes(), (layout, law, value, dt)
                 if ctx.lam_slices:
-                    raw = rk4(ctx.rhs_flat, 0.5, y, dt)[ctx.lam_slices[0]]
+                    raw = rk4(ctx.rhs_flat, 0.5, y, dt)[ctx.lam_slices[-1]]
                     clamped += min(raw.tolist()) <= 0.0
                     unclamped += min(raw.tolist()) > 0.0
         assert sorted(ctx._weights) == [2.5e-4, 5e-4, 1e-3]  # one set per step size
     # both sides of the clamp rule were taken
     assert clamped and unclamped
+
+
+def test_step_results_share_no_memory_with_the_stage_buffers():
+    # the stage reads one input buffer and writes four output rows, bound
+    # once per lane; run_scenario keeps the states a step returns without
+    # copying them, so no step result may share those buffers, and a state
+    # kept from one step keeps its bytes through the steps after it.  dt =
+    # 0.3 halves on this layout, so halved steps are among them.
+    ctx = build_context(barrier_cfg(groups=(SEC5A_GROUP, NORM_GROUP), theta_hat0=NORM_THETA))
+    buffers = (ctx._stage_in, ctx._stage_out)
+    y = ctx.pack(ctx.initial_state())
+    kept = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(12):
+            dt = 0.3 if k % 3 == 2 else 1e-3
+            got = (sim._attempt(ctx, 0.5, y, 1e-3), sim._step_flat(ctx, 0.5, y, dt))
+            assert not any(np.shares_memory(out, buf) for out in got for buf in buffers)
+            kept += [(out, out.tobytes()) for out in got]
+            y = got[1]
+            assert all(state.tobytes() == saved for state, saved in kept), k
+    assert len(ctx._weights) > 2  # 1e-3, 0.3 and its halvings
+
+
+def test_rhs_results_stay_valid_until_the_fourth_call_after_them():
+    ctx = build_context(barrier_cfg(groups=(SEC5A_GROUP, NORM_GROUP), theta_hat0=NORM_THETA))
+    y0 = ctx.pack(ctx.initial_state())
+    results = []
+    for i in range(9):
+        t, y = 0.5 + 1e-4 * i, y0 + 1e-3 * i
+        results.append((ctx.rhs_flat(t, y), unbound_stage(ctx, t, y).tobytes()))
+        # this result and the three before it hold their own values
+        assert all(out.tobytes() == want for out, want in results[-4:]), i
+    outs = [out for out, _ in results]
+    for i, j in itertools.combinations(range(len(outs)), 2):
+        if j - i < 4:  # four consecutive results are four distinct arrays
+            assert outs[i] is not outs[j] and not np.shares_memory(outs[i], outs[j])
+        else:  # the fourth call after a result writes over it
+            assert (outs[i] is outs[j]) == ((j - i) % 4 == 0)
+    # an input held in the very row the call writes is copied before it is read
+    row = outs[-4]
+    row[...] = y0
+    assert ctx.rhs_flat(0.5, row) is row
+    assert row.tobytes() == unbound_stage(ctx, 0.5, y0).tobytes()
 
 
 # ---------------------------------------------------------------------------
