@@ -133,24 +133,25 @@ def _project(a: Array, b: Array) -> Array:
 
 
 def _lambda_dot(lam: Array, alpha, gamma_inv: Array, c_values: Array,
-                out: Array | None = None) -> Array:
+                out: Array | None = None, positive: bool = False) -> Array:
     """Multiplier flow proj(-alpha lam + Gamma^{-1} c, lam), unchecked: lam
     must be non-negative.  A run passes alpha as a 0-d array, which a
     ufunc takes faster than a float, to the same bits.  Gamma^{-1} c -
     alpha lam is bitwise -alpha lam + Gamma^{-1} c, one negation fewer.
     The run's stage passes out, a block of its output row, to write the
-    flow into; it is returned."""
+    flow into; it is returned.  It also passes positive=True when it has
+    found min(lam.tolist()) > 0.0, which proves that no entry is 0.0."""
     a = np.subtract(gamma_inv * c_values, alpha * lam, out=out)
     # the projection passes a through when no multiplier is at 0; a list
     # test is several times cheaper than lam.all() on a few entries
-    if 0.0 in lam.tolist():
+    if not positive and 0.0 in lam.tolist():
         a[...] = _project(a, lam)
     return a
 
 
 def _control(xdot_d: Array, Y: Array, theta_hat: Array, k: Array, e: Array) -> Array:
     """Certainty-equivalence input xdot_d - Y theta_hat - k e, unchecked."""
-    return xdot_d - np.dot(Y, theta_hat) - k * e
+    return xdot_d - Y.dot(theta_hat) - k * e
 
 
 def _memory_terms(P: Array, k_cl: Array, stack) -> tuple[Array, Array] | None:
@@ -169,15 +170,16 @@ def _flow_terms(P: Array, sigma2):
     memory is _memory_terms' (A, b) or None.  The caller subtracts each
     group's P-scaled multiplier-weighted barrier gradient from the result.
     Conditional terms are skipped, not added as zeros, so degenerate
-    configurations reduce bitwise to simpler laws."""
-    sigma_mod = bool(sigma2)
+    configurations reduce bitwise to simpler laws (sigma2 = 0 leaves no law
+    a sigma-mod term).  e.dot(Y) is the product Y^T e, with no transpose."""
+    sigma_law = UpdateLaw.BARRIER_SIGMA_MOD if sigma2 else None
 
     def flow(law: UpdateLaw, memory, e: Array, Y: Array, th: Array) -> Array:
-        out = P * np.dot(Y.T, e)
+        out = P * e.dot(Y)
         if memory is not None and law in LAWS_WITH_MEMORY:
             A, b = memory
-            out = out + (b - np.dot(A, th))
-        if sigma_mod and law is UpdateLaw.BARRIER_SIGMA_MOD:
+            out = out + (b - A.dot(th))
+        if law is sigma_law:
             out = out - sigma2 * th
         return out
 

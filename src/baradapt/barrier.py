@@ -130,9 +130,9 @@ class ConstraintGroup:
         (..., dim_param) and the result (..., n_constraints), positive iff
         the constraint holds strictly.  Every entry of the Jacobian is 0 or
         +-1, so z jac^T + off is bitwise z - lower, upper - z; np.vecdot
-        takes the same dot product as np.dot(th, th)."""
+        takes the same dot product as th.dot(th)."""
         z = th if self._component else np.sqrt(np.vecdot(th, th))[..., None]
-        return np.dot(z, self._jac_t) + self._off
+        return z.dot(self._jac_t) + self._off
 
     def feasibility(self, theta_hat) -> Feasibility:
         """Strict feasibility plus the worst-case slack.  Margin 0 (a bound
@@ -171,7 +171,7 @@ class ConstraintGroup:
             s, ds = self._slacks(th), jac
         else:
             # one radius serves the slacks and the radial direction
-            r = math.sqrt(np.dot(th, th))
+            r = math.sqrt(th.dot(th))
             s = np.array([r - self.lower, self.upper - r])
         margin = min(s.tolist())  # faster than s.min() on a few entries
         if margin <= 0.0:
@@ -182,8 +182,8 @@ class ConstraintGroup:
         if not self._component:
             ds = jac * (th / r)  # r >= lower > 0 here
         if self._inverse:
-            return _ONE / s, np.dot(lam * (_MINUS_ONE / (s * s)), ds)
-        return -np.log(s), np.dot(lam * (_MINUS_ONE / s), ds)
+            return _ONE / s, (lam * (_MINUS_ONE / (s * s))).dot(ds)
+        return -np.log(s), (lam * (_MINUS_ONE / s)).dot(ds)
 
 
 def component_bounds(lower, upper, barrier=BarrierKind.INVERSE) -> ConstraintGroup:

@@ -25,6 +25,7 @@ from .errors import _integral, _real
 from .model import PlantModel
 
 Array = np.ndarray
+_EPS = np.finfo(float).eps
 
 
 class StackEntry(NamedTuple):
@@ -102,7 +103,7 @@ class HistoryStack:
         self._gram = self._grams.sum(axis=0)
         self._proj = self._projs.sum(axis=0)
         eigs = np.linalg.eigvalsh(self._gram)
-        tol = self.dim_param * np.finfo(float).eps * eigs[-1]
+        tol = self.dim_param * _EPS * eigs[-1]
         self._min_eig = float(eigs[0]) if eigs[0] > tol else 0.0
         self._screen = None
         if 0 < len(self._entries) == self.capacity:
@@ -114,9 +115,9 @@ class HistoryStack:
     def _append(self, cands: list[StackEntry]) -> None:
         """Append validated entries that fit, with one refresh for all."""
         self._entries += cands
-        self._grams = np.concatenate([self._grams, [np.dot(c.Y.T, c.Y) for c in cands]])
+        self._grams = np.concatenate([self._grams, [c.Y.T.dot(c.Y) for c in cands]])
         self._projs = np.concatenate([self._projs,
-                                      [np.dot(c.Y.T, c.xdot_hat - c.u) for c in cands]])
+                                      [(c.xdot_hat - c.u).dot(c.Y) for c in cands]])
         self._recompute()
 
     def excitation_level(self) -> float:
@@ -147,19 +148,19 @@ class HistoryStack:
         # swap: only the live trials go to eigvalsh, which returns the same
         # values for a matrix in any batch
         v, key, key_max = self._screen
-        yv = np.dot(Y, v)
-        reach = float(np.dot(yv, yv)) + 1e-9 * float(np.vdot(Y, Y))
+        yv = Y.dot(v)
+        reach = float(yv.dot(yv)) + 1e-9 * float(Y.ravel().dot(Y.ravel()))
         if key_max + reach <= bar:
             return False
         live = (key + reach > bar).nonzero()[0]
-        cand_gram = np.dot(Y.T, Y)
+        cand_gram = Y.T.dot(Y)
         eigs = np.linalg.eigvalsh(self._gram - self._grams[live] + cand_gram)[:, 0]
         # argmax keeps the first of equally good swaps, in entry order
-        best = int(np.argmax(eigs))
+        best = int(eigs.argmax())
         if eigs[best] <= bar:
             return False
         best_idx = int(live[best])
-        cand_proj = np.dot(Y.T, cand.xdot_hat - cand.u)
+        cand_proj = (cand.xdot_hat - cand.u).dot(Y)
         removed = (self._entries[best_idx], self._grams[best_idx].copy(),
                    self._projs[best_idx].copy())
         self._entries[best_idx], self._grams[best_idx], self._projs[best_idx] = (

@@ -427,16 +427,17 @@ class RunContext:
                 # floor stage multipliers at zero: RK stage combinations may
                 # dip below the projection's domain even though accepted
                 # steps never do.  A vector whose list min is > 0 is its own
-                # floor (a NaN entry stays NaN either way).
-                if not min(lam.tolist()) > 0.0:
+                # floor (a NaN entry stays NaN either way) and has no 0.0.
+                positive = min(lam.tolist()) > 0.0
+                if not positive:
                     lam = np.maximum(lam, _ZERO)
                 values, force = core(th, lam, jac)
                 th_dot = np.subtract(th_dot, force, out=th_out)
-                _lambda_dot(lam, alpha, gamma_inv, values, out=klam)
+                _lambda_dot(lam, alpha, gamma_inv, values, out=klam, positive=positive)
             if not groups:
                 kth[...] = th_dot
             # the plant Y theta plus the input xdot_d - Y th - k e
-            np.add(np.dot(Y, theta - th), xdot_d - k * e, out=kx)
+            np.add(Y.dot(theta - th), xdot_d - k * e, out=kx)
             return row
 
         return stage
@@ -492,7 +493,7 @@ def _attempt(ctx: RunContext, t: float, y: Array, dt: float) -> Array:
     # one call: inf * 0 and NaN * 0 are NaN, so the dot is NaN exactly when
     # an entry is not finite, and +-0 otherwise.  The run loop ignores the
     # invalid-value flag it raises (np.errstate).
-    if np.dot(out, ctx._zeros) != 0.0:
+    if out.dot(ctx._zeros) != 0.0:
         raise _NonFinite
     th = out[ctx.n: ctx.n + ctx.p]
     for grp, sl in ctx._group_runtime:

@@ -233,19 +233,51 @@ STEP_PATH = {
 }
 
 
-def test_step_path_takes_small_products_through_np_dot():
-    """np.dot gives `@`'s bits on the step path's small 1-D and 2-D
-    products (tests/test_dispatch.py checks that) at a lower per-call cost.
-    A `@` written back into one of these functions undoes the rule in one
-    place.  Stacked 3-D products, such as HistoryStack._recompute's, keep
-    `@`: np.dot means another product there."""
-    sites = []
+def step_path_defs():
+    """(module file name, function name, def node) of each STEP_PATH
+    function, nested ones included in their parent's node."""
+    found = []
     for name, wanted in STEP_PATH.items():
         defs = {node.name: node for node in ast.walk(parse(PACKAGE / name))
                 if isinstance(node, ast.FunctionDef) and node.name in wanted}
         assert set(defs) == wanted, f"{name} lacks {sorted(wanted - set(defs))}"
-        sites += [f"{name}:{node.lineno} {fn}" for fn, body in defs.items()
-                  for node in ast.walk(body)
-                  if isinstance(node, (ast.BinOp, ast.AugAssign))
-                  and isinstance(node.op, ast.MatMult)]
-    assert not sites, f"`@` on the step path, where np.dot is the rule: {sites}"
+        found += [(name, fn, body) for fn, body in defs.items()]
+    return found
+
+
+def test_step_path_takes_small_products_through_np_dot():
+    """The dot product (ndarray.dot, np.dot's routine) gives `@`'s bits on
+    the step path's small 1-D and 2-D products (tests/test_dispatch.py
+    checks that) at a lower per-call cost.  A `@` written back into one of
+    these functions undoes the rule in one place.  Stacked 3-D products,
+    such as HistoryStack._recompute's, keep `@`: a dot means another
+    product there."""
+    sites = [f"{name}:{node.lineno} {fn}" for name, fn, body in step_path_defs()
+             for node in ast.walk(body)
+             if isinstance(node, (ast.BinOp, ast.AugAssign))
+             and isinstance(node.op, ast.MatMult)]
+    assert not sites, f"`@` on the step path, where a.dot(b) is the rule: {sites}"
+
+
+def test_step_path_calls_no_numpy_dispatcher_and_reads_no_law_member_per_stage():
+    """np.dot, np.vdot and np.argmax pay numpy's __array_function__
+    dispatch on every call before they reach the routine that the ndarray
+    methods a.dot(b) and a.argmax() call directly, for the same result
+    (tests/test_dispatch.py checks the bits); np.vdot(Y, Y) is
+    Y.ravel().dot(Y.ravel()).  And the nested stage and flow, which run
+    four times a step, bind every UpdateLaw member they test outside
+    themselves: UpdateLaw.<member> is a class attribute lookup per call."""
+    sites = [f"{name}:{node.lineno} {fn}" for name, fn, body in step_path_defs()
+             for node in ast.walk(body)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("dot", "vdot", "argmax")
+             and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"]
+    assert not sites, f"numpy dispatchers on the step path, where methods are the rule: {sites}"
+    nested = [(name, node) for name in ("sim.py", "adaptation.py")
+              for node in ast.walk(parse(PACKAGE / name))
+              if isinstance(node, ast.FunctionDef) and node.name in ("stage", "flow")]
+    assert sorted(node.name for _, node in nested) == ["flow", "stage"]
+    loads = [f"{name}:{node.lineno} {fn.name}" for name, fn in nested for node in ast.walk(fn)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id == "UpdateLaw"]
+    assert not loads, f"UpdateLaw members read on every stage: {loads}"
