@@ -29,7 +29,6 @@ from .adaptation import LAWS_WITH_BARRIER, LAWS_WITH_MEMORY, UpdateLaw
 from .errors import BarrierBreach, ConfigError, NumericalDivergence
 from .history import write_csv
 from .sim import (
-    LAW_CODES,
     ScenarioConfig,
     TrajectoryLog,
     _lowered,
@@ -408,15 +407,12 @@ def cmd_sweep(args) -> int:
               out / f"{key}_{value:g}" / "trajectory.csv") for value in values]
     _plan(out, tokens, lanes, ["sweep.csv"])
     results = _run_lanes(lanes)
-    if key in _SWEEP_LAWS:
-        # an online law runs its sigma-mod variant until the stack is
-        # exciting, which no pre-run check can see: say so when no lane did
-        readers, term = _SWEEP_LAWS[key][:2]
-        codes = {LAW_CODES[law] for law in readers}
-        if not any(codes.intersection(trajectory.column("law_code").tolist())
-                   for trajectory, _ in results):
-            print(f"warning: sweep key '{key}' changed no lane: no logged row ran "
-                  f"a law with {term}", file=sys.stderr)
+    # no pre-run check sees every key a run ignores (a sigma-mod phase, a
+    # zero regressor): warn when distinct values gave equal bits (equal CSVs)
+    first = results[0][0].data.tobytes()
+    if len(set(values)) > 1 and all(t.data.tobytes() == first for t, _ in results[1:]):
+        print(f"warning: sweep key '{key}' changed no lane: every value gave the "
+              "same trajectory", file=sys.stderr)
     rows = [[value, analysis.steady_state_rms(trajectory),
              float(trajectory.column("theta_err_norm")[-1])]
             for value, (trajectory, _) in zip(values, results)]

@@ -24,7 +24,7 @@ class PlantModel:
     """Control-affine plant xdot = Y(x) theta + u.
 
     regressor must accept a state vector of length dim_state and return an
-    array of shape (dim_state, dim_param).  It must be deterministic.
+    array of shape (dim_state, dim_param).  It must be a pure function of x.
     """
 
     name: str

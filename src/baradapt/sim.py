@@ -394,16 +394,9 @@ class RunContext:
         groups = tuple((grp._core, y_in[sl], np.array(ms.alpha), ms.gamma_inv_array,
                         P * grp._jac)
                        for (grp, sl), ms in zip(self._group_runtime, self.multipliers))
-
-        def blocks(row: Array) -> tuple:
-            """A row, its plant and estimate blocks, and per group the
-            multiplier block and where the group's force subtraction goes:
-            the estimate block for the last group, a fresh array before."""
-            kth = row[n:n_p]
-            targets = [None] * (len(groups) - 1) + [kth]
-            return row, row[:n], kth, tuple(zip([row[sl] for sl in self.lam_slices], targets))
-
-        outs = cycle([blocks(row) for row in rows])
+        # each row with its plant, estimate and multiplier blocks
+        outs = cycle([(row, row[:n], row[n:n_p], [row[sl] for sl in self.lam_slices])
+                      for row in rows])
         # last (t, reference): RK4 stages 2 and 3 share t; stage 4's is
         # usually the next step's t.  The memory terms (A, b) and the stack
         # revision they were formed at.
@@ -423,7 +416,7 @@ class RunContext:
             Y = regressor(x)
             e = x - x_d
             th_dot = flow(law, memory, e, Y, th)
-            for (core, lam, alpha, gamma_inv, jac), (klam, th_out) in zip(groups, klams):
+            for (core, lam, alpha, gamma_inv, jac), klam in zip(groups, klams):
                 # floor stage multipliers at zero: RK stage combinations may
                 # dip below the projection's domain even though accepted
                 # steps never do.  A vector whose list min is > 0 is its own
@@ -432,7 +425,9 @@ class RunContext:
                 if not positive:
                     lam = np.maximum(lam, _ZERO)
                 values, force = core(th, lam, jac)
-                th_dot = np.subtract(th_dot, force, out=th_out)
+                # every group subtracts its force into the estimate block:
+                # in place from the second group on
+                th_dot = np.subtract(th_dot, force, out=kth)
                 _lambda_dot(lam, alpha, gamma_inv, values, out=klam, positive=positive)
             if not groups:
                 kth[...] = th_dot
@@ -456,17 +451,13 @@ def _rk4_weights(dt: float) -> tuple[Array, Array, Array]:
     return np.array(0.5 * dt), np.array(dt), np.array(dt / 6.0)
 
 
-def rk4(f: Callable[[float, Array], Array], t: float, y: Array, dt: float) -> Array:
-    """One classic 4-stage Runge-Kutta step for ydot = f(t, y)."""
-    return _rk4(f, t, y, dt, _rk4_weights(dt), np.empty((3,) + np.shape(y)))
-
-
 def _rk4(f, t: float, y: Array, dt: float, weights: tuple[Array, Array, Array],
          stage_inputs) -> Array:
-    """rk4 with _rk4_weights(dt) made by the caller, writing the inputs of
-    stages 2, 3 and 4 into the three arrays of stage_inputs (a lane passes
-    its stage's input buffer three times).  Times stay Python floats; the
-    weights meet the arrays as 0-d arrays.  The result is a fresh array."""
+    """One classic 4-stage Runge-Kutta step for ydot = f(t, y), with
+    _rk4_weights(dt) made by the caller, writing the inputs of stages 2, 3
+    and 4 into the three arrays of stage_inputs (a lane passes its stage's
+    input buffer three times).  Times stay Python floats; the weights meet
+    the arrays as 0-d arrays.  The result is a fresh array."""
     half, whole, sixth = weights
     y2, y3, y4 = stage_inputs
     k1 = f(t, y)
@@ -481,14 +472,13 @@ def _attempt(ctx: RunContext, t: float, y: Array, dt: float) -> Array:
     try:
         out = _rk4(ctx.rhs_flat, t, y, dt, weights, ctx._stage_inputs)
     except (ArithmeticError, ValueError):
-        # a callback may raise on a non-finite stage (math.sin(inf)): replay
-        # with each stage checked; an error on a finite stage propagates
-        def finite_stages(ts: float, ys: Array) -> Array:
-            if not np.isfinite(ys).all():
-                raise _NonFinite
-            return ctx.rhs_flat(ts, ys)
-
-        rk4(finite_stages, t, y, dt)
+        # a callback may raise on a non-finite stage input (math.sin(inf)).
+        # The stage's input buffer still holds the input of the stage that
+        # raised, and a non-finite input makes every later one non-finite.
+        # Callbacks are pure, so an error on a finite input is the
+        # callback's own: it propagates
+        if not np.isfinite(ctx._stage_in).all():
+            raise _NonFinite
         raise
     # one call: inf * 0 and NaN * 0 are NaN, so the dot is NaN exactly when
     # an entry is not finite, and +-0 otherwise.  The run loop ignores the

@@ -21,10 +21,10 @@ from baradapt.sim import (
     ScenarioConfig,
     StackConfig,
     canonical_config,
-    rk4,
     run_scenario,
 )
 from test_adaptation import lagrangian_gradient
+from test_sim import rk4
 
 MARGIN = 1e-6
 

@@ -457,18 +457,22 @@ def test_sweep_warns_when_no_lane_ran_a_law_that_reads_the_key(tmp_path, capsys)
     # sec5a's online law runs its sigma-mod variant until the stack is
     # exciting (0.11 s): a k_cl_scale sweep that ends before then changes
     # nothing, exits 0 and says so on stderr, once; one that runs past the
-    # switch, and an alpha sweep, do not warn
-    warning = ("warning: sweep key 'k_cl_scale' changed no lane: no logged row ran "
-               "a law with a memory term\n")
-    for key, t_final, warned in [("k_cl_scale", "0.1", True), ("k_cl_scale", "0.3", False),
-                                 ("alpha", "0.1", False)]:
+    # switch, and an alpha sweep, do not warn.  A repeated value is one
+    # value run twice: its equal lanes are no warning
+    for key, t_final, values, warned in [("k_cl_scale", "0.1", "0.05,0.2", True),
+                                         ("k_cl_scale", "0.3", "0.05,0.2", False),
+                                         ("alpha", "0.1", "0.05,0.2", False),
+                                         ("control_gain", "0.1", "5,5", False)]:
         out = tmp_path / f"{key}_{t_final}"
         rc = cli.main(["sweep", "--config", "sec5a", "--out", str(out), "--sweep-key", key,
-                       "--sweep-values", "0.05,0.2", "--t-final", t_final])
+                       "--sweep-values", values, "--t-final", t_final])
         assert rc == 0
-        assert capsys.readouterr().err == (warning if warned else "")
-        lanes = [(out / f"{key}_{v}" / "trajectory.csv").read_bytes() for v in ("0.05", "0.2")]
-        assert (lanes[0] == lanes[1]) == warned
+        assert capsys.readouterr().err == (
+            f"warning: sweep key '{key}' changed no lane: every value gave the same "
+            "trajectory\n" if warned else "")
+        lanes = [(out / f"{key}_{v}" / "trajectory.csv").read_bytes()
+                 for v in values.split(",")]
+        assert (lanes[0] == lanes[1]) == (warned or values == "5,5")
 
 BAD_LANES = [
     (["sweep", "--sweep-key", "bogus", "--sweep-values", "1"], "unknown sweep key 'bogus'"),

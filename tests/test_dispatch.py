@@ -1,6 +1,6 @@
 """The dispatch contract that the step path's byte identity rests on.
 
-The step path (sim.rk4 down to ConstraintGroup._core and
+The step path (sim._rk4 down to ConstraintGroup._core and
 HistoryStack.try_insert) takes every small product through the ndarray
 method a.dot(b) and every scalar that meets an array as a 0-d ndarray:
 both are numpy's cheaper entry points.  The method reaches the C routine

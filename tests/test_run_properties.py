@@ -87,3 +87,56 @@ def test_cli_run_exits_with_a_documented_code(cfg):
                 2: "config error:"}
     assert rc in prefixes and err.startswith(prefixes[rc])
     assert "Traceback" not in err
+
+
+SWEEP_VALUES = {"k_cl_scale": "0.5,2", "learning_rate_scale": "0.5,2",
+                "control_gain": "5,20", "alpha": "0.05,0.2"}
+
+
+@st.composite
+def short_sweeps(draw):
+    """sec5a or sanity under one of the four laws, with its stack redrawn
+    and 1 to 60 steps, and a sweep key with two distinct values."""
+    cfg = BUNDLED[draw(st.sampled_from(["sanity", "sec5a"]))]
+    cfg = replace(
+        cfg,
+        law=draw(st.sampled_from([law.value for law in UpdateLaw])),
+        t_final=cfg.dt * draw(st.integers(1, 60)),
+        stack=StackConfig(
+            mode=draw(st.sampled_from(["online", "offline", "none"])),
+            size=draw(st.integers(0, 30)),
+            record_every=draw(st.integers(1, 20)),
+            min_excitation=draw(st.sampled_from([0.0, 1e-3, 1.0])),
+        ),
+    )
+    return cfg, draw(st.sampled_from(sorted(SWEEP_VALUES)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(short_sweeps())
+def test_sweep_warns_exactly_when_its_lanes_are_identical(case):
+    # a sweep that runs warns exactly when both lanes wrote the same bytes;
+    # one refused up front prints one config error and writes nothing; a
+    # lane that breaches (a stack with min_excitation 0 can) exits 1
+    cfg, key = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "variant.json", Path(tmp) / "out"
+        path.write_text(json.dumps(cli.config_to_dict(cfg)))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(["sweep", "--config", str(path), "--out", str(out),
+                           "--sweep-key", key, "--sweep-values", SWEEP_VALUES[key]])
+        err = err.getvalue()
+        if rc == 2:
+            assert err.startswith("config error: ") and err.count("\n") == 1
+            assert not out.exists()
+            return
+        if rc == 1:
+            assert err.startswith(("BarrierBreach at t=", "NumericalDivergence at t="))
+            return
+        assert rc == 0
+        lanes = [(out / f"{key}_{float(v):g}" / "trajectory.csv").read_bytes()
+                 for v in SWEEP_VALUES[key].split(",")]
+        warning = (f"warning: sweep key '{key}' changed no lane: every value gave the same "
+                   "trajectory\n")
+        assert err == (warning if lanes[0] == lanes[1] else "")

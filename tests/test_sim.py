@@ -8,6 +8,7 @@ import pytest
 
 from baradapt import analysis, sim
 from baradapt.adaptation import (
+    LAWS_WITH_BARRIER,
     UpdateLaw,
     _control,
     _flow_terms,
@@ -32,7 +33,6 @@ from baradapt.sim import (
     TrajectoryLog,
     build_context,
     canonical_config,
-    rk4,
     rk4_step,
     run_scenario,
 )
@@ -271,6 +271,12 @@ def test_control_input_hand_value():
     e = np.array([1.0, 1.0]) - np.array([0.0, 2.0])
     u = _control(np.array([0.5, 0.5]), Y, np.array([2.0, 3.0]), np.array([10.0, 10.0]), e)
     assert np.allclose(u, [0.5 - 2.0 - 10.0, 0.5 - 6.0 + 10.0], rtol=0, atol=0)
+
+
+def rk4(f, t, y, dt):
+    """One classic 4-stage Runge-Kutta step for ydot = f(t, y): the lane's
+    _rk4 with its own weights and stage inputs, the tests' reference."""
+    return sim._rk4(f, t, y, dt, sim._rk4_weights(dt), np.empty((3,) + np.shape(y)))
 
 
 def test_rk4_linear_decay_anchor():
@@ -521,14 +527,17 @@ def unbound_attempt(ctx, t, y, dt):
 def fast_path_contexts():
     """(layout, law, context) triples: every kind x barrier pair under
     every law with a filled stack, a component and a norm group together
-    under every law, and two lanes that integrate no group (sanity, and
-    gradient on sec5a)."""
+    under every law, the two with a norm log group third (whose force the
+    stage subtracts in place after two others), and two lanes that
+    integrate no group (sanity, and gradient on sec5a)."""
     layouts = [((replace(SEC5A_GROUP if kind == "component" else NORM_GROUP,
                          barrier=barrier, norm_log_ok=kind == "norm"),),
                 NORM_THETA if kind == "norm" else (4.5, 8.0, 12.0, 15.0))
                for kind, barrier in itertools.product(["component", "norm"],
                                                       ["inverse", "log"])]
     layouts.append(((SEC5A_GROUP, NORM_GROUP), NORM_THETA))
+    layouts.append(((SEC5A_GROUP, NORM_GROUP,
+                     replace(NORM_GROUP, barrier="log", norm_log_ok=True)), NORM_THETA))
     for (groups, theta_hat0), law in itertools.product(layouts, [law.value for law in UpdateLaw]):
         ctx = build_context(barrier_cfg(law=law, groups=groups, theta_hat0=theta_hat0))
         x_ref = [ctx.traj.eval(float(t))[0] for t in np.linspace(0.5, 30.0, 20)]
@@ -678,9 +687,9 @@ def test_unconstrained_law_may_violate_logged_margins():
     ("gradient", True), ("barrier_constrained", True),
 ], ids=["gradient", "barrier_constrained", "gradient-once", "barrier_constrained-once"])
 def test_callback_error_on_a_finite_state_propagates(monkeypatch, law, once):
-    # the divergence check replays a failed step; an error that a plant
-    # raises on a finite state must still come out as itself, both when the
-    # replay meets it again and when (raised once) the replay runs through
+    # a failed step reads the input of the stage that raised; an error that
+    # a plant raises on a finite state must come out as itself, whether the
+    # plant would raise on that input again or (raised once) not
     from baradapt import model
 
     base = model.benchmark_plant()
@@ -714,6 +723,30 @@ def test_non_finite_stage_with_multipliers_ends_as_divergence(monkeypatch):
                            match=r"^non-finite state at t=\S+ with step \S+$") as err:
             run_scenario(barrier_cfg(plant="blowup"))
     assert 0.0 < err.value.time < 0.01
+
+
+@pytest.mark.parametrize("law", [law.value for law in UpdateLaw])
+def test_error_on_a_non_finite_stage_input_halves_as_non_finite(monkeypatch, law):
+    # a regressor that turns NaN without raising for 9.90 < x1 < 9.95, and
+    # raises on a non-finite state: the stage after the NaN raises, on an
+    # input that the stage's input buffer still holds.  A lane with
+    # multipliers halves until its budget runs out; one without diverges
+    from baradapt import model
+
+    base = model.benchmark_plant()
+
+    def holey(x):
+        if not np.isfinite(x).all():
+            raise ValueError("non-finite state")
+        return base.regressor(x) * (np.nan if 9.90 < x[0] < 9.95 else 1.0)
+
+    monkeypatch.setitem(model.PLANTS, "holey", lambda: replace(base, regressor=holey))
+    cfg = replace(load_config("sec5a"), plant="holey", law=law, t_final=0.2)
+    with pytest.raises(NumericalDivergence) as err:
+        run_scenario(cfg)
+    assert str(err.value) == ("non-finite state at t=0.000906071 with step 9.53674e-10"
+                              if UpdateLaw(law) in LAWS_WITH_BARRIER
+                              else "non-finite state while integrating at t=0")
 
 
 def test_log_value_past_the_finite_range_is_divergence():
