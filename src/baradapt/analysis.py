@@ -82,7 +82,8 @@ def uub_constants(ctx, sigma_bar1: float, lambda_star: Array) -> UubConstants:
     the bias term beta2.  lambda_star (a float array, one entry per gamma)
     estimates the stationary multipliers.  A non-positive sigma_bar1 marks
     the recorded-data excitation assumption as unmet; its term drops out of
-    beta1 instead of zeroing it."""
+    beta1 instead of zeroing it.  beta1 is the least decay term over
+    Lambda_max, since V <= Lambda_max |z|^2 (README "Run metadata")."""
     g = ctx.gamma
     mins = [0.5, 0.5 / float(np.max(ctx.P))]
     maxs = [0.5, 0.5 / float(np.min(ctx.P))]
@@ -102,7 +103,7 @@ def uub_constants(ctx, sigma_bar1: float, lambda_star: Array) -> UubConstants:
         terms.append(half * float(np.min(g)))
         beta2 = alpha * alpha * float(np.min(g)) * float(lambda_star @ lambda_star) / (4.0 * half)
     return UubConstants(Lambda_min=Lambda_min, Lambda_max=Lambda_max,
-                        beta1=min(terms) / Lambda_min, beta2=beta2)
+                        beta1=min(terms) / Lambda_max, beta2=beta2)
 
 
 @dataclass(frozen=True)

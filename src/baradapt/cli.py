@@ -25,13 +25,12 @@ from importlib import resources
 from pathlib import Path
 
 from . import analysis
-from .adaptation import LAWS_WITH_BARRIER, LAWS_WITH_MEMORY, UpdateLaw
+from .adaptation import LAWS_WITH_BARRIER, LAWS_WITH_MEMORY
 from .errors import BarrierBreach, ConfigError, NumericalDivergence
 from .history import write_csv
 from .sim import (
     ScenarioConfig,
     TrajectoryLog,
-    _lowered,
     build_context,  # noqa: F401  bench/tracing.py wraps it as cli.build_context
     canonical_config,
     run_scenario,
@@ -57,9 +56,7 @@ def _stack_feeds_flow(cfg: ScenarioConfig) -> bool:
     stack = cfg.stack
     if stack.mode == "none" or stack.size == 0:
         return False
-    if stack.mode == "offline" or not 0.0 < cfg.dt <= cfg.t_final < float("inf"):
-        return True  # a bad horizon is left for canonical_config to name
-    return round(cfg.t_final / cfg.dt) > max(stack.record_every, 2)
+    return stack.mode == "offline" or round(cfg.t_final / cfg.dt) > max(stack.record_every, 2)
 
 
 #: sweep keys that only some runs read: key -> (the laws that read it, what
@@ -228,12 +225,11 @@ def scenario_summary(trajectory: TrajectoryLog, runtime_seconds: float) -> str:
 
 
 def _load_with_overrides(args) -> ScenarioConfig:
-    """The loaded config with --dt / --t-final applied; each command
-    validates the result (config_to_dict, canonical_config) before it
-    writes anything."""
+    """The loaded config with --dt / --t-final applied, validated before a
+    command reads it."""
     changes = {key: getattr(args, key) for key in ("dt", "t_final")
                if getattr(args, key) is not None}
-    return replace(load_config(args.config), **changes)
+    return canonical_config(replace(load_config(args.config), **changes))
 
 
 def _plan(out: Path, labels, lanes, files) -> None:
@@ -390,11 +386,9 @@ def cmd_sweep(args) -> int:
         if not holds(base):  # e.g. no alpha to set, nor to check
             raise ConfigError(f"sweep key '{key}' needs a scenario with {held}, "
                               f"and '{base.name}' has none")
-        law = _lowered(base.law)
-        # an unknown law is left for canonical_config to name
-        if law in [other for other in UpdateLaw if other not in readers]:
+        if base.law not in readers:
             raise ConfigError(f"sweep key '{key}' needs a law with {term}, "
-                              f"and '{law}' has none")
+                              f"and '{base.law}' has none")
     tokens = [token.strip() for token in args.sweep_values.split(",") if token.strip()]
     try:
         values = [float(token) for token in tokens]

@@ -313,7 +313,6 @@ class RunContext:
             ts = np.linspace(cfg.t_final / cfg.stack.size, cfg.t_final, cfg.stack.size)
             states = [self.traj.eval(float(t))[0] for t in ts]
             fill_with_exact_model_data(self.stack, self.plant, states)
-        self.active_law = self.law
         self.refresh_active_law()
         self._stage = self._bind_stage()
         # _rk4 forms the inputs of stages 2 to 4 in the stage's input buffer
@@ -367,23 +366,24 @@ class RunContext:
 
     def rhs_flat(self, t: float, y: Array) -> Array:
         """The law kernel: closed-loop vector field at (t, y) under the
-        active law.  Its inputs were validated when the context was
-        compiled, so it makes no per-call shape or sign checks.  It runs
-        the stage _bind_stage built for this lane, whose result is one of
-        four output rows: it stays valid until the fourth call after it,
-        and a caller that keeps it longer must copy it."""
-        return self._stage(t, y, self.active_law)
+        law the stack calls for.  Its inputs were validated when the
+        context was compiled, so it makes no per-call shape or sign checks.
+        It runs the stage _bind_stage built for this lane, whose result is
+        one of four output rows: it stays valid until the fourth call after
+        it, and a caller that keeps it longer must copy it."""
+        return self._stage(t, y)
 
-    def _bind_stage(self) -> Callable[[float, Array, UpdateLaw], Array]:
+    def _bind_stage(self) -> Callable[[float, Array], Array]:
         """rhs_flat's vector field with the lane's constants and buffers
         bound once.  The stage reads y through views of one input buffer,
         self._stage_in, and copies any other y into it first.  It writes
         its result into the next of four output rows, self._stage_out,
         cycling, and returns that row.  The reference is evaluated again
         only when t changes (traj.eval must be a pure function of t, and
-        its arrays are only read).  The memory terms are formed again
-        after every stack change (see _revision).  plant.regressor gets a
-        view of the input buffer and must not keep it."""
+        its arrays are only read).  The memory terms and the active law are
+        formed again after every stack change (see _revision), so no caller
+        refreshes the law.  plant.regressor gets a view of the input buffer
+        and must not keep it."""
         n, n_p = self.n, self.n + self.p
         theta, k, P, kcl, stack = self.theta, self.k, self.P, self.kcl, self.stack
         regressor, reference = self.plant.regressor, self.traj.eval
@@ -398,12 +398,12 @@ class RunContext:
         outs = cycle([(row, row[:n], row[n:n_p], [row[sl] for sl in self.lam_slices])
                       for row in rows])
         # last (t, reference): RK4 stages 2 and 3 share t; stage 4's is
-        # usually the next step's t.  The memory terms (A, b) and the stack
-        # revision they were formed at.
-        ref_t = ref = memory = memory_rev = None
+        # usually the next step's t.  The active law and the memory terms
+        # (A, b), and the stack revision they were formed at.
+        ref_t = ref = law = memory = memory_rev = None
 
-        def stage(t: float, y: Array, law: UpdateLaw) -> Array:
-            nonlocal ref_t, ref, memory, memory_rev
+        def stage(t: float, y: Array) -> Array:
+            nonlocal ref_t, ref, law, memory, memory_rev
             if y is not y_in:
                 y_in[...] = y  # a copy, cheaper than np.copyto's call
             row, kx, kth, klams = next(outs)
@@ -411,8 +411,10 @@ class RunContext:
                 ref_t, ref = t, reference(t)
             x_d, xdot_d = ref
             if memory_rev != stack._revision:
+                # set first, so a stage the refresh reaches does not refresh
                 memory_rev = stack._revision
                 memory = _memory_terms(P, kcl, stack)
+                law = self.refresh_active_law()
             Y = regressor(x)
             e = x - x_d
             th_dot = flow(law, memory, e, Y, th)
@@ -536,7 +538,6 @@ def rk4_step(state: CompositeState, ctx: RunContext, dt: float) -> CompositeStat
     barrier is about to be crossed."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    ctx.refresh_active_law()
     y = _step_flat(ctx, state.t, ctx.pack(state), dt)
     return ctx.unpack(state.t + dt, y)
 
@@ -602,17 +603,10 @@ def run_scenario(cfg: ScenarioConfig) -> TrajectoryLog:
     # _step_flat returns a new array, so the states kept here are never
     # written again and need no copies
     y_prev, y = None, ctx.pack(ctx.initial_state())
-    ctx.refresh_active_law()
-    # the active law depends on the stack alone: it is refreshed before a
-    # step only when the stack changed since the last refresh
-    revision = ctx.stack._revision
     records = [(0, y, ctx.stack.excitation_level(), ctx.active_law)]
     # the finiteness checks decide divergence, not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
-            if ctx.stack._revision != revision:
-                revision = ctx.stack._revision
-                ctx.refresh_active_law()
             y_next = _step_flat(ctx, k * dt, y, dt)
             if ctx.online and y_prev is not None and (k + 1) % cfg.stack.record_every == 0:
                 _record_sample(ctx, k, y_prev, y, y_next)

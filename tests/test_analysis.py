@@ -43,8 +43,8 @@ def test_uub_constants_frozen_algebra():
     # Lambda_min = min(1/2, 1/(2*0.075), min(gamma)/2) with min(gamma) = 10/9
     assert consts.Lambda_min == pytest.approx(0.5)
     assert consts.Lambda_max == pytest.approx(0.5 / 0.075)
-    # beta1 = min(k, min(k_cl)*sigma, (alpha/2)*min(gamma)) / Lambda_min
-    assert consts.beta1 == pytest.approx((0.05 * 10.0 / 9.0) / 0.5, rel=1e-12)
+    # beta1 = min(k, min(k_cl)*sigma, (alpha/2)*min(gamma)) / Lambda_max
+    assert consts.beta1 == pytest.approx((0.05 * 10.0 / 9.0) / (0.5 / 0.075), rel=1e-12)
     # beta2 = alpha^2 * min(gamma) * ||lambda*||^2 / (4 (alpha/2))
     assert consts.beta2 == pytest.approx(0.01 * (10.0 / 9.0) * 8.0 / 0.2, rel=1e-12)
 
@@ -71,7 +71,7 @@ def test_uub_constants_without_multipliers():
     assert lam_star.shape == (8,) and not lam_star.any()
     consts = analysis.uub_constants(log.context, 10.0, lam_star)
     assert consts.beta2 == 0.0
-    assert consts.beta1 == pytest.approx((0.05 * 10.0 / 9.0) / 0.5, rel=1e-12)
+    assert consts.beta1 == pytest.approx((0.05 * 10.0 / 9.0) / (0.5 / 0.075), rel=1e-12)
 
 
 def test_uub_constants_from_config():
@@ -91,7 +91,7 @@ def test_uub_constants_from_config():
         alpha = min(alphas)
         assert consts.Lambda_min == 0.5 and consts.Lambda_max == 10.0
         terms = [10.0, 0.02 * sigma_bar1] if sigma_bar1 > 0.0 else [10.0]
-        beta1 = min(*terms, 0.5 * alpha * gamma.min()) / 0.5
+        beta1 = min(*terms, 0.5 * alpha * gamma.min()) / 10.0
         assert consts.beta1 == pytest.approx(beta1, rel=1e-12)
         beta2 = alpha * alpha * gamma.min() * float(lam_star @ lam_star) / (2.0 * alpha)
         assert consts.beta2 == pytest.approx(beta2, rel=1e-12) and consts.beta2 > 0.0
@@ -99,6 +99,32 @@ def test_uub_constants_from_config():
                        scenario_summary(log, runtime_seconds=0.0).splitlines())
         for key in ("Lambda_min", "Lambda_max", "beta1", "beta2"):
             assert summary[f"uub_{key}"] == f"{getattr(consts, key):.10g}"
+
+
+@pytest.mark.parametrize("name, law, gain, rate, alpha, gamma_inv", [
+    ("sec5b", "barrier_sigma_mod", 3.0, 0.3, 0.5, 1.0),
+    ("sec5b", "concurrent_learning", 3.0, 1.0, 2.0, 5.0),
+    ("sec5b", "gradient", 3.0, 1.0, 0.5, 0.2),
+    ("sec5a", "concurrent_learning", 0.3, 3.0, 2.0, 0.2),
+    ("sec5c", "barrier_sigma_mod", 3.0, 1.0, 2.0, 1.0),
+])
+def test_envelope_holds_on_runs_that_meet_the_assumption(name, law, gain, rate, alpha,
+                                                          gamma_inv):
+    # 8 s runs with scaled gains (gain, rate and gamma_inv scale every
+    # entry); with the rate divided by Lambda_min, 525 to 678 of their 801
+    # points left the envelope, by ratios from 30.6 to 5.2e24
+    base = load_config(name)
+    log = run_scenario(replace(
+        base, law=law, t_final=8.0,
+        control_gain=tuple(gain * v for v in base.control_gain),
+        learning_rate=tuple(rate * v for v in base.learning_rate),
+        groups=tuple(replace(g, alpha=alpha,
+                             gamma_inv=tuple(gamma_inv * v for v in g.gamma_inv))
+                     for g in base.groups)))
+    summary = dict(line.split(": ", 1) for line in
+                   scenario_summary(log, runtime_seconds=0.0).splitlines())
+    assert summary["assumption_met"] == "true"
+    assert (summary["envelope_points"], summary["envelope_violations"]) == ("801", "0")
 
 
 def make_log(t, e1, theta_err1, lam=None):

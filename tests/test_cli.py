@@ -450,6 +450,26 @@ def test_sweep_rejects_bad_key_and_values(tmp_path, capsys):
                        "--sweep-key", "k_cl_scale", "--sweep-values", "0.05,0.2",
                        "--t-final", t_final])
         assert rc == 0
+    # the config and its --dt / --t-final are checked before any other
+    # input, so an input wrong in two ways names the override
+    capsys.readouterr()
+    for argv, message in [
+            (["sweep", "--config", "sanity", "--sweep-key", "alpha", "--dt", "0"],
+             "dt must be positive and finite"),
+            (["sweep", "--config", "sec5a", "--sweep-key", "bogus", "--dt", "0"],
+             "dt must be positive and finite"),
+            (["sweep", "--config", "sec5a", "--sweep-key", "k_cl_scale", "--dt", "-1"],
+             "dt must be positive and finite"),
+            (["sweep", "--config", "sec5a", "--sweep-key", "k_cl_scale", "--t-final", "inf"],
+             "t_final must be finite"),
+            (["compare", "--config", "sec5a", "--laws", ",", "--t-final", "nan"],
+             "t_final must be finite")]:
+        if argv[0] == "sweep":
+            argv += ["--sweep-values", "0.05,0.2"]
+        rc = cli.main([*argv, "--out", str(tmp_path / "v")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "v").exists()
 
 
 

@@ -330,22 +330,27 @@ def test_rhs_matches_module_pieces(kind, barrier):
 
 
 def written_out_estimate_flow(ctx, t, y):
-    """The barrier-constrained estimate flow at (t, y), term by term."""
+    """The estimate flow of ctx.active_law, barrier_constrained or its
+    sigma-mod fallback, at (t, y), term by term."""
     x, th = y[:2], y[2:6]
     e = x - ctx.traj.eval(t)[0]
     Y = ctx.plant.eval_regressor(x)
     P, k_cl, stack = ctx.P, ctx.kcl, ctx.stack
-    flow = P * (Y.T @ e) + P * k_cl * (stack._proj - stack.gram @ th)
+    if ctx.active_law is UpdateLaw.BARRIER_CONSTRAINED:
+        flow = P * (Y.T @ e) + P * k_cl * (stack._proj - stack.gram @ th)
+    else:
+        assert ctx.active_law is UpdateLaw.BARRIER_SIGMA_MOD
+        flow = P * (Y.T @ e) - ctx.cfg.sigma2 * th
     for grp, sl in zip(ctx.groups, ctx.lam_slices):
         flow = flow - P * grp.evaluate(th, y[sl]).weighted_gradient
     return flow
 
 
 def test_kernel_memory_terms_follow_every_stack_change(monkeypatch):
-    # the kernel forms its memory terms once per stack change; after an
-    # append, a swap and a reverted swap it must match the stack as it is
+    # the kernel forms its memory terms and its law once per stack change;
+    # after an append, a swap and a reverted swap it must match the stack
+    # as it is
     ctx = build_context(barrier_cfg(stack=StackConfig(mode="online", size=3)))
-    ctx.active_law = UpdateLaw.BARRIER_CONSTRAINED  # whatever the excitation
     stack, t = ctx.stack, 0.5
     y = ctx.pack(ctx.initial_state())
     rng = np.random.default_rng(8)
@@ -354,9 +359,12 @@ def test_kernel_memory_terms_follow_every_stack_change(monkeypatch):
         return stack.try_insert(scale * rng.normal(size=(2, 4)), rng.normal(size=2),
                                 rng.normal(size=2))
 
+    laws = []
+
     def check():
         assert np.allclose(ctx.rhs_flat(t, y)[2:6], written_out_estimate_flow(ctx, t, y),
                            rtol=1e-14, atol=0)
+        laws.append(ctx.active_law)
 
     ctx.rhs_flat(t, y)  # forms the terms of the empty stack
     for _ in range(3):
@@ -368,10 +376,14 @@ def test_kernel_memory_terms_follow_every_stack_change(monkeypatch):
     before = (tuple(stack._entries), stack._grams.copy(), stack.gram, stack._proj,
               stack.excitation_level())
     level = stack.excitation_level
-    calls = []
+    calls, inside = [], []
 
     def level_after_swap():
+        if inside:  # the stage's law refresh reads the level too
+            return level()
+        inside.append(True)
         calls.append(ctx.rhs_flat(t, y))  # forms the terms of the swapped stack
+        inside.pop()
         return before[-1] if len(calls) == 2 else level()
 
     monkeypatch.setattr(stack, "excitation_level", level_after_swap)
@@ -384,6 +396,8 @@ def test_kernel_memory_terms_follow_every_stack_change(monkeypatch):
     assert np.array_equal(stack.gram, gram) and np.array_equal(stack._proj, proj)
     assert stack.excitation_level() == excitation
     check()
+    # one append leaves the stack unexcited: the stage ran the fallback
+    assert laws == [UpdateLaw.BARRIER_SIGMA_MOD] + [UpdateLaw.BARRIER_CONSTRAINED] * 4
 
 
 def test_rhs_raises_outside_a_group():
@@ -416,10 +430,24 @@ def test_sigma_mod_engages_until_stack_excited():
     assert ctx.refresh_active_law() is UpdateLaw.BARRIER_CONSTRAINED
 
 
+def test_stage_follows_the_law_of_a_stack_filled_after_the_build():
+    # the stage owns the law switch: filling sec5a's online stack past its
+    # threshold switches the next rhs_flat call from the sigma-mod fallback
+    # to the memory law, with no refresh in between
+    ctx = build_context(load_config("sec5a"))
+    assert ctx.active_law is UpdateLaw.BARRIER_SIGMA_MOD
+    x_ref = [ctx.traj.eval(float(t))[0] for t in np.linspace(0.5, 30.0, 20)]
+    fill_with_exact_model_data(ctx.stack, ctx.plant, x_ref)
+    y, t = ctx.pack(ctx.initial_state()), 0.5
+    got = ctx.rhs_flat(t, y).copy()
+    assert ctx.active_law is UpdateLaw.BARRIER_CONSTRAINED
+    assert np.array_equal(got, unbound_stage(ctx, t, y))
+
+
 def test_run_refreshes_the_law_only_after_a_stack_change(monkeypatch):
-    # the active law depends on the stack alone, so run_scenario refreshes
-    # it once at the start and then only before a step that follows a
-    # stack change; sec5a switches from sigma-mod at 0.11 s
+    # the active law depends on the stack alone, so the stage refreshes it
+    # at its first call and then only at the first stage after a stack
+    # change; sec5a switches from sigma-mod at 0.11 s
     refresh = sim.RunContext.refresh_active_law
     calls = []
 
@@ -429,8 +457,8 @@ def test_run_refreshes_the_law_only_after_a_stack_change(monkeypatch):
 
     monkeypatch.setattr(sim.RunContext, "refresh_active_law", counted)
     log = run_scenario(replace(load_config("sec5a"), t_final=0.5))
-    # the constructor's refresh and the run's first, then one per revision
-    # the run's steps saw (500 steps, 9 samples offered)
+    # the constructor's refresh and the first stage's, then one per
+    # revision the run's steps saw (500 steps, 9 samples offered)
     assert calls[0] == calls[1] and 2 < len(calls) <= 11
     assert all(a < b for a, b in zip(calls[1:], calls[2:]))
     assert set(log.column("law_code")) == {2.0, 3.0}

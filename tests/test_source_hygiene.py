@@ -281,3 +281,29 @@ def test_step_path_calls_no_numpy_dispatcher_and_reads_no_law_member_per_stage()
              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
              and node.value.id == "UpdateLaw"]
     assert not loads, f"UpdateLaw members read on every stage: {loads}"
+
+
+def test_the_stage_alone_follows_the_stack():
+    """The active law depends on the stack alone, and the bound stage
+    refreshes it, with the memory terms, at the first call after a stack
+    change.  A refresh or a revision test written back into the run loop
+    or rk4_step is a second owner that can drift from the first."""
+    defs = {node.name: node for node in ast.walk(parse(PACKAGE / "sim.py"))
+            if isinstance(node, ast.FunctionDef)}
+
+    def reads(name):
+        return {node.attr for node in ast.walk(defs[name]) if isinstance(node, ast.Attribute)}
+
+    assert {"refresh_active_law", "_revision"} <= reads("_bind_stage")
+    for name in ("run_scenario", "rk4_step"):
+        assert not {"refresh_active_law", "_revision"} & reads(name), name
+
+
+def test_cli_imports_no_private_name():
+    """cli starts every command from a canonical config, so it needs no
+    module's private helpers to read raw input."""
+    private = [f"{node.module}.{alias.name}" for node in ast.walk(parse(PACKAGE / "cli.py"))
+               if isinstance(node, ast.ImportFrom)
+               and (node.level > 0 or node.module.partition(".")[0] == "baradapt")
+               for alias in node.names if alias.name.startswith("_")]
+    assert not private, f"cli imports private names: {private}"
