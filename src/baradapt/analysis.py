@@ -77,8 +77,10 @@ class UubConstants:
 def uub_constants(ctx, sigma_bar1: float, lambda_star: Array) -> UubConstants:
     """The decay constants of the run whose sim.RunContext is ctx, whose
     gains its compile checked: the diagonals ctx.k, ctx.P, ctx.kcl and
-    ctx.gamma (Gamma over every group, empty without groups), and the
-    smallest group alpha, split evenly between the decay term of beta1 and
+    ctx.gamma (Gamma over every group, empty without groups), and each
+    group's alpha.  Young's inequality splits each group's -alpha_j
+    lambda_tilde_j' Gamma_j lambda*_j in half: the smallest alpha gives the
+    decay term of beta1, and each group's own alpha and Gamma its share of
     the bias term beta2.  lambda_star (a float array, one entry per gamma)
     estimates the stationary multipliers.  A non-positive sigma_bar1 marks
     the recorded-data excitation assumption as unmet; its term drops out of
@@ -98,10 +100,10 @@ def uub_constants(ctx, sigma_bar1: float, lambda_star: Array) -> UubConstants:
         terms.append(float(np.min(ctx.kcl)) * sigma_bar1)
     beta2 = 0.0
     if g.size:
-        alpha = min(ms.alpha for ms in ctx.multipliers)
-        half = 0.5 * alpha
-        terms.append(half * float(np.min(g)))
-        beta2 = alpha * alpha * float(np.min(g)) * float(lambda_star @ lambda_star) / (4.0 * half)
+        terms.append(0.5 * min(ms.alpha for ms in ctx.multipliers) * float(np.min(g)))
+        half = np.concatenate([np.full(ms.gamma_array.size, 0.5 * ms.alpha)
+                               for ms in ctx.multipliers])
+        beta2 = float((half * g).dot(lambda_star * lambda_star))
     return UubConstants(Lambda_min=Lambda_min, Lambda_max=Lambda_max,
                         beta1=min(terms) / Lambda_max, beta2=beta2)
 

@@ -17,7 +17,6 @@ import pickle
 import signal
 import sys
 import time
-import traceback
 import types
 import typing
 from dataclasses import MISSING, asdict, fields, is_dataclass, replace
@@ -263,10 +262,12 @@ def _run_lanes(lanes) -> list[tuple[TrajectoryLog, float]]:
     With more than one lane and more than one CPU, lane i runs in worker
     i % W of W = min(lanes, CPUs this process may use).  Worker 0 is this
     process; the others are forked children that send each lane's (log,
-    runtime_seconds), as this process's lanes give it, or its error back
-    through a pipe.  This process writes every CSV, logs every line and
-    raises the first error, all in lane order, so a command's files,
-    output and exit code are those of a serial run.
+    runtime_seconds), as this process's lanes give it, through a pipe.  A
+    lane is a function of its config, so a lane no worker sent (its worker
+    failed in it, or died) this process runs itself, and raises its error
+    if it has one.  This process writes every CSV and logs every line in
+    lane order, so a command's files, output and exit code are those of a
+    serial run.
     """
     workers = (min(len(lanes), len(os.sched_getaffinity(0)))
                if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
@@ -283,19 +284,13 @@ def _run_lanes(lanes) -> list[tuple[TrajectoryLog, float]]:
         results = []
         for i, (cfg, csv_path) in enumerate(lanes):
             log.info("running %s into %s", cfg.name, csv_path)
+            reply = None
             if i % workers:
-                pid, pipe = children[i % workers - 1]
                 try:
-                    reply = pickle.load(pipe)
+                    reply = pickle.load(children[i % workers - 1][1])
                 except (EOFError, pickle.UnpicklingError):
-                    raise RuntimeError(f"lane worker {pid} ended without a result "
-                                       f"for {cfg.name} into {csv_path}") from None
-                if isinstance(reply[0], Exception):
-                    err, text = reply
-                    raise err from _ChildTraceback(text.rstrip())
-                trajectory, runtime = reply
-            else:
-                trajectory, runtime = _timed_lane(cfg)
+                    pass
+            trajectory, runtime = reply or _timed_lane(cfg)
             trajectory.to_csv(csv_path)
             results.append((trajectory, runtime))
         return results
@@ -313,29 +308,18 @@ def _timed_lane(cfg: ScenarioConfig) -> tuple[TrajectoryLog, float]:
     return run_scenario(cfg), time.perf_counter() - started
 
 
-class _ChildTraceback(Exception):
-    """A forked worker's formatted traceback: the cause of its error when
-    this process raises it again, so a printed chain shows those frames."""
-
-
 def _lane_worker(lanes, fd: int) -> typing.NoReturn:
-    """Body of a forked worker: run lanes in order, send each one's (log,
+    """Body of a forked worker: run lanes in order and send each one's (log,
     runtime_seconds) through the pipe fd, the log without its context
-    (which need not pickle), or the error that ends the lane and the worker
-    with its formatted traceback; then exit without returning."""
+    (which need not pickle); stop at the first lane that raises, and exit
+    without returning."""
     try:
         with open(fd, "wb") as pipe:
             for cfg, _ in lanes:
-                try:
-                    trajectory, runtime = _timed_lane(cfg)
-                except Exception as err:
-                    pickle.dump((err, traceback.format_exc()), pipe)
-                    break
+                trajectory, runtime = _timed_lane(cfg)
                 trajectory.context = None
                 pickle.dump((trajectory, runtime), pipe)
                 pipe.flush()
-    except Exception:  # the result could not be sent; the parent says which lane
-        traceback.print_exc()
     finally:
         os._exit(0)
 

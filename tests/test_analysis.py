@@ -45,8 +45,9 @@ def test_uub_constants_frozen_algebra():
     assert consts.Lambda_max == pytest.approx(0.5 / 0.075)
     # beta1 = min(k, min(k_cl)*sigma, (alpha/2)*min(gamma)) / Lambda_max
     assert consts.beta1 == pytest.approx((0.05 * 10.0 / 9.0) / (0.5 / 0.075), rel=1e-12)
-    # beta2 = alpha^2 * min(gamma) * ||lambda*||^2 / (4 (alpha/2))
-    assert consts.beta2 == pytest.approx(0.01 * (10.0 / 9.0) * 8.0 / 0.2, rel=1e-12)
+    # beta2 = (alpha/2) lambda*' Gamma lambda*, Gamma = 1 / gamma_inv once per bound
+    assert consts.beta2 == pytest.approx(0.05 * 2.0 * (2.5 + 10.0 + 10.0 + 10.0 / 9.0),
+                                         rel=1e-12)
 
 
 def test_uub_constants_drop_terms():
@@ -76,8 +77,8 @@ def test_uub_constants_without_multipliers():
 
 def test_uub_constants_from_config():
     # Gamma is 1 / gamma_inv over every group (a length-p gamma_inv counts
-    # once per bound), and alpha is the least over the groups, whichever
-    # group holds it
+    # once per bound); beta1 takes the least alpha over the groups, whichever
+    # group holds it, and beta2 each group's own alpha and Gamma
     gamma = 1.0 / np.concatenate([np.tile([0.4, 0.1, 0.1, 0.9], 2), [0.05, 0.05]])
     base = load_config("sec5a")
     for alphas in [(0.1, 0.3), (0.3, 0.05)]:
@@ -93,7 +94,8 @@ def test_uub_constants_from_config():
         terms = [10.0, 0.02 * sigma_bar1] if sigma_bar1 > 0.0 else [10.0]
         beta1 = min(*terms, 0.5 * alpha * gamma.min()) / 10.0
         assert consts.beta1 == pytest.approx(beta1, rel=1e-12)
-        beta2 = alpha * alpha * gamma.min() * float(lam_star @ lam_star) / (2.0 * alpha)
+        beta2 = sum(0.5 * a * float(gamma[sl] @ lam_star[sl] ** 2)
+                    for a, sl in zip(alphas, (slice(0, 8), slice(8, 10))))
         assert consts.beta2 == pytest.approx(beta2, rel=1e-12) and consts.beta2 > 0.0
         summary = dict(line.split(": ", 1) for line in
                        scenario_summary(log, runtime_seconds=0.0).splitlines())

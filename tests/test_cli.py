@@ -622,7 +622,9 @@ def test_existing_out_keeps_what_no_planned_path_names(tmp_path):
                                  InfeasibleEvaluation("outside", margin=-0.5)],
                          ids=lambda err: type(err).__name__)
 def test_run_errors_survive_pickle_and_copy(err):
-    # a forked lane worker sends its lane's error to the parent by pickle
+    # no lane's error crosses the CLI's pipe (a lane no worker sent runs
+    # again in this process), but library callers may pickle or copy them,
+    # and a failed lane's record may come to carry them across a pipe
     attrs = {name: getattr(err, name) for name in ("time", "dt", "margin") if hasattr(err, name)}
     for again in (pickle.loads(pickle.dumps(err)), copy.copy(err)):
         assert type(again) is type(err) and str(again) == str(err)
@@ -657,6 +659,25 @@ def run_cli(tmp_path, capsys, name, argv):
     rc = cli.main([*argv, "--out", str(out)])
     captured = capsys.readouterr()
     return rc, captured.out, captured.err, tree(out)
+
+
+def recording(path, run=run_scenario):
+    """A stand-in for cli.run_scenario that appends "pid gain" to path,
+    from whichever process runs the lane, before it runs the lane."""
+    def recorded(cfg):
+        with open(path, "a") as f:
+            f.write(f"{os.getpid()} {cfg.control_gain[0]:g}\n")
+        return run(cfg)
+    return recorded
+
+
+def pids_by_gain(path) -> dict:
+    """control gain -> the pids that ran its lane, in order, from recording"""
+    found = {}
+    for line in path.read_text().splitlines():
+        pid, gain = line.split()
+        found.setdefault(gain, []).append(int(pid))
+    return found
 
 
 FOUR_LAWS = ["compare", "--config", "sec5a", "--t-final", "0.3",
@@ -697,14 +718,21 @@ BREACH = ["sweep", "--config", "sec5a", "--sweep-key", "control_gain", "--dt", "
 @pytest.mark.parametrize("values,written", [("5,200000", ["control_gain_5/trajectory.csv"]),
                                             ("200000,5", [])],
                          ids=["in-a-child", "in-the-parent"])
-def test_breach_in_a_lane_ends_the_command_as_a_serial_run(tmp_path, capsys, cpus,
-                                                           values, written):
+def test_breach_in_a_lane_ends_the_command_as_a_serial_run(tmp_path, monkeypatch, capsys,
+                                                           cpus, values, written):
     argv = [*BREACH, "--sweep-values", values]
+    ran = tmp_path / "ran.txt"
+    monkeypatch.setattr(cli, "run_scenario", recording(ran))
     cpus(1)
     serial = run_cli(tmp_path, capsys, "serial", argv)
+    ran.write_text("")
     forks = cpus(2)
     forked = run_cli(tmp_path, capsys, "forked", argv)
     assert len(forks) == 1
+    # the breaching lane raised in this process; when it was the child's
+    # lane, the child ran it first and sent nothing, and this process ran it
+    pids = pids_by_gain(ran)["200000"]
+    assert pids[-1] == os.getpid() and len(pids) == (2 if values.startswith("5,") else 1)
     rc, out, err, files = forked
     assert rc == 1 and out == ""
     assert err.startswith("BarrierBreach at t=") and len(err.splitlines()) == 1
@@ -722,34 +750,49 @@ def exits_at_once(lanes, fd):
     os._exit(3)
 
 
+def expire(signum, frame):
+    raise TimeoutError("the lane runner is still waiting for a worker")
+
+
+SWEEP_5_10 = ["sweep", "--config", "sec5a", "--t-final", "0.05", "--sweep-key",
+              "control_gain", "--sweep-values", "5,10"]
+
+
 @pytest.mark.parametrize("how", ["exits", "unpicklable error"])
-def test_a_worker_that_sends_no_result_is_an_error(tmp_path, monkeypatch, capsys, cpus, how):
+def test_a_lane_no_worker_sent_runs_in_this_process(tmp_path, monkeypatch, capsys, cpus, how):
+    # a worker that dies, or whose lane raises, sends nothing for its lane
+    # (lane 1 of two, the child's); this process runs that lane itself
+    def run_or_fail(cfg):
+        if how != "exits" and cfg.control_gain[0] == 10.0:
+            raise Unpicklable()
+        return run_scenario(cfg)
+
+    ran = tmp_path / "ran.txt"
+    monkeypatch.setattr(cli, "run_scenario", recording(ran, run_or_fail))
     if how == "exits":
         monkeypatch.setattr(cli, "_lane_worker", exits_at_once)
-    else:
-        def run_or_fail(cfg):
-            if cfg.control_gain[0] == 10.0:  # lane 1, the child's
-                raise Unpicklable()
-            return run_scenario(cfg)
-        monkeypatch.setattr(cli, "run_scenario", run_or_fail)
-
-    def expire(signum, frame):
-        raise TimeoutError("the lane runner is still waiting for a worker")
-
-    cpus(2)
     before = signal.signal(signal.SIGALRM, expire)
     signal.alarm(60)
     try:
-        with pytest.raises(RuntimeError, match=r"ended without a result for sec5a into .*"
-                                               r"control_gain_10/trajectory.csv"):
-            cli.main(["sweep", "--config", "sec5a", "--out", str(tmp_path / "o"),
-                      "--t-final", "0.05", "--sweep-key", "control_gain",
-                      "--sweep-values", "5,10"])
+        if how == "exits":
+            cpus(1)
+            serial = run_cli(tmp_path, capsys, "serial", SWEEP_5_10)
+            ran.write_text("")
+            forks = cpus(2)
+            assert run_cli(tmp_path, capsys, "forked", SWEEP_5_10) == serial
+            assert serial[0] == 0 and len(forks) == 1
+        else:
+            forks = cpus(2)
+            with pytest.raises(Unpicklable) as info:
+                cli.main([*SWEEP_5_10, "--out", str(tmp_path / "o")])
+            assert len(forks) == 1
+            assert "in run_or_fail" in "".join(traceback.format_exception(info.value))
+            assert (tmp_path / "o" / "control_gain_5" / "trajectory.csv").is_file()
+            assert not (tmp_path / "o" / "control_gain_10" / "trajectory.csv").exists()
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, before)
-    assert (tmp_path / "o" / "control_gain_5" / "trajectory.csv").is_file()
-    assert not (tmp_path / "o" / "control_gain_10" / "trajectory.csv").exists()
+    assert pids_by_gain(ran)["10"][-1] == os.getpid()
 
 
 def fail_deep_inside_the_lane():
@@ -765,14 +808,16 @@ def run_or_fail_in_lane_1(cfg):
 @pytest.mark.parametrize("n_cpus", [1, 2])
 def test_an_unexpected_error_in_a_lane_keeps_its_traceback(tmp_path, monkeypatch, cpus,
                                                             n_cpus):
-    # a forked lane's error is raised again in this process; the chain still
-    # names the frames inside the worker, as a serial run's traceback does
-    monkeypatch.setattr(cli, "run_scenario", run_or_fail_in_lane_1)
+    # a forked lane's error is raised by running the lane again in this
+    # process, so its traceback is a serial run's
+    ran = tmp_path / "ran.txt"
+    monkeypatch.setattr(cli, "run_scenario", recording(ran, run_or_fail_in_lane_1))
     forks = cpus(n_cpus)
     with pytest.raises(ValueError) as info:
-        cli.main(["sweep", "--config", "sanity", "--out", str(tmp_path), "--t-final", "0.05",
-                  "--sweep-key", "control_gain", "--sweep-values", "5,20"])
+        cli.main(["sweep", "--config", "sanity", "--out", str(tmp_path / "o"),
+                  "--t-final", "0.05", "--sweep-key", "control_gain", "--sweep-values", "5,20"])
     assert len(forks) == n_cpus - 1
+    assert pids_by_gain(ran)["20"][-1] == os.getpid()
     assert type(info.value) is ValueError and str(info.value) == "lane 1 went wrong"
     chain = "".join(traceback.format_exception(info.value))
     assert "in fail_deep_inside_the_lane" in chain

@@ -1,7 +1,9 @@
 """Property tests of run outcomes: every short variant of a bundled scenario
 either finishes with finite logs and the barrier invariants, or fails with
 BarrierBreach or NumericalDivergence; through the CLI it exits with a
-documented code and prints no traceback."""
+documented code and prints no traceback.  A finished sec5 run with scaled
+gains that meets the excitation assumption stays inside its Lyapunov
+envelope."""
 
 import contextlib
 import io
@@ -87,6 +89,44 @@ def test_cli_run_exits_with_a_documented_code(cfg):
                 2: "config error:"}
     assert rc in prefixes and err.startswith(prefixes[rc])
     assert "Traceback" not in err
+
+
+SCALES = [0.3, 1.0, 3.0]
+
+
+@st.composite
+def scaled_sec5_runs(draw):
+    """A sec5 scenario at 8 s under any law, with its control gain and
+    learning rate scaled by 0.3, 1 or 3, its group's alpha drawn from
+    {0.02, 0.1, 0.5, 2} and its gamma_inv scaled by 0.2, 1 or 5."""
+    cfg = BUNDLED[draw(st.sampled_from(["sec5a", "sec5b", "sec5c"]))]
+    gain, rate = draw(st.sampled_from(SCALES)), draw(st.sampled_from(SCALES))
+    alpha = draw(st.sampled_from([0.02, 0.1, 0.5, 2.0]))
+    gamma_inv = draw(st.sampled_from([0.2, 1.0, 5.0]))
+    return replace(
+        cfg,
+        law=draw(st.sampled_from([law.value for law in UpdateLaw])),
+        t_final=8.0,
+        control_gain=tuple(gain * v for v in cfg.control_gain),
+        learning_rate=tuple(rate * v for v in cfg.learning_rate),
+        groups=tuple(replace(g, alpha=alpha, gamma_inv=tuple(gamma_inv * v for v in g.gamma_inv))
+                     for g in cfg.groups),
+    )
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(scaled_sec5_runs())
+def test_envelope_bounds_every_run_that_meets_the_assumption(cfg):
+    # the decay constants take the final excitation and multipliers, so the
+    # envelope is a diagnostic; on these gains it holds at every logged point
+    try:
+        log = run_scenario(cfg)
+    except BarrierBreach:
+        return
+    summary = dict(line.split(": ", 1)
+                   for line in cli.scenario_summary(log, runtime_seconds=0.0).splitlines())
+    if summary["assumption_met"] == "true":
+        assert summary["envelope_violations"] == "0", summary
 
 
 SWEEP_VALUES = {"k_cl_scale": "0.5,2", "learning_rate_scale": "0.5,2",

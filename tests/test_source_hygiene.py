@@ -201,6 +201,17 @@ def test_cli_makes_directories_only_in_plan():
     assert not stray, f"cli.py makes directories outside _plan, at lines {stray}"
 
 
+def test_lane_worker_catches_nothing():
+    """A forked worker stops at the first lane that raises and sends
+    nothing for it; cli._run_lanes runs that lane again in its own process,
+    which raises the error with a serial run's traceback.  A handler in the
+    worker would bring back a second path for a lane's error."""
+    [worker] = [node for node in parse(PACKAGE / "cli.py").body
+                if isinstance(node, ast.FunctionDef) and node.name == "_lane_worker"]
+    handlers = [node.lineno for node in ast.walk(worker) if isinstance(node, ast.ExceptHandler)]
+    assert not handlers, f"cli._lane_worker catches errors, at lines {handlers}"
+
+
 def test_noqa_reexports_name_the_bench_file_that_uses_them():
     """An import kept only for the benchmark (`# noqa: F401`) names in its
     comment the bench/<file>.py that wraps it, and that file mentions the
