@@ -112,14 +112,6 @@ class HistoryStack:
             self._screen = (v, key, float(key.max()))
         self._revision += 1
 
-    def _append(self, cands: list[StackEntry]) -> None:
-        """Append validated entries that fit, with one refresh for all."""
-        self._entries += cands
-        self._grams = np.concatenate([self._grams, [c.Y.T.dot(c.Y) for c in cands]])
-        self._projs = np.concatenate([self._projs,
-                                      [(c.xdot_hat - c.u).dot(c.Y) for c in cands]])
-        self._recompute()
-
     def excitation_level(self) -> float:
         """Minimum eigenvalue of the gram matrix; 0 for an empty stack, and
         for one at or below round-off (matrix_rank's tolerance)."""
@@ -139,7 +131,10 @@ class HistoryStack:
             return False
         Y = cand.Y
         if len(self._entries) < self.capacity:
-            self._append([cand])
+            self._entries.append(cand)
+            self._grams = np.concatenate([self._grams, [Y.T.dot(Y)]])
+            self._projs = np.concatenate([self._projs, [(cand.xdot_hat - cand.u).dot(Y)]])
+            self._recompute()
             return True
         current = self.excitation_level()
         bar = current * (1.0 + 1e-12)
@@ -206,16 +201,13 @@ def write_csv(path_or_buf, header, rows) -> None:
 def fill_with_exact_model_data(stack: HistoryStack, plant: PlantModel, states) -> int:
     """Prefill from exact model evaluations at zero input (offline
     collection with a perfect derivative sensor): xdot_hat = Y(x) theta
-    identically.  Returns the number of accepted insertions.  The entries
-    that fit share one stack refresh; the rest go through try_insert."""
-    cands = []
+    identically.  Each state is offered to try_insert in turn, so a state
+    that is not finite raises after the states before it are in.  Returns
+    the number of accepted insertions."""
+    accepted = 0
     for x in states:
         Y = plant.eval_regressor(x)
         # each entry gets its own input array; no two entries share one
         u = np.zeros(plant.dim_state)
-        cands.append(stack._validate(Y, u, Y @ plant.theta + u))
-    room = stack.capacity - len(stack)
-    fits, rest = cands[:room], cands[room:]
-    if fits:
-        stack._append(fits)
-    return len(fits) + sum(stack.try_insert(*cand) for cand in rest)
+        accepted += stack.try_insert(Y, u, Y @ plant.theta + u)
+    return accepted

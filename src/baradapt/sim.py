@@ -315,10 +315,8 @@ class RunContext:
             fill_with_exact_model_data(self.stack, self.plant, states)
         self.refresh_active_law()
         self._stage = self._bind_stage()
-        # _rk4 forms the inputs of stages 2 to 4 in the stage's input buffer
-        self._stage_inputs = (self._stage_in,) * 3
-        # RK4's weights (dt / 2, dt, dt / 6) per step size; a lane halves
-        # to at most MAX_HALVINGS + 1 sizes
+        # RK4's weights (dt / 2, dt, dt / 6) per step size, as 0-d arrays;
+        # a lane halves to at most MAX_HALVINGS + 1 sizes
         self._weights = {}
         # the other operand of _attempt's one-call finiteness test
         self._zeros = np.zeros(self.state_size)
@@ -448,38 +446,26 @@ def build_context(cfg: ScenarioConfig) -> RunContext:
 # integration
 
 
-def _rk4_weights(dt: float) -> tuple[Array, Array, Array]:
-    """RK4's step weights dt / 2, dt and dt / 6, as 0-d arrays."""
-    return np.array(0.5 * dt), np.array(dt), np.array(dt / 6.0)
-
-
-def _rk4(f, t: float, y: Array, dt: float, weights: tuple[Array, Array, Array],
-         stage_inputs) -> Array:
-    """One classic 4-stage Runge-Kutta step for ydot = f(t, y), with
-    _rk4_weights(dt) made by the caller, writing the inputs of stages 2, 3
-    and 4 into the three arrays of stage_inputs (a lane passes its stage's
-    input buffer three times).  Times stay Python floats; the weights meet
-    the arrays as 0-d arrays.  The result is a fresh array."""
-    half, whole, sixth = weights
-    y2, y3, y4 = stage_inputs
-    k1 = f(t, y)
-    k2 = f(t + 0.5 * dt, np.add(y, half * k1, out=y2))
-    k3 = f(t + 0.5 * dt, np.add(y, half * k2, out=y3))
-    k4 = f(t + dt, np.add(y, whole * k3, out=y4))
-    return y + sixth * (k1 + _TWO * k2 + _TWO * k3 + k4)
-
-
 def _attempt(ctx: RunContext, t: float, y: Array, dt: float) -> Array:
-    weights = ctx._weights.get(dt) or ctx._weights.setdefault(dt, _rk4_weights(dt))
+    """One classic 4-stage Runge-Kutta step of the lane's vector field,
+    stages 2 to 4 formed in the stage's input buffer (times stay Python
+    floats), then the margin test and multiplier clamp.  A fresh result."""
+    half, whole, sixth = ctx._weights.get(dt) or ctx._weights.setdefault(
+        dt, (np.array(0.5 * dt), np.array(dt), np.array(dt / 6.0)))
+    f, y_in = ctx.rhs_flat, ctx._stage_in
     try:
-        out = _rk4(ctx.rhs_flat, t, y, dt, weights, ctx._stage_inputs)
+        k1 = f(t, y)
+        k2 = f(t + 0.5 * dt, np.add(y, half * k1, out=y_in))
+        k3 = f(t + 0.5 * dt, np.add(y, half * k2, out=y_in))
+        k4 = f(t + dt, np.add(y, whole * k3, out=y_in))
+        out = y + sixth * (k1 + _TWO * k2 + _TWO * k3 + k4)
     except (ArithmeticError, ValueError):
         # a callback may raise on a non-finite stage input (math.sin(inf)).
         # The stage's input buffer still holds the input of the stage that
         # raised, and a non-finite input makes every later one non-finite.
         # Callbacks are pure, so an error on a finite input is the
         # callback's own: it propagates
-        if not np.isfinite(ctx._stage_in).all():
+        if not np.isfinite(y_in).all():
             raise _NonFinite
         raise
     # one call: inf * 0 and NaN * 0 are NaN, so the dot is NaN exactly when

@@ -1,6 +1,6 @@
 """The dispatch contract that the step path's byte identity rests on.
 
-The step path (sim._rk4 down to ConstraintGroup._core and
+The step path (sim._attempt down to ConstraintGroup._core and
 HistoryStack.try_insert) takes every small product through the ndarray
 method a.dot(b) and every scalar that meets an array as a 0-d ndarray:
 both are numpy's cheaper entry points.  The method reaches the C routine
@@ -124,7 +124,7 @@ def test_method_dot_gives_the_bits_of_np_dot_and_matmul(n, p, order):
         # _attempt's finiteness test
         zeros = np.zeros(len(y))
         assert_method_is_dot(y.dot(zeros), np.dot(y, zeros), y @ zeros)
-        # HistoryStack.try_insert and _append: Y v, |Y v|^2, trace(Y'Y),
+        # HistoryStack.try_insert: Y v, |Y v|^2, trace(Y'Y),
         # Y'Y and Y'(xdot_hat - u)
         yv = Y.dot(draw(rng, p))
         assert_method_is_dot(yv.dot(yv), np.dot(yv, yv), yv @ yv)
@@ -201,7 +201,7 @@ def test_zero_d_operand_gives_the_bits_of_the_python_float(op):
 @pytest.mark.parametrize("n,p,widths", [(2, 4, [8]), (2, 4, [8, 2]), (3, 6, [12])])
 def test_out_into_a_bound_row_view_gives_the_bits_of_the_allocating_call(n, p, widths):
     """The stage writes its result into views of an output row bound once
-    per lane (plant, estimate and multiplier blocks), and _rk4 forms the
+    per lane (plant, estimate and multiplier blocks), and _attempt forms the
     inputs of stages 2 to 4 in one input buffer.  Each call written with
     out= must give the bits of the same call that allocates its result."""
     rng = np.random.default_rng(n * 100 + p + len(widths))
@@ -213,7 +213,7 @@ def test_out_into_a_bound_row_view_gives_the_bits_of_the_allocating_call(n, p, w
         for start, stop in zip(ends[:-1], ends[1:]):
             view = row[start:stop]
             a, b = draw(rng, stop - start), draw(rng, stop - start)
-            for op in (np.add, np.subtract):  # the ufuncs the stage and _rk4 write with out=
+            for op in (np.add, np.subtract):  # the ufuncs the stage and _attempt write with out=
                 assert bits(op(a, b, out=view)) == bits(op(a, b))
                 assert bits(view) == bits(op(a, b))
             np.copyto(view, a)

@@ -371,9 +371,9 @@ def _looped_fill(stack, plant, states) -> int:
 
 
 @pytest.mark.parametrize("capacity, n_states, preset", [
-    (20, 20, 0),  # the offline scenarios: one append of every state
+    (20, 20, 0),  # the offline scenarios: every state fits
     (20, 12, 0),  # room to spare
-    (8, 20, 0),   # more states than room: the rest go through try_insert
+    (8, 20, 0),   # more states than room: the last 12 meet a full stack
     (10, 15, 4),  # a stack that already holds entries
     (0, 5, 0),
 ])
@@ -397,13 +397,19 @@ def test_prefill_matches_a_try_insert_loop(capacity, n_states, preset):
         assert np.array_equal(v, ref_v) and np.array_equal(key, ref_key) and key_max == ref_max
 
 
-def test_offline_prefill_refreshes_the_stack_once(monkeypatch):
-    # building sanity's offline context forms the level once for the empty
-    # stack and once for its 20 appends, and the screen once, as it is full
+def test_offline_prefill_offers_every_state_to_try_insert(monkeypatch):
+    # building sanity's offline context offers its 20 states to try_insert,
+    # which forms the level once for the empty stack and once per append,
+    # and the screen once, when the stack fills
     from baradapt.cli import load_config
     from baradapt.sim import build_context
 
     calls = Counter()
+    try_insert = HistoryStack.try_insert
+
+    def counted_insert(self, *args):
+        calls["try_insert"] += 1
+        return try_insert(self, *args)
 
     def counted(name):
         inner = getattr(np.linalg, name)
@@ -415,6 +421,7 @@ def test_offline_prefill_refreshes_the_stack_once(monkeypatch):
 
     for name in ("eigvalsh", "eigh"):
         monkeypatch.setattr(np.linalg, name, counted(name))
+    monkeypatch.setattr(HistoryStack, "try_insert", counted_insert)
     ctx = build_context(load_config("sanity"))
     assert len(ctx.stack) == ctx.cfg.stack.size == 20
-    assert calls == {"eigvalsh": 2, "eigh": 1}
+    assert calls == {"try_insert": 20, "eigvalsh": 21, "eigh": 1}

@@ -274,9 +274,14 @@ def test_control_input_hand_value():
 
 
 def rk4(f, t, y, dt):
-    """One classic 4-stage Runge-Kutta step for ydot = f(t, y): the lane's
-    _rk4 with its own weights and stage inputs, the tests' reference."""
-    return sim._rk4(f, t, y, dt, sim._rk4_weights(dt), np.empty((3,) + np.shape(y)))
+    """One classic 4-stage Runge-Kutta step for ydot = f(t, y), written out
+    with fresh stage inputs and Python-float weights: the tests' reference,
+    independent of sim._attempt."""
+    k1 = f(t, y)
+    k2 = f(t + 0.5 * dt, y + (0.5 * dt) * k1)
+    k3 = f(t + 0.5 * dt, y + (0.5 * dt) * k2)
+    k4 = f(t + dt, y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def test_rk4_linear_decay_anchor():
@@ -578,14 +583,15 @@ def fast_path_contexts():
 
 def test_step_fast_paths_match_the_unbound_step_bitwise():
     # every layout under every law, a multiplier of each group entering the
-    # step at 0.0, -0.0 and just below 0, at dt and two halvings of it
+    # step at 0.0, -0.0 and just below 0, at dt and two halvings of it, and
+    # at 2.5e-3 and 1.25e-3, where dt / 6.0 != dt * (1.0 / 6.0)
     clamped = unclamped = 0
     for layout, law, ctx in fast_path_contexts():
         for value in (0.0, -0.0, -1e-12):
             y = ctx.pack(ctx.initial_state())
             for sl in ctx.lam_slices:
                 y[sl.start] = value
-            for dt in (1e-3, 5e-4, 2.5e-4):
+            for dt in (2.5e-3, 1.25e-3, 1e-3, 5e-4, 2.5e-4):
                 got = sim._attempt(ctx, 0.5, y, dt)
                 want = unbound_attempt(ctx, 0.5, y, dt)
                 assert got.tobytes() == want.tobytes(), (layout, law, value, dt)
@@ -593,7 +599,11 @@ def test_step_fast_paths_match_the_unbound_step_bitwise():
                     raw = rk4(ctx.rhs_flat, 0.5, y, dt)[ctx.lam_slices[-1]]
                     clamped += min(raw.tolist()) <= 0.0
                     unclamped += min(raw.tolist()) > 0.0
-        assert sorted(ctx._weights) == [2.5e-4, 5e-4, 1e-3]  # one set per step size
+        # one set per step size, each (dt / 2, dt, dt / 6) as 0-d arrays
+        assert sorted(ctx._weights) == [2.5e-4, 5e-4, 1e-3, 1.25e-3, 2.5e-3]
+        for dt, weights in ctx._weights.items():
+            assert [(w.shape, float(w)) for w in weights] == [
+                ((), 0.5 * dt), ((), dt), ((), dt / 6.0)]
     # both sides of the clamp rule were taken
     assert clamped and unclamped
 

@@ -237,10 +237,10 @@ def test_noqa_reexports_name_the_bench_file_that_uses_them():
 
 #: the functions of each module that an RK4 step runs through
 STEP_PATH = {
-    "sim.py": {"_rk4", "_attempt", "_step_flat", "rhs_flat", "_bind_stage"},
+    "sim.py": {"_attempt", "_step_flat", "rhs_flat", "_bind_stage"},
     "adaptation.py": {"_control", "_flow_terms", "_lambda_dot", "_project"},
     "barrier.py": {"_slacks", "_core"},
-    "history.py": {"try_insert", "_append"},
+    "history.py": {"try_insert"},
 }
 
 
