@@ -9,9 +9,10 @@ pins down the parameter vector without persistent excitation.
 Insertion never lowers the minimum eigenvalue: appends add a positive
 semidefinite term, and once full a candidate only replaces the entry whose
 removal-and-substitution maximizes the minimum eigenvalue, and only if that
-strictly improves on the current value.  A full-stack candidate is first
-screened: a Rayleigh-quotient bound rules out the trial swaps that cannot
-beat the current value, and only the rest go to LAPACK.
+strictly improves on the current value.  Once a full-stack candidate has
+been rejected, the candidates after it are screened until the next change:
+an interlacing bound rules out the trial swaps that cannot beat the current
+value, and only the rest go to LAPACK.
 """
 
 from __future__ import annotations
@@ -86,19 +87,10 @@ class HistoryStack:
 
     def _recompute(self):
         """Form the state a stack change derives, on every change: the gram
-        and projection sums, the excitation level and, when the stack is
-        full, the swap screen (v, key, max(key)).  v is the unit
-        eigenvector of the gram's smallest eigenvalue, and
-        key[i] = v'Gv - |Y_i v|^2 + 1e-9 trace(G).
-
-        Trial swap i has the gram T_i = G - G_i + C, with C = Y_c'Y_c the
-        candidate's.  By Courant-Fischer its smallest eigenvalue is at most
-        v'T_i v = v'Gv - |Y_i v|^2 + |Y_c v|^2, so
-        key[i] + |Y_c v|^2 + 1e-9 trace(C) bounds it from above.  The slack
-        1e-9 (trace(G) + trace(C)) is at least 1e-9 trace(T_i) >= 1e-9
-        |T_i|_2, about six orders of magnitude above the rounding of the
-        bound, of forming T_i and of eigvalsh's backward error; so
-        eigvalsh returns no more than the bound plus the slack for T_i."""
+        and projection sums and the excitation level.  The change drops the
+        swap screen; a full-stack candidate rejected without one forms it
+        (see _form_screen), since swaps come in runs that a screen formed
+        after each would not prune."""
         # a sum along axis 0 adds the entries in order, as a loop would
         self._gram = self._grams.sum(axis=0)
         self._proj = self._projs.sum(axis=0)
@@ -106,11 +98,28 @@ class HistoryStack:
         tol = self.dim_param * _EPS * eigs[-1]
         self._min_eig = float(eigs[0]) if eigs[0] > tol else 0.0
         self._screen = None
-        if 0 < len(self._entries) == self.capacity:
-            v = np.linalg.eigh(self._gram)[1][:, 0]
-            key = v @ self._gram @ v - (self._grams @ v) @ v + 1e-9 * self._gram.trace()
-            self._screen = (v, key, float(key.max()))
         self._revision += 1
+
+    def _form_screen(self):
+        """The swap screen (V, kept, key_max) of a full stack.  V holds the unit
+        eigenvectors of the gram's two smallest eigenvalues (one when
+        p = 1), kept[i] = V'GV - V'G_iV + 1e-9 trace(G) I, the entries kept
+        by swap i seen through V, and key_max is the largest kept[i][0, 0].
+
+        Trial swap i has the gram T_i = G - G_i + C, with C = Y_c'Y_c the
+        candidate's.  By Cauchy interlacing its smallest eigenvalue is at
+        most that of V'T_iV = V'GV - V'G_iV + (Y_cV)'(Y_cV), a 2x2
+        [[a, b], [b, c]] whose smallest eigenvalue a/2 + c/2 -
+        hypot(a/2 - c/2, b) is at most a, the Rayleigh quotient of V's first
+        column.  The slack 1e-9 (trace(G) + trace(C)) is at least
+        1e-9 trace(T_i) >= 1e-9 |T_i|_2, about six orders of magnitude above
+        the rounding of the 2x2 form and of V's orthonormality, of forming
+        T_i and of eigvalsh's backward error; so eigvalsh returns no more
+        than the bound plus the slack for T_i."""
+        G = self._gram
+        V = np.linalg.eigh(G)[1][:, :2]
+        kept = (V.T.dot(G).dot(V) + 1e-9 * G.trace() * np.eye(V.shape[1])) - V.T @ self._grams @ V
+        self._screen = (V, kept, float(kept[:, 0, 0].max()))
 
     def excitation_level(self) -> float:
         """Minimum eigenvalue of the gram matrix; 0 for an empty stack, and
@@ -138,21 +147,32 @@ class HistoryStack:
             return True
         current = self.excitation_level()
         bar = current * (1.0 + 1e-12)
-        # a trial whose bound (see _recompute) is at most bar computes to
-        # at most bar, so it can neither win nor turn a rejection into a
-        # swap: only the live trials go to eigvalsh, which returns the same
-        # values for a matrix in any batch
-        v, key, key_max = self._screen
-        yv = Y.dot(v)
-        reach = float(yv.dot(yv)) + 1e-9 * float(Y.ravel().dot(Y.ravel()))
-        if key_max + reach <= bar:
-            return False
-        live = (key + reach > bar).nonzero()[0]
+        if self._screen is None:
+            live = np.arange(len(self._entries))
+        else:
+            # a trial whose bound (see _form_screen) is at most bar computes
+            # to at most bar, so it can neither win nor turn a rejection into
+            # a swap: only the live trials go to eigvalsh, which returns the
+            # same values for a matrix in any batch
+            V, kept, key_max = self._screen
+            yv = Y.dot(V)
+            cv = yv.T.dot(yv)
+            slack = 1e-9 * float(Y.ravel().dot(Y.ravel()))
+            if key_max + (float(cv[0, 0]) + slack) <= bar:
+                return False
+            vtv = kept + cv  # V'T_iV plus the slack of G, per trial
+            ha, hc = 0.5 * vtv[:, 0, 0], 0.5 * vtv[:, -1, -1]  # a/2 and c/2
+            b = vtv[:, 0, 1] if len(cv) == 2 else 0.0  # p = 1: the bound is a
+            live = (ha + hc - np.hypot(ha - hc, b) + slack > bar).nonzero()[0]
+            if not live.size:
+                return False
         cand_gram = Y.T.dot(Y)
         eigs = np.linalg.eigvalsh(self._gram - self._grams[live] + cand_gram)[:, 0]
         # argmax keeps the first of equally good swaps, in entry order
         best = int(eigs.argmax())
         if eigs[best] <= bar:
+            if self._screen is None:
+                self._form_screen()
             return False
         best_idx = int(live[best])
         cand_proj = (cand.xdot_hat - cand.u).dot(Y)

@@ -57,10 +57,10 @@ def test_dot_matches_matmul_on_the_kernel_products(n, p):
         # a norm group: the (2,) weights on the (2, p) radial rows
         assert_dot_is_matmul(draw(rng, 1), norm._jac_t)
         assert_dot_is_matmul(draw(rng, 2), norm._jac * (th / draw(rng, 1)[0]))
-        # HistoryStack.try_insert: Y v, |Y v|^2, Y'Y and Y'(xdot_hat - u)
-        v = draw(rng, p)
-        assert_dot_is_matmul(Y, v)
-        assert_dot_is_matmul(Y @ v, Y @ v)
+        # HistoryStack.try_insert: Y V, (Y V)'(Y V), Y'Y and Y'(xdot_hat - u)
+        V = draw(rng, p, 2)
+        assert_dot_is_matmul(Y, V)
+        assert_dot_is_matmul((Y @ V).T, Y @ V)
         assert_dot_is_matmul(Y.T, Y)
         assert_dot_is_matmul(Y.T, draw(rng, n) - draw(rng, n))
 

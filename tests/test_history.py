@@ -109,9 +109,17 @@ def _unscreened_try_insert(stack, Y, u, xdot_hat):
     return True
 
 
-def _candidates(kind, rng, stack, scale):
+KINDS = ["gaussian", "benchmark", "rank_deficient", "ties", "huge", "bursts", "faint"]
+
+
+def _candidates(kind, rng, stack, scale, last):
     """Candidate regressors of one stream kind; ties re-offers the stack's
-    own entries, exactly or within a few ulps to a few 1e-5 of them."""
+    own entries, exactly or within a few ulps to a few 1e-5 of them,
+    bursts near-copies of last, the last candidate the stack took, so that
+    swaps come in runs as on a densely recorded lane, and faint offers a
+    full stack with an unexcited direction candidates 1e-8 to 1e-6 of its
+    scale, whose own slack 1e-9 trace(C) is below the rounding of the
+    bound: the stack's slack 1e-9 trace(G) covers it."""
     n, p = stack.dim_state, stack.dim_param
     if kind == "benchmark":
         # the paper's regressor along its reference path: exact zeros
@@ -120,23 +128,29 @@ def _candidates(kind, rng, stack, scale):
     if kind == "ties" and len(stack) and rng.random() < 0.6:
         Y = stack._entries[rng.integers(len(stack))].Y
         return Y * rng.choice([1.0, 1.0, 1.0 - 1e-9, 1.0 + 1e-9, 1.0 + 1e-7, 1.0 + 1e-5])
+    if kind == "bursts" and last is not None and rng.random() < 0.8:
+        return last * (1.0 + 10.0 ** rng.uniform(-4.0, -1.0) * rng.normal(size=(n, p)))
+    if kind == "faint" and len(stack) == stack.capacity and rng.random() < 0.7:
+        return scale * 10.0 ** rng.uniform(-8.0, -6.0) * rng.normal(size=(n, p))
     if kind == "rank_deficient" and (not len(stack) or rng.random() < 0.3):
         # a stack of zero samples offered another has a bound and a bar of
         # exactly 0
         return np.zeros((n, p))
     Y = scale * 10.0 ** rng.uniform(-1.0, 1.0) * rng.normal(size=(n, p))
-    if kind == "rank_deficient" and rng.random() < 0.9:
+    if kind == "faint" or kind == "rank_deficient" and rng.random() < 0.9:
         # one parameter direction stays unexcited, so the level is 0
         Y[:, 0] = 0.0
     return Y
 
 
-@pytest.mark.parametrize("kind", ["gaussian", "benchmark", "rank_deficient", "ties"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_screened_swaps_match_the_full_batched_rule(kind, monkeypatch):
     # the screen only skips trials that cannot change the decision: every
     # return value, entry, cached sum, level and revision is bitwise the
     # unscreened rule's, and the screen both ends candidates without LAPACK
-    # and sends only part of the trials to it
+    # and sends only part of the trials to it.  huge draws regressors up to
+    # 1e150, where the 2x2 bound's sqrt(h*h + b*b) would overflow to inf;
+    # p = 1 stacks have one eigenvector to bound with
     eigvalsh, batches = np.linalg.eigvalsh, []
 
     def counted(a):
@@ -145,19 +159,21 @@ def test_screened_swaps_match_the_full_batched_rule(kind, monkeypatch):
         return eigvalsh(a)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    rng = np.random.default_rng(["gaussian", "benchmark", "rank_deficient", "ties"].index(kind))
+    rng = np.random.default_rng(KINDS.index(kind))
     screened_out = partial = at_zero = 0
     for capacity in range(1, 8):
         for _ in range(3):
-            n, p = (2, 4) if kind == "benchmark" else (int(rng.integers(1, 4)), int(rng.integers(2, 5)))
-            scale = 10.0 ** rng.uniform(-4.0, 4.0)
+            n, p = (2, 4) if kind == "benchmark" else (int(rng.integers(1, 4)), int(rng.integers(1, 5)))
+            scale = 10.0 ** rng.uniform(*((100.0, 150.0) if kind == "huge" else (-4.0, 4.0)))
             stack, ref = (HistoryStack(n, p, capacity, 1e-3) for _ in range(2))
+            last = None
             for _ in range(50):
-                Y = _candidates(kind, rng, ref, scale)
+                Y = _candidates(kind, rng, ref, scale, last)
                 u, xd = rng.normal(size=n), rng.normal(size=n)
                 full = len(stack) == capacity
                 at_zero += full and ref.excitation_level() == 0.0
                 want = _unscreened_try_insert(ref, Y, u, xd)
+                last = Y if want else last
                 del batches[:]
                 assert stack.try_insert(Y, u, xd) == want
                 if full:
@@ -172,14 +188,15 @@ def test_screened_swaps_match_the_full_batched_rule(kind, monkeypatch):
                 # the run forms its memory terms again on every revision
                 assert stack._revision == ref._revision
     assert screened_out > 0 and partial > 0
-    if kind == "rank_deficient":
+    if kind in ("rank_deficient", "faint"):
         assert at_zero > 0
 
 
-def test_every_stack_change_forms_the_level_and_the_screen(monkeypatch):
-    # _recompute forms the excitation level and, on a full stack, the swap
-    # screen on every change (an append, a swap, and both halves of a
-    # reverted swap), so a candidate never pays an eigh of its own
+def test_a_rejection_forms_the_screen_and_a_change_drops_it(monkeypatch):
+    # every change (an append, a swap, and both halves of a reverted swap)
+    # forms the level and leaves no screen, with no eigh; a full-stack
+    # candidate rejected without a screen forms one with one eigh, and the
+    # candidates after it reuse that screen until the next change
     eigh, eigh_calls = np.linalg.eigh, []
 
     def counted(a):
@@ -190,30 +207,39 @@ def test_every_stack_change_forms_the_level_and_the_screen(monkeypatch):
     rng = np.random.default_rng(12)
     stack = HistoryStack(2, 4, capacity=4, min_eig_threshold=1e-3)
 
-    def check(changes):
-        full = 0 < len(stack) == stack.capacity
-        assert (stack._screen is not None) == full
+    def check():
         eigs = np.linalg.eigvalsh(stack.gram)
         tol = stack.dim_param * np.finfo(float).eps * eigs[-1]
         assert stack.excitation_level() == (float(eigs[0]) if eigs[0] > tol else 0.0)
-        assert len(eigh_calls) == (changes if full else 0)
-        del eigh_calls[:]
 
     def offer(scale):
-        revision = stack._revision
+        revision, screen = stack._revision, stack._screen
+        del eigh_calls[:]
         stack.try_insert(scale * rng.normal(size=(2, 4)), rng.normal(size=2),
                          rng.normal(size=2))
-        return stack._revision - revision
+        changes = stack._revision - revision
+        if changes:
+            assert stack._screen is None and not eigh_calls
+            return "changed", changes
+        assert len(stack) == stack.capacity
+        if screen is None:
+            assert stack._screen is not None and len(eigh_calls) == 1
+            return "formed", 0
+        assert stack._screen is screen and not eigh_calls
+        return "reused", 0
 
-    check(0)
+    check()
+    assert stack._screen is None
     outcomes = Counter()
     for _ in range(60):
-        changes = offer(rng.choice([0.1, 1.0, 10.0]))
-        outcomes["full" if len(stack) == stack.capacity else "room", changes] += 1
-        check(changes)
-    assert outcomes["room", 1] == 3 and outcomes["full", 1] > 3 and outcomes["full", 0] > 0
+        outcomes[offer(rng.choice([0.1, 1.0, 10.0]))] += 1
+        check()
+    assert outcomes["changed", 1] > 4 and outcomes["formed", 0] > 1 and outcomes["reused", 0] > 1
 
-    # a swap that the post-swap guard reverts, forced as in test_sim
+    # a swap that the post-swap guard reverts, forced as in test_sim, from a
+    # stack that holds a screen
+    while stack._screen is None:
+        offer(0.1)
     level, reads = stack.excitation_level(), []
 
     def level_before_swap():
@@ -221,11 +247,51 @@ def test_every_stack_change_forms_the_level_and_the_screen(monkeypatch):
         return level
 
     monkeypatch.setattr(stack, "excitation_level", level_before_swap)
-    changes = offer(100.0)
-    monkeypatch.undo()  # the eigh calls of the offer are already counted
-    assert len(reads) == 2 and changes == 2
+    assert offer(100.0) == ("changed", 2)
+    monkeypatch.undo()
+    assert len(reads) == 2
     assert stack.excitation_level() == level
-    check(changes)
+    check()
+
+
+def test_dense_stream_screens_without_eigh_after_a_change(monkeypatch):
+    # sec5b offering a candidate every step for 0.5 s: 20 appends, 73 swaps
+    # and 406 rejections.  Swaps come in runs, so the screen is formed only
+    # after a rejection: a screen formed on every change paid 74 eigh calls
+    # here, and bounding with one eigenvector sent 126 rejections to LAPACK
+    from dataclasses import replace
+
+    from baradapt.cli import load_config
+    from baradapt.sim import canonical_config, run_scenario
+
+    cfg = load_config("sec5b")
+    cfg = replace(cfg, log_every=1, t_final=0.5, stack=replace(cfg.stack, record_every=1))
+    calls, outcomes = Counter(), Counter()
+    eigh, eigvalsh, try_insert = np.linalg.eigh, np.linalg.eigvalsh, HistoryStack.try_insert
+
+    def counted_eigh(a):
+        calls["eigh"] += 1
+        return eigh(a)
+
+    def counted_eigvalsh(a):
+        calls["batches"] += a.ndim == 3
+        return eigvalsh(a)
+
+    def classified_insert(self, *args):
+        size, batches = len(self), calls["batches"]
+        changed = try_insert(self, *args)
+        outcome = "insert" if len(self) > size else "swap" if changed else "rejection"
+        outcomes[outcome] += 1
+        outcomes["rejection to LAPACK"] += not changed and calls["batches"] > batches
+        return changed
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    monkeypatch.setattr(HistoryStack, "try_insert", classified_insert)
+    run_scenario(canonical_config(cfg))
+    assert (outcomes["insert"], outcomes["swap"], outcomes["rejection"]) == (20, 73, 406)
+    assert outcomes["rejection to LAPACK"] <= 5
+    assert calls["eigh"] <= 5
 
 
 def test_write_csv_prints_each_cell_as_format_17g():
@@ -392,15 +458,15 @@ def test_prefill_matches_a_try_insert_loop(capacity, n_states, preset):
     assert stack.excitation_level() == ref.excitation_level()
     assert (stack._screen is None) == (ref._screen is None)
     if stack._screen is not None:
-        v, key, key_max = stack._screen
-        ref_v, ref_key, ref_max = ref._screen
-        assert np.array_equal(v, ref_v) and np.array_equal(key, ref_key) and key_max == ref_max
+        V, kept, key_max = stack._screen
+        ref_V, ref_kept, ref_max = ref._screen
+        assert np.array_equal(V, ref_V) and np.array_equal(kept, ref_kept) and key_max == ref_max
 
 
 def test_offline_prefill_offers_every_state_to_try_insert(monkeypatch):
     # building sanity's offline context offers its 20 states to try_insert,
     # which forms the level once for the empty stack and once per append,
-    # and the screen once, when the stack fills
+    # and no screen: only a rejected full-stack candidate forms one
     from baradapt.cli import load_config
     from baradapt.sim import build_context
 
@@ -424,4 +490,4 @@ def test_offline_prefill_offers_every_state_to_try_insert(monkeypatch):
     monkeypatch.setattr(HistoryStack, "try_insert", counted_insert)
     ctx = build_context(load_config("sanity"))
     assert len(ctx.stack) == ctx.cfg.stack.size == 20
-    assert calls == {"try_insert": 20, "eigvalsh": 21, "eigh": 1}
+    assert calls == {"try_insert": 20, "eigvalsh": 21} and calls["eigh"] == 0

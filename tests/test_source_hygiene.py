@@ -261,7 +261,7 @@ def test_step_path_takes_small_products_through_np_dot():
     the step path's small 1-D and 2-D products (tests/test_dispatch.py
     checks that) at a lower per-call cost.  A `@` written back into one of
     these functions undoes the rule in one place.  Stacked 3-D products,
-    such as HistoryStack._recompute's, keep `@`: a dot means another
+    such as HistoryStack._form_screen's, keep `@`: a dot means another
     product there."""
     sites = [f"{name}:{node.lineno} {fn}" for name, fn, body in step_path_defs()
              for node in ast.walk(body)
